@@ -27,14 +27,11 @@
 //                         the CI bench smoke job runs this in Release.
 //   --trace=PATH          record a Chrome/Perfetto trace of whichever
 //                         sweep mode runs and write it to PATH.
-//   --trace-overhead[=E]  tracing-overhead gate: best-of-3 rounds/sec at
-//                         n=2^E (default 20) deg 4, untraced vs fully
-//                         traced; exit 1 when the traced run is >5%
-//                         slower (LPS_BENCH_GATE_SKIP honored).
-//   --obs-overhead[=E]    observability-overhead gate: same harness, but
-//                         the instrumented side runs with the structured
-//                         EventLog recording and a silent Monitor
-//                         sampling progress; exit 1 when >5% slower
+//   --trace-overhead[=E]  observability-overhead gate: best-of-3
+//                         rounds/sec at n=2^E (default 20) deg 4, bare vs
+//                         fully observed (metrics, trace recording and a
+//                         silent Monitor sampling progress); exit 1 when
+//                         the observed run is >5% slower
 //                         (LPS_BENCH_GATE_SKIP honored).
 //
 // Every sweep row (including --smoke) also appends two "bench" records
@@ -225,8 +222,6 @@ int main(int argc, char** argv) {
   std::string trace_path;
   bool trace_overhead = false;
   unsigned trace_overhead_exp = 20;
-  bool obs_overhead = false;
-  unsigned obs_overhead_exp = 20;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -253,21 +248,11 @@ int main(int argc, char** argv) {
       trace_overhead = true;
       trace_overhead_exp =
           static_cast<unsigned>(std::strtoul(argv[i] + 17, nullptr, 10));
-    } else if (std::strcmp(argv[i], "--obs-overhead") == 0) {
-      obs_overhead = true;
-    } else if (std::strncmp(argv[i], "--obs-overhead=", 15) == 0) {
-      obs_overhead = true;
-      obs_overhead_exp =
-          static_cast<unsigned>(std::strtoul(argv[i] + 15, nullptr, 10));
     }
   }
   if (trace_overhead) {
     // Manages its own tracer state; --trace would skew the measurement.
     return lps::run_trace_overhead(trace_overhead_exp);
-  }
-  if (obs_overhead) {
-    // Likewise self-managed: the bare half must run uninstrumented.
-    return lps::run_obs_overhead(obs_overhead_exp);
   }
   const bool custom = smoke || perf_gate || shard_sweep || engine_sweep;
   const bool tracing = !trace_path.empty();

@@ -17,9 +17,9 @@
 #include "core/israeli_itai.hpp"
 #include "graph/generators.hpp"
 #include "runtime/shard.hpp"
-#include "telemetry/event_log.hpp"
 #include "telemetry/monitor.hpp"
 #include "telemetry/telemetry.hpp"
+#include "telemetry/trace_reader.hpp"
 #include "util/rng.hpp"
 
 namespace lps {
@@ -97,7 +97,7 @@ void print_engine_row(const EngineRunResult& r) {
 
 struct TraceOverheadResult {
   EngineRunResult off;   // telemetry switched off
-  EngineRunResult on;    // metrics + span recording on
+  EngineRunResult on;    // metrics + recording on + silent monitor
   std::size_t events = 0;  // spans captured during the best traced repeat
 
   double overhead_frac() const {
@@ -105,10 +105,11 @@ struct TraceOverheadResult {
   }
 };
 
-/// Best-of-`reps` untraced vs fully traced (metrics on + span recording
-/// on) runs of the EngineStep workload. Best-of on both sides: peak
-/// throughput is the noise-stable quantity, and comparing peaks isolates
-/// the instrumentation cost from scheduler jitter.
+/// Best-of-`reps` bare vs fully observed runs of the EngineStep workload:
+/// metrics on, trace recording on, and a silent Monitor sampling the
+/// progress board the engine then publishes every round. Best-of on both
+/// sides: peak throughput is the noise-stable quantity, and comparing
+/// peaks isolates the instrumentation cost from scheduler jitter.
 TraceOverheadResult measure_trace_overhead(NodeId n, double avg_deg,
                                            double min_seconds, int reps) {
   TraceOverheadResult out{};
@@ -125,8 +126,13 @@ TraceOverheadResult measure_trace_overhead(NodeId n, double avg_deg,
   for (int rep = 0; rep < reps; ++rep) {
     tracer.reset();  // fresh event budget per repeat — no drop skew
     tracer.set_recording(true);
+    telemetry::MonitorOptions mo;
+    mo.interval_ms = 50;
+    mo.out = nullptr;  // silent: sample the board, print nothing
+    telemetry::Monitor monitor(mo);
     const EngineRunResult r =
         measure_engine_rounds(n, avg_deg, min_seconds, /*shards=*/0);
+    monitor.stop();
     tracer.set_recording(false);
     if (rep == 0 || r.rounds_per_sec() > out.on.rounds_per_sec()) {
       out.on = r;
@@ -145,10 +151,6 @@ TraceOverheadResult measure_trace_overhead(NodeId n, double avg_deg,
 void print_phase_breakdown(NodeId n, double avg_deg) {
   const bool prev = telemetry::enabled();
   telemetry::set_enabled(true);
-  if (!telemetry::enabled()) {
-    std::printf("  (telemetry compiled out — no phase breakdown)\n");
-    return;
-  }
   telemetry::EngineMetrics& em = telemetry::EngineMetrics::get();
   const std::uint64_t rounds0 = em.rounds.value();
   telemetry::HistogramSnapshot round = em.round_ns.snapshot();
@@ -247,32 +249,6 @@ std::vector<std::pair<std::string, std::string>> baseline_blocks(
     }
   }
   return out;
-}
-
-/// Best-effort numeric field extraction from one flat JSON object row.
-bool json_field(const std::string& row, const char* name, double* value) {
-  const std::string needle = std::string("\"") + name + "\":";
-  const std::size_t pos = row.find(needle);
-  if (pos == std::string::npos) return false;
-  *value = std::strtod(row.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
-/// The rows of the top-level "results" array, one string per object.
-std::vector<std::string> result_rows(const std::string& text) {
-  std::vector<std::string> rows;
-  const std::size_t arr = text.find("\"results\":");
-  if (arr == std::string::npos) return rows;
-  std::size_t i = text.find('[', arr);
-  if (i == std::string::npos) return rows;
-  for (++i; i < text.size() && text[i] != ']'; ++i) {
-    if (text[i] != '{') continue;
-    const std::size_t end = text.find('}', i);
-    if (end == std::string::npos) break;
-    rows.push_back(text.substr(i, end - i + 1));
-    i = end;
-  }
-  return rows;
 }
 
 std::string read_file(const std::string& path) {
@@ -436,20 +412,32 @@ int run_perf_gate(const std::string& baseline_path) {
                  baseline_path.c_str());
     return 1;
   }
-  const std::vector<std::string> rows = result_rows(text);
-  if (rows.empty()) {
+  telemetry::JsonValue doc;
+  std::string error;
+  if (!telemetry::parse_json(text, doc, &error)) {
+    std::fprintf(stderr, "perf gate: %s: %s\n", baseline_path.c_str(),
+                 error.c_str());
+    return 1;
+  }
+  const telemetry::JsonValue* rows = doc.find("results");
+  if (rows == nullptr || !rows->is_array() || rows->array.empty()) {
     std::fprintf(stderr, "perf gate: no results in %s\n",
                  baseline_path.c_str());
     return 1;
   }
   bool failed = false;
   std::size_t compared = 0;
-  for (const std::string& row : rows) {
-    double bn = 0.0, bdeg = 0.0, brps = 0.0;
-    if (!json_field(row, "n", &bn) || !json_field(row, "avg_deg", &bdeg) ||
-        !json_field(row, "rounds_per_sec", &brps) || brps <= 0.0) {
+  for (const telemetry::JsonValue& row : rows->array) {
+    const telemetry::JsonValue* n = row.find("n");
+    const telemetry::JsonValue* deg = row.find("avg_deg");
+    const telemetry::JsonValue* rps = row.find("rounds_per_sec");
+    if (n == nullptr || deg == nullptr || rps == nullptr || !n->is_number() ||
+        !deg->is_number() || !rps->is_number() || rps->number <= 0.0) {
       continue;
     }
+    const double bn = n->number;
+    const double bdeg = deg->number;
+    const double brps = rps->number;
     if (bn > static_cast<double>(1u << 17)) continue;  // CI time budget
     Rng rng(15);
     const Graph g =
@@ -497,19 +485,12 @@ int run_perf_gate(const std::string& baseline_path) {
   return 0;
 }
 
-/// CI tracing-overhead gate (--trace-overhead): the telemetry contract
-/// says a fully traced engine run (metrics + span recording on) stays
-/// within 5% of untraced rounds/sec. Same best-of-3 discipline and
-/// LPS_BENCH_GATE_SKIP override as the perf gate.
+/// CI observability-overhead gate (--trace-overhead): the telemetry
+/// contract says a fully observed engine run (metrics, trace recording
+/// and a silent Monitor all on) stays within 5% of bare rounds/sec. Same
+/// best-of-3 discipline and LPS_BENCH_GATE_SKIP override as the perf
+/// gate.
 int run_trace_overhead(unsigned nexp) {
-  telemetry::set_enabled(true);
-  if (!telemetry::enabled()) {
-    std::printf(
-        "trace overhead: telemetry compiled out (LPS_TELEMETRY=0) — "
-        "nothing to gate\n");
-    return 0;
-  }
-  telemetry::set_enabled(false);
   const NodeId n = NodeId{1} << nexp;
   const TraceOverheadResult r = measure_trace_overhead(n, 4.0, 0.3, 3);
   std::printf("untraced ");
@@ -532,74 +513,6 @@ int run_trace_overhead(unsigned nexp) {
     std::fprintf(stderr,
                  "trace overhead: traced run >5%% slower than untraced (set "
                  "LPS_BENCH_GATE_SKIP=1 to override on noisy hosts)\n");
-    return 1;
-  }
-  return 0;
-}
-
-/// CI observability-overhead gate (--obs-overhead): the PR 9 acceptance
-/// budget — a run with the structured EventLog recording and a silent
-/// Monitor sampling the progress board stays within 5% of bare
-/// rounds/sec. Same best-of-3 discipline and LPS_BENCH_GATE_SKIP
-/// override as the other gates.
-int run_obs_overhead(unsigned nexp) {
-  telemetry::EventLog& elog = telemetry::EventLog::global();
-  elog.set_recording(true);
-  if (!elog.recording()) {
-    std::printf(
-        "obs overhead: telemetry compiled out (LPS_TELEMETRY=0) — "
-        "nothing to gate\n");
-    return 0;
-  }
-  elog.set_recording(false);
-  const NodeId n = NodeId{1} << nexp;
-  EngineRunResult off{};
-  EngineRunResult on{};
-  std::size_t events = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const EngineRunResult r =
-        measure_engine_rounds(n, 4.0, /*min_seconds=*/0.3, /*shards=*/0);
-    if (rep == 0 || r.rounds_per_sec() > off.rounds_per_sec()) off = r;
-  }
-  for (int rep = 0; rep < 3; ++rep) {
-    elog.reset();  // fresh event budget per repeat — no drop skew
-    elog.set_recording(true);
-    telemetry::MonitorOptions mo;
-    mo.interval_ms = 50;
-    mo.out = nullptr;  // silent: sample the board, print nothing
-    {
-      telemetry::Monitor monitor(mo);
-      const EngineRunResult r =
-          measure_engine_rounds(n, 4.0, /*min_seconds=*/0.3, /*shards=*/0);
-      monitor.stop();
-      if (rep == 0 || r.rounds_per_sec() > on.rounds_per_sec()) {
-        on = r;
-        events = elog.events();
-      }
-    }
-    elog.set_recording(false);
-  }
-  elog.reset();
-  std::printf("bare     ");
-  print_engine_row(off);
-  std::printf("observed ");
-  print_engine_row(on);
-  const double frac = 1.0 - on.rounds_per_sec() / off.rounds_per_sec();
-  std::printf(
-      "obs overhead: %.2f%% rounds/sec (%zu events recorded, budget 5%%)\n",
-      100.0 * frac, events);
-  if (frac > 0.05) {
-    const char* skip = std::getenv("LPS_BENCH_GATE_SKIP");
-    if (skip != nullptr && skip[0] == '1') {
-      std::printf(
-          "obs overhead: over budget but LPS_BENCH_GATE_SKIP=1 — "
-          "ignoring\n");
-      return 0;
-    }
-    std::fprintf(stderr,
-                 "obs overhead: event-log + monitor run >5%% slower than "
-                 "bare (set LPS_BENCH_GATE_SKIP=1 to override on noisy "
-                 "hosts)\n");
     return 1;
   }
   return 0;

@@ -1,6 +1,6 @@
 // Engine round-throughput sweep, perf/overhead gates and smoke checks
 // behind bench_micro's custom CLI modes (--engine-json, --perf-gate,
-// --shard-sweep, --trace-overhead, --obs-overhead, --smoke).
+// --shard-sweep, --trace-overhead, --smoke).
 //
 // This lives in its own translation unit on purpose: the engine's
 // run_round<EngineStep> instantiation is the measured hot loop, and
@@ -40,7 +40,6 @@ int run_engine_sweep(const std::string& json_path, bool smoke,
 int run_shard_sweep();
 int run_perf_gate(const std::string& baseline_path);
 int run_trace_overhead(unsigned nexp);
-int run_obs_overhead(unsigned nexp);
 int run_smoke_checks();
 
 }  // namespace lps

@@ -23,7 +23,6 @@
 #include "graph/weights.hpp"
 #include "lca/batch.hpp"
 #include "lca/oracle.hpp"
-#include "telemetry/event_log.hpp"
 #include "telemetry/monitor.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/options.hpp"
@@ -469,10 +468,7 @@ TelemetrySummary summarize_telemetry(const TelemetrySnap& before,
                                      const TelemetrySnap& after_solve,
                                      const TelemetrySnap& end) {
   TelemetrySummary t;
-  // Compiled out (-DLPS_TELEMETRY=0) set_enabled is a no-op and every
-  // delta below is zero; report the block as disabled rather than as a
-  // run that mysteriously measured nothing.
-  t.enabled = telemetry::enabled();
+  t.enabled = true;
   t.rounds = after_solve.rounds - before.rounds;
   t.messages_delivered = after_solve.messages - before.messages;
 
@@ -590,13 +586,6 @@ RunResult run_one(const RunSpec& spec) {
   // same error path as generator and config typos, so the runner's
   // one-line-diagnostic contract holds for fault specs too.
   const faults::FaultPlan fault_plan = faults::make_fault_plan(spec.faults);
-#if !LPS_FAULTS
-  if (fault_plan.any()) {
-    throw std::invalid_argument("run_one: fault plan '" + fault_plan.name +
-                                "' requested but the library was built with "
-                                "-DLPS_FAULTS=0");
-  }
-#endif
   if (fault_plan.message_faults()) {
     const std::vector<std::string> keys = solver.config_keys();
     if (std::find(keys.begin(), keys.end(), "faults") == keys.end()) {
@@ -689,7 +678,8 @@ RunResult run_one(const RunSpec& spec) {
 
   // Telemetry window: metrics cover only the solver's own solve (the
   // oracle ran above, outside the window); the optional legs contribute
-  // their dedicated histograms below. The prior enabled state is
+  // their dedicated histograms below, and the trace (spans + event
+  // instants) covers solve and legs alike. The prior enabled state is
   // restored on the way out so nested/test callers see no side effect.
   const bool want_trace = !spec.trace.empty();
   const bool want_metrics = spec.telemetry || want_trace;
@@ -699,14 +689,6 @@ RunResult run_one(const RunSpec& spec) {
   if (want_trace) {
     tracer.reset();
     tracer.set_recording(true);
-  }
-  // Structured event log: recorded over the same window as the trace
-  // (solve + optional legs), written as JSONL at the end.
-  const bool want_events = !spec.events.empty();
-  telemetry::EventLog& elog = telemetry::EventLog::global();
-  if (want_events) {
-    elog.reset();
-    elog.set_recording(true);
   }
   // Live monitor + stall watchdog: a background sampler reading the
   // progress board the engine publishes each round. Purely
@@ -769,11 +751,6 @@ RunResult run_one(const RunSpec& spec) {
   if (want_trace) {
     tracer.set_recording(false);
     if (tracer.write_chrome_trace(spec.trace)) out.trace_path = spec.trace;
-  }
-  if (want_events) {
-    elog.set_recording(false);
-    out.events_recorded = elog.events();
-    if (elog.write_jsonl(spec.events)) out.events_path = spec.events;
   }
   // Mirror ThreadPool's resolution of the 0 sentinel (hardware
   // concurrency, floored at 1 — the standard allows it to report 0).
@@ -845,10 +822,6 @@ std::string RunResult::to_json() const {
           .add("faults_recovery_ns_p99", telemetry.faults_recovery_ns_p99);
     }
     if (!trace_path.empty()) tel.add("trace_path", trace_path);
-    if (!events_path.empty()) {
-      tel.add("events_path", events_path)
-          .add("events_recorded", events_recorded);
-    }
   }
   JsonObject o;
   o.add("solver", spec.solver)

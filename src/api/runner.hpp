@@ -92,30 +92,23 @@ struct RunSpec {
   /// runs `epochs` crash/recover + adversarial-delete epochs against
   /// the maintainer and lands the degradation metrics in the fault_*
   /// fields. Malformed specs throw std::invalid_argument before any
-  /// solve work; any fault request throws when the library was built
-  /// with -DLPS_FAULTS=0.
+  /// solve work.
   std::string faults;
   /// Collect per-phase metrics (src/telemetry) during the run and attach
   /// the `telemetry` block to the JSON record. One predictable branch
   /// per engine phase; set false for overhead-sensitive measurement.
-  /// No-op when the library is built with -DLPS_TELEMETRY=0.
   bool telemetry = true;
-  /// When non-empty, record Chrome-trace spans for the whole run and
-  /// write them to this path (load in Perfetto / chrome://tracing).
-  /// Implies metric collection.
+  /// When non-empty, record Chrome-trace spans plus the typed event
+  /// instants (fault injections, crashes/revivals, resyncs, watchdog
+  /// dumps; telemetry::EventKind) for the whole run and write them to
+  /// this path (load in Perfetto / chrome://tracing; audit with
+  /// `trace_summary --check`). Implies metric collection.
   std::string trace;
-  /// When non-empty, record the structured event log (round boundaries,
-  /// exchange phases, fault injections, resyncs, rebuilds — see
-  /// telemetry/event_log.hpp) and write it as JSONL to this path.
-  /// Validate/cross-link with `trace_summary --events`. No events are
-  /// recorded when the library is built with -DLPS_TELEMETRY=0 (the
-  /// file is still written, empty).
-  std::string events;
   /// Live-progress status line period in ms (stderr); 0 = no status
-  /// line. Inert when built with -DLPS_TELEMETRY=0.
+  /// line.
   unsigned monitor_ms = 0;
   /// Stall-watchdog deadline in ms: when no engine round completes for
-  /// this long, dump the event-log tail + per-shard/per-worker counters
+  /// this long, dump the progress state + per-shard/per-worker counters
   /// to stderr. 0 disables the watchdog.
   unsigned stall_timeout_ms = 0;
   /// After the stall dump, abort the process with
@@ -130,7 +123,7 @@ struct RunSpec {
 /// The per-run telemetry digest attached to RunResult (and the JSON
 /// record). All durations ns; phase means are per *round* averages.
 struct TelemetrySummary {
-  bool enabled = false;   // false = block absent (telemetry off/compiled out)
+  bool enabled = false;   // false = block absent (telemetry off)
   std::uint64_t rounds = 0;
   std::uint64_t messages_delivered = 0;
   // Whole-round latency distribution.
@@ -248,14 +241,10 @@ struct RunResult {
   std::uint64_t fault_recovery_p50_ns = 0;  // per-epoch recovery latency
   std::uint64_t fault_recovery_p99_ns = 0;
   // Per-run telemetry digest (enabled=false when spec.telemetry was
-  // off or the library was built with LPS_TELEMETRY=0).
+  // off).
   TelemetrySummary telemetry;
   /// Path the trace was written to ("" = no trace requested/written).
   std::string trace_path;
-  /// Path the event log was written to ("" = not requested/failed).
-  std::string events_path;
-  /// Events recorded during the run (0 when not requested/compiled out).
-  std::uint64_t events_recorded = 0;
   /// True when the stall watchdog fired during the run (only reachable
   /// with stall_abort=false; an aborted run never returns).
   bool stalled = false;

@@ -204,12 +204,10 @@ DistMatchingResult israeli_itai(const Graph& g,
       }
       if (perturbed.empty()) break;
       ++resyncs;
-      {
-        telemetry::EventLog& elog = telemetry::EventLog::global();
-        if (elog.recording()) {
-          elog.emit(telemetry::EventKind::kResync, net.round(), sweep,
-                    perturbed.size());
-        }
+      telemetry::Tracer& tracer = telemetry::Tracer::global();
+      if (tracer.recording()) {
+        tracer.event(telemetry::EventKind::kResync, net.round(), sweep,
+                     perturbed.size());
       }
       for (const NodeId v : perturbed) {
         matched_edge[v] = kInvalidEdge;

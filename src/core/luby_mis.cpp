@@ -91,10 +91,10 @@ std::uint32_t mis_resync(const Graph& g, std::vector<NodeState>& state,
     if (live.empty()) break;
     if (changed) {
       ++resyncs;
-      telemetry::EventLog& elog = telemetry::EventLog::global();
-      if (elog.recording()) {
-        elog.emit(telemetry::EventKind::kResync, net.round(), sweep,
-                  live.size());
+      telemetry::Tracer& tracer = telemetry::Tracer::global();
+      if (tracer.recording()) {
+        tracer.event(telemetry::EventKind::kResync, net.round(), sweep,
+                     live.size());
       }
     }
     for (const NodeId v : live) net.activate(v);

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "api/registry.hpp"
-#include "telemetry/event_log.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/options.hpp"
 
@@ -160,11 +159,6 @@ void DynamicMatcher::adopt_registry_solution(const std::string& solver,
                 {{"edges", static_cast<double>(snap.graph.num_edges())},
                  {"size_before", static_cast<double>(size_before)},
                  {"size_after", static_cast<double>(size_)}});
-  }
-  telemetry::EventLog& elog = telemetry::EventLog::global();
-  if (elog.recording()) {
-    elog.emit(telemetry::EventKind::kRebuild, stats_.rebuilds, size_before,
-              size_);
   }
 }
 

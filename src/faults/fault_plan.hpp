@@ -10,9 +10,7 @@
 //     currently-matched edges), organized into `epochs` fault epochs.
 //
 // Plans only describe faults; injection lives in injector.hpp (message
-// layer) and recovery.hpp (graph layer + recovery protocol). Parsing is
-// always available — even in -DLPS_FAULTS=OFF builds a malformed spec
-// fails loudly — while injection compiles out.
+// layer) and recovery.hpp (graph layer + recovery protocol).
 #pragma once
 
 #include <cstdint>

@@ -6,16 +6,11 @@ namespace lps::faults {
 
 std::unique_ptr<MessageFaultInjector> make_message_injector(
     const std::string& spec, std::uint64_t seed) {
-  // Parse unconditionally: a malformed spec must fail loudly even when
-  // injection is compiled out or the plan has no message faults.
+  // Parse first: a malformed spec must fail loudly even when the plan
+  // has no message faults.
   FaultPlan plan = make_fault_plan(spec);
-#if LPS_FAULTS
   if (!plan.message_faults()) return nullptr;
   return std::make_unique<MessageFaultInjector>(std::move(plan), seed);
-#else
-  (void)seed;
-  return nullptr;
-#endif
 }
 
 }  // namespace lps::faults

@@ -8,11 +8,6 @@
 // reordering likewise derives a per-(receiver, round) generator, so
 // the same permutation is applied no matter which shard sorts the
 // inbox.
-//
-// Like telemetry, the whole layer compiles out: with -DLPS_FAULTS=0
-// make_message_injector() still *validates* the spec (typos fail
-// loudly everywhere) but always returns nullptr, and the engine's
-// injection seam is dead code.
 #pragma once
 
 #include <atomic>
@@ -23,10 +18,6 @@
 #include "faults/fault_plan.hpp"
 #include "graph/storage.hpp"
 #include "util/rng.hpp"
-
-#ifndef LPS_FAULTS
-#define LPS_FAULTS 1
-#endif
 
 namespace lps::faults {
 
@@ -116,10 +107,8 @@ class MessageFaultInjector {
 
 /// Parse `spec` (a registered preset name or an explicit plan; see
 /// scenarios.hpp) and build an injector when the plan carries
-/// message-layer faults. Returns nullptr for the empty spec, for plans
-/// with graph faults only, and always under -DLPS_FAULTS=0 — but the
-/// spec is validated unconditionally, so malformed specs fail loudly
-/// even in fault-off builds.
+/// message-layer faults. Returns nullptr for the empty spec and for
+/// plans with graph faults only; malformed specs throw.
 std::unique_ptr<MessageFaultInjector> make_message_injector(
     const std::string& spec, std::uint64_t seed);
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "telemetry/event_log.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 
@@ -66,8 +65,8 @@ void FaultSession::inject_crashes(std::uint32_t epoch, EpochReport& report) {
   if (count == 0) return;
   Rng rng = Rng::substream(seed_, kCrashSalt, std::uint64_t{epoch});
   partial_shuffle(live, count, rng);
-  telemetry::EventLog& elog = telemetry::EventLog::global();
-  const bool tevents = elog.recording();
+  telemetry::Tracer& tracer = telemetry::Tracer::global();
+  const bool tevents = tracer.recording();
   for (std::size_t i = 0; i < count; ++i) {
     const NodeId v = live[i];
     // Park the incidence list before it goes down with the vertex; a
@@ -77,7 +76,7 @@ void FaultSession::inject_crashes(std::uint32_t epoch, EpochReport& report) {
       parked_.push_back(ParkedEdge{v, a.to, g.weight(a.edge)});
     }
     down_.push_back(Downed{v, std::uint64_t{epoch} + plan_.down_epochs});
-    if (tevents) elog.emit(telemetry::EventKind::kCrash, epoch, v, epoch);
+    if (tevents) tracer.event(telemetry::EventKind::kCrash, epoch, v);
     matcher_.apply({dynamic::UpdateKind::kRemoveVertex, v});
     ++report.crashed;
   }
@@ -91,15 +90,12 @@ void FaultSession::inject_adversarial(std::uint32_t epoch,
   Rng rng = Rng::substream(seed_, kAdversarySalt, std::uint64_t{epoch});
   partial_shuffle(matched, count, rng);
   const dynamic::DynamicGraph& g = matcher_.graph();
-  telemetry::EventLog& elog = telemetry::EventLog::global();
-  const bool tevents = elog.recording();
+  telemetry::Tracer& tracer = telemetry::Tracer::global();
+  const bool tevents = tracer.recording();
   for (std::size_t i = 0; i < count; ++i) {
     const Edge ed = g.edge(matched[i]);
     parked_.push_back(ParkedEdge{ed.u, ed.v, g.weight(matched[i])});
-    if (tevents) {
-      elog.emit(telemetry::EventKind::kAdversarialCut, epoch, ed.u, ed.v,
-                epoch);
-    }
+    if (tevents) tracer.event(telemetry::EventKind::kCut, epoch, ed.u, ed.v);
     matcher_.apply({dynamic::UpdateKind::kDeleteEdge, ed.u, ed.v});
     ++report.adversarial;
   }
@@ -108,15 +104,13 @@ void FaultSession::inject_adversarial(std::uint32_t epoch,
 std::uint64_t FaultSession::recover(std::uint64_t epoch, bool heal_all,
                                     EpochReport* report) {
   const std::uint64_t t0 = clock_ns();
-  telemetry::EventLog& elog = telemetry::EventLog::global();
-  const bool tevents = elog.recording();
+  telemetry::Tracer& tracer = telemetry::Tracer::global();
+  const bool tevents = tracer.recording();
   std::size_t keep = 0;
   for (Downed& d : down_) {
     if (heal_all || d.up_epoch <= epoch) {
       matcher_.apply({dynamic::UpdateKind::kReviveVertex, d.v});
-      if (tevents) {
-        elog.emit(telemetry::EventKind::kRevive, epoch, d.v, epoch);
-      }
+      if (tevents) tracer.event(telemetry::EventKind::kRevive, epoch, d.v);
       if (report != nullptr) ++report->revived;
     } else {
       down_[keep++] = d;
@@ -138,7 +132,7 @@ std::uint64_t FaultSession::recover(std::uint64_t epoch, bool heal_all,
       matcher_.apply(
           {dynamic::UpdateKind::kInsertEdge, pe.u, pe.v, pe.w});
       if (tevents) {
-        elog.emit(telemetry::EventKind::kReinsert, epoch, pe.u, pe.v, epoch);
+        tracer.event(telemetry::EventKind::kReinsert, epoch, pe.u, pe.v);
       }
       if (report != nullptr) ++report->reinserted;
     }

@@ -90,7 +90,6 @@
 #include "runtime/round_stats.hpp"
 #include "runtime/shard.hpp"
 #include "runtime/thread_pool.hpp"
-#include "telemetry/event_log.hpp"
 #include "telemetry/monitor.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
@@ -308,10 +307,8 @@ class SyncNetwork {
   /// Faults apply at the channel exchange: sends still succeed and are
   /// metered, but delivery may drop, duplicate, or delay the message.
   /// Fates are a pure function of (injector seed, channel, round), so
-  /// executions stay bit-identical across thread and shard counts. A
-  /// no-op when the library is built with -DLPS_FAULTS=0.
+  /// executions stay bit-identical across thread and shard counts.
   void set_message_faults(faults::MessageFaultInjector* injector) noexcept {
-#if LPS_FAULTS
     faults_ = injector;
     seq_on_ = injector != nullptr && injector->message_faults();
     // The seq column is maintained only while message faults are on; if
@@ -324,9 +321,6 @@ class SyncNetwork {
         w.send_seq.resize(w.send_to.size(), sent_round);
       }
     }
-#else
-    (void)injector;
-#endif
   }
 
   const NetStats& stats() const noexcept { return stats_; }
@@ -351,8 +345,7 @@ class SyncNetwork {
     ensure_workers();
     ++stats_.rounds;
 
-    // Telemetry gates, resolved once per round: two relaxed loads when
-    // compiled in, constexpr false (whole blocks dead) when compiled out.
+    // Telemetry gates, resolved once per round: two relaxed loads.
     const bool tmetrics = telemetry::enabled();
     telemetry::Tracer& tracer = telemetry::Tracer::global();
     const bool ttrace = tracer.recording();
@@ -431,23 +424,14 @@ class SyncNetwork {
     }
     stats_.messages += sent;
     stats_.total_bits += bits;
-    pending_ = sent;
-#if LPS_FAULTS
     // Held-back messages count as in flight: run(stop_when_silent) must
     // not declare the network silent while deliveries are still due.
-    pending_ += delayed_.size();
-#endif
+    pending_ = sent + delayed_.size();
     delivered_total_ += delivered_last_round_;
     ++round_;
 
-    // Structured round-boundary event + live progress snapshot. Both
-    // paths only observe engine state (never feed back into it), so
-    // executions stay bit-identical with them on or off.
-    telemetry::EventLog& elog = telemetry::EventLog::global();
-    if (elog.recording()) {
-      elog.emit(telemetry::EventKind::kRound, this_round,
-                delivered_last_round_, sent, stepped_last_round_);
-    }
+    // Live progress snapshot: only observes engine state (never feeds
+    // back into it), so executions stay bit-identical with it on or off.
     telemetry::ProgressBoard& board = telemetry::ProgressBoard::global();
     if (board.publishing()) {
       board.publish(round_, delivered_total_, stepped_last_round_,
@@ -573,9 +557,7 @@ class SyncNetwork {
     w.stats.note_message(meter_(msg));
     w.send_to.push_back(s.adj_to[arc]);
     w.send_key.push_back(am.slot);
-#if LPS_FAULTS
     if (seq_on_) w.send_seq.push_back(static_cast<std::uint32_t>(round_));
-#endif
     w.send_msg.push_back(std::move(msg));
   }
 
@@ -594,9 +576,7 @@ class SyncNetwork {
       w.stats.note_message(meter_(msg));
       w.send_to.push_back(s.adj_to[arc]);
       w.send_key.push_back(am.slot);
-#if LPS_FAULTS
       if (seq_on_) w.send_seq.push_back(static_cast<std::uint32_t>(round_));
-#endif
       w.send_msg.push_back(msg);
     }
   }
@@ -615,7 +595,6 @@ class SyncNetwork {
     }
   }
 
-#if LPS_FAULTS
   /// A message pulled out of the normal flow by a fault (delayed, or a
   /// duplicate awaiting re-injection). Cold path, so a plain struct.
   struct PendingRec {
@@ -641,11 +620,11 @@ class SyncNetwork {
   /// in worker 0's columns — which worker carries a record never
   /// matters, because the per-inbox (key, seq) sort fixes the final
   /// order. The fate is keyed on (edge, sender, round); both derive
-  /// from the receiver-side arc named by the message's key.
-  void inject_message_faults() {
+  /// from the receiver-side arc named by the message's key. With `ttrace`
+  /// every fate other than delivery is recorded as a trace instant.
+  void inject_message_faults(bool ttrace) {
     const GraphStore& s = graph_->store();
-    telemetry::EventLog& elog = telemetry::EventLog::global();
-    const bool tevents = elog.recording();
+    telemetry::Tracer& tracer = telemetry::Tracer::global();
     for (PerWorker& w : workers_) {
       const std::size_t n_sends = w.send_to.size();
       std::size_t out = 0;
@@ -657,15 +636,15 @@ class SyncNetwork {
         const NodeId from = s.adj_to[arc];
         const faults::MessageFate fate = faults_->decide(edge, from, round_);
         if (fate.drop) {
-          if (tevents) {
-            elog.emit(telemetry::EventKind::kFaultDrop, round_, edge, from);
+          if (ttrace) {
+            tracer.event(telemetry::EventKind::kDrop, round_, edge, from);
           }
           continue;
         }
         if (fate.delay > 0) {
-          if (tevents) {
-            elog.emit(telemetry::EventKind::kFaultDelay, round_, edge, from,
-                      fate.delay);
+          if (ttrace) {
+            tracer.event(telemetry::EventKind::kDelay, round_, edge, from,
+                         fate.delay);
           }
           delayed_.push_back(PendingRec{round_ + fate.delay, to, key,
                                         w.send_seq[i],
@@ -674,8 +653,8 @@ class SyncNetwork {
         }
         if (fate.dup) {
           if constexpr (std::is_copy_constructible_v<M>) {
-            if (tevents) {
-              elog.emit(telemetry::EventKind::kFaultDup, round_, edge, from);
+            if (ttrace) {
+              tracer.event(telemetry::EventKind::kDup, round_, edge, from);
             }
             dup_buf_.push_back(
                 PendingRec{round_, to, key, w.send_seq[i], w.send_msg[i]});
@@ -708,7 +687,6 @@ class SyncNetwork {
       delayed_.resize(keep);
     }
   }
-#endif
 
   /// Put one inbox range [off, off + cnt) of the delivery columns into
   /// incidence order: ascending key, ties (possible only under message
@@ -783,19 +761,13 @@ class SyncNetwork {
   void build_inboxes(bool tmetrics, bool ttrace) {
     const bool tel = tmetrics || ttrace;
     telemetry::Tracer& tracer = telemetry::Tracer::global();
-    telemetry::EventLog& elog = telemetry::EventLog::global();
-    const bool tevents = elog.recording();
-#if LPS_FAULTS
-    // Fault seam: one branch per round when compiled in but off; the
-    // serial pass mutates only per-worker send columns plus the delayed
-    // queue, before any counting begins.
+    // Fault seam: one branch per round while no injector is attached;
+    // the serial pass mutates only per-worker send columns plus the
+    // delayed queue, before any counting begins.
     if (faults_ != nullptr && faults_->message_faults()) {
-      inject_message_faults();
+      inject_message_faults(ttrace);
     }
     const bool with_seq = seq_on_;
-#else
-    constexpr bool with_seq = false;
-#endif
     std::size_t total = 0;
     for (const PerWorker& w : workers_) total += w.send_to.size();
     dlv_key_.clear();
@@ -847,10 +819,6 @@ class SyncNetwork {
                   {{"round", static_cast<double>(round_)},
                    {"msgs", static_cast<double>(total)}});
     }
-    if (tevents) {
-      elog.emit(telemetry::EventKind::kExchange, round_, /*phase=*/1,
-                /*shard=*/0, total);
-    }
 
     // Phase 2: within each shard, counting-sort by receiver. A shard's
     // deliveries occupy exactly its slice [shard_off_[s], shard_off_[s+1])
@@ -891,7 +859,6 @@ class SyncNetwork {
       for (NodeId r : recv) {
         sort_inbox(inbox_meta_[r].off, inbox_meta_[r].cnt, with_seq);
       }
-#if LPS_FAULTS
       if (faults_ != nullptr && faults_->reorder()) {
         // Deterministic per-(receiver, round) Fisher-Yates over the
         // sorted inbox: the permutation depends on neither thread nor
@@ -910,7 +877,6 @@ class SyncNetwork {
           faults_->note_reordered();
         }
       }
-#endif
       if (tel) {
         const std::uint64_t t_s2 = telemetry::now_ns();
         if (tmetrics) {
@@ -929,11 +895,6 @@ class SyncNetwork {
           tracer.emit("engine.inbox.sort", "engine", t_s1, t_s2 - t_s1,
                       {{"shard", sh}, {"round", rd}});
         }
-      }
-      if (tevents) {
-        // Safe shard-parallel: events land in per-thread buffers.
-        elog.emit(telemetry::EventKind::kExchange, round_, /*phase=*/2, s,
-                  se - sb);
       }
     };
     if (pool_ != nullptr && pool_->num_threads() > 1 && num_shards > 1) {
@@ -998,12 +959,10 @@ class SyncNetwork {
 
   std::vector<PerWorker> workers_;
 
-#if LPS_FAULTS
   faults::MessageFaultInjector* faults_ = nullptr;  // not owned
   bool seq_on_ = false;  // maintain seq columns (message faults active)
   std::vector<PendingRec> delayed_;
   std::vector<PendingRec> dup_buf_;
-#endif
 
   std::uint64_t round_ = 0;
   std::uint64_t pending_ = 0;  // messages awaiting delivery next round

@@ -7,8 +7,6 @@
 #include <sstream>
 #include <vector>
 
-#include "telemetry/event_log.hpp"
-
 namespace lps::telemetry {
 
 ProgressBoard& ProgressBoard::global() {
@@ -17,11 +15,7 @@ ProgressBoard& ProgressBoard::global() {
 }
 
 void ProgressBoard::set_publishing(bool on) noexcept {
-#if LPS_TELEMETRY
   publishing_.store(on, std::memory_order_relaxed);
-#else
-  (void)on;
-#endif
 }
 
 void ProgressBoard::publish(std::uint64_t round, std::uint64_t delivered_total,
@@ -61,12 +55,9 @@ bool ProgressBoard::read(ProgressSnapshot& out) const noexcept {
 }
 
 Monitor::Monitor(MonitorOptions opts) : opts_(std::move(opts)) {
-#if LPS_TELEMETRY
   if (opts_.interval_ms < 10) opts_.interval_ms = 10;
   ProgressBoard::global().set_publishing(true);
-  started_ = true;
   thread_ = std::thread([this] { run(); });
-#endif
 }
 
 Monitor::~Monitor() { stop(); }
@@ -74,10 +65,7 @@ Monitor::~Monitor() { stop(); }
 void Monitor::stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!started_ || stop_requested_) {
-      stop_requested_ = true;
-      return;
-    }
+    if (stop_requested_) return;
     stop_requested_ = true;
   }
   cv_.notify_all();
@@ -122,16 +110,13 @@ void Monitor::dump_stall(const ProgressSnapshot& snap, bool have_snap,
           "started\n";
   }
 
-  auto& elog = EventLog::global();
-  if (elog.recording()) {
-    elog.emit(EventKind::kWatchdog, have_snap ? snap.round : 0,
-              have_snap ? snap.round : 0,
-              have_snap ? snap.delivered_total : 0);
+  // Mark the stall on the trace timeline. Only this thread's own buffer
+  // is touched; nothing here reads what other threads recorded.
+  Tracer& tracer = Tracer::global();
+  if (tracer.recording()) {
+    tracer.event(EventKind::kWatchdog, have_snap ? snap.round : 0,
+                 have_snap ? snap.delivered_total : 0);
   }
-  const auto tail = elog.tail(32);
-  os << "watchdog: event-log tail (" << tail.size() << " of " << elog.events()
-     << " events):\n";
-  for (const auto& e : tail) os << "  " << EventLog::to_json_line(e) << "\n";
 
   auto& em = EngineMetrics::get();
   const auto dump_indexed = [&os](const char* name,

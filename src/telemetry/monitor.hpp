@@ -8,21 +8,18 @@
 //    blocks: a try-exchange writer flag skips the publish when another
 //    writer holds the board, and all fields are relaxed atomics so the
 //    seqlock is data-race-free under TSan. Readers retry on a torn or
-//    in-progress sequence. Gated by publishing() with the same
-//    kill-switch contract as telemetry::enabled().
+//    in-progress sequence. Gated by publishing(), one relaxed load per
+//    round, like telemetry::enabled().
 //
 //  * Monitor — a background sampler thread that reads the board every
 //    interval, renders a one-line status to stderr (msgs/sec derived
 //    from delivered deltas), and optionally arms a stall watchdog: when
 //    neither the round nor the delivered count advances within the
-//    deadline, it dumps the event-log tail, the per-shard and
-//    per-worker engine counters, and the board state — then either
-//    aborts the process with kWatchdogExitCode or latches stalled().
-//
-// Compiled out (-DLPS_TELEMETRY=0) the board's publishing() is
-// constexpr false (engine sites are dead code) and Monitor is inert:
-// the constructor starts no thread, so --monitor flags stay accepted
-// but do nothing.
+//    deadline, it dumps the board state and the atomic per-shard and
+//    per-worker engine counters, records a `watchdog` trace instant —
+//    then either aborts the process with kWatchdogExitCode or latches
+//    stalled(). The dump never reads a recorder buffer: other threads
+//    may still be appending to theirs.
 #pragma once
 
 #include <atomic>
@@ -52,15 +49,11 @@ class ProgressBoard {
  public:
   static ProgressBoard& global();
 
-#if LPS_TELEMETRY
   bool publishing() const noexcept {
     return publishing_.load(std::memory_order_relaxed);
   }
-#else
-  constexpr bool publishing() const noexcept { return false; }
-#endif
-  /// Arm/disarm the board (no-op when compiled out). Monitor arms it on
-  /// construction; publish() callers gate on publishing() once per round.
+  /// Arm/disarm the board. Monitor arms it on construction; publish()
+  /// callers gate on publishing() once per round.
   void set_publishing(bool on) noexcept;
 
   /// Publish a snapshot. Never blocks: if another writer is mid-publish
@@ -84,9 +77,7 @@ class ProgressBoard {
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> active_{0};
   std::atomic<std::uint64_t> heartbeat_{0};
-#if LPS_TELEMETRY
   std::atomic<bool> publishing_{false};
-#endif
 };
 
 struct MonitorOptions {
@@ -132,7 +123,6 @@ class Monitor {
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_requested_ = false;
-  bool started_ = false;
   std::thread thread_;
 };
 

@@ -9,16 +9,12 @@
 
 namespace lps::telemetry {
 
-#if LPS_TELEMETRY
 namespace detail {
 std::atomic<bool> g_metrics_enabled{false};
 }
 void set_enabled(bool on) noexcept {
   detail::g_metrics_enabled.store(on, std::memory_order_relaxed);
 }
-#else
-void set_enabled(bool) noexcept {}
-#endif
 
 std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(
@@ -294,17 +290,46 @@ EngineMetrics& EngineMetrics::get() {
 
 // --------------------------------------------------------------- tracer --
 
+namespace {
+
+// Indexed by EventKind: the instant's name, then its arg names. The
+// wire names are the trace's event schema (DESIGN.md §14) —
+// tools/trace_summary --check depends on them.
+constexpr std::array<const char*, 1 + kMaxArgs> kKindTable[kEventKinds] = {
+    {"drop", "round", "edge", "from", nullptr},
+    {"dup", "round", "edge", "from", nullptr},
+    {"delay", "round", "edge", "from", "rounds"},
+    {"crash", "epoch", "vertex", nullptr, nullptr},
+    {"revive", "epoch", "vertex", nullptr, nullptr},
+    {"cut", "epoch", "u", "v", nullptr},
+    {"reinsert", "epoch", "u", "v", nullptr},
+    {"resync", "round", "sweep", "perturbed", nullptr},
+    {"watchdog", "round", "delivered", nullptr, nullptr},
+};
+
+}  // namespace
+
+const char* event_kind_name(EventKind k) noexcept {
+  const auto i = static_cast<unsigned>(k);
+  return i < kEventKinds ? kKindTable[i][0] : "unknown";
+}
+
+std::array<const char*, kMaxArgs> event_arg_names(EventKind k) noexcept {
+  std::array<const char*, kMaxArgs> out{};
+  const auto i = static_cast<unsigned>(k);
+  if (i < kEventKinds) {
+    for (unsigned a = 0; a < kMaxArgs; ++a) out[a] = kKindTable[i][a + 1];
+  }
+  return out;
+}
+
 Tracer& Tracer::global() {
   static Tracer* instance = new Tracer();
   return *instance;
 }
 
 void Tracer::set_recording(bool on) noexcept {
-#if LPS_TELEMETRY
   recording_.store(on, std::memory_order_relaxed);
-#else
-  (void)on;
-#endif
 }
 
 void Tracer::reset() {
@@ -345,8 +370,8 @@ void Tracer::set_thread_label(const std::string& label) {
 }
 
 void Tracer::push(const char* name, const char* cat, std::uint64_t ts_ns,
-                  std::uint64_t dur_ns, char ph,
-                  std::initializer_list<Arg> args) {
+                  std::uint64_t dur_ns, char ph, const Arg* args,
+                  std::size_t argc) {
   if (!recording()) return;
   if (total_.fetch_add(1, std::memory_order_relaxed) >=
       capacity_.load(std::memory_order_relaxed)) {
@@ -359,22 +384,33 @@ void Tracer::push(const char* name, const char* cat, std::uint64_t ts_ns,
   e.ts_ns = ts_ns;
   e.dur_ns = dur_ns;
   e.ph = ph;
-  e.argc = 0;
-  for (const Arg& a : args) {
-    if (e.argc >= e.args.size()) break;
-    e.args[e.argc++] = a;
-  }
+  e.argc = static_cast<std::uint8_t>(std::min<std::size_t>(argc, kMaxArgs));
+  std::copy(args, args + e.argc, e.args.begin());
   local_buffer().events.push_back(e);
 }
 
 void Tracer::emit(const char* name, const char* cat, std::uint64_t ts_ns,
                   std::uint64_t dur_ns, std::initializer_list<Arg> args) {
-  push(name, cat, ts_ns, dur_ns, 'X', args);
+  push(name, cat, ts_ns, dur_ns, 'X', args.begin(), args.size());
 }
 
 void Tracer::instant(const char* name, const char* cat,
                      std::initializer_list<Arg> args) {
-  push(name, cat, now_ns(), 0, 'i', args);
+  push(name, cat, now_ns(), 0, 'i', args.begin(), args.size());
+}
+
+void Tracer::event(EventKind kind, std::uint64_t round, std::uint64_t a,
+                   std::uint64_t b, std::uint64_t c) {
+  const auto i = static_cast<unsigned>(kind);
+  if (i >= kEventKinds) return;
+  const std::uint64_t values[kMaxArgs] = {round, a, b, c};
+  std::array<Arg, kMaxArgs> args{};
+  std::size_t argc = 0;
+  while (argc < kMaxArgs && kKindTable[i][argc + 1] != nullptr) {
+    args[argc] = {kKindTable[i][argc + 1], static_cast<double>(values[argc])};
+    ++argc;
+  }
+  push(kKindTable[i][0], "event", now_ns(), 0, 'i', args.data(), argc);
 }
 
 std::size_t Tracer::events() const noexcept {

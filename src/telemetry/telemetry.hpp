@@ -9,18 +9,19 @@
 //    atomics (the same pattern as the engine's per-worker stat slots);
 //    merging happens only on read, so recording is lock-free and
 //    wait-free. Gated by telemetry::enabled().
-//  * Tracer — Chrome-trace/Perfetto span recorder. Spans carry a static
-//    name/category, nanosecond start + duration, the recording thread's
-//    stable id, and up to three numeric args. Events land in per-thread
+//  * Tracer — Chrome-trace/Perfetto recorder for spans (how long a
+//    phase took) and typed event instants (what happened: fault
+//    injections, crashes, resyncs, watchdog dumps — the closed
+//    EventKind vocabulary below). Every record carries a static
+//    name/category, a nanosecond stamp, the recording thread's stable
+//    id, and up to four numeric args. Records land in per-thread
 //    buffers (registered once, under a mutex, on each thread's first
-//    span) and are folded into one Chrome JSON document on write.
+//    record) and are folded into one Chrome JSON document on write.
 //    Gated by Tracer::recording().
 //
-// Kill switch contract: compiled out (-DLPS_TELEMETRY=0) both switches
-// are constexpr false, so every `if (telemetry::enabled())` block is
-// dead code and the hot loops carry zero branches. Compiled in but off
-// (the default state), each instrumentation site costs one predictable
-// relaxed-load branch and no clock reads.
+// Switch contract: both switches are always compiled in. Off (the
+// default state), each instrumentation site costs one predictable
+// relaxed-load branch per phase and no clock reads.
 //
 // Naming scheme: `<layer>.<quantity>[_<unit>]` — e.g. engine.round_ns,
 // engine.shard_exchange_ns, lca.query_ns, dynamic.update_ns. Span names
@@ -45,15 +46,10 @@
 #include <string>
 #include <vector>
 
-#ifndef LPS_TELEMETRY
-#define LPS_TELEMETRY 1
-#endif
-
 namespace lps::telemetry {
 
-// ------------------------------------------------------- kill switches --
+// ------------------------------------------------------------ switches --
 
-#if LPS_TELEMETRY
 namespace detail {
 extern std::atomic<bool> g_metrics_enabled;
 }
@@ -62,11 +58,8 @@ extern std::atomic<bool> g_metrics_enabled;
 inline bool enabled() noexcept {
   return detail::g_metrics_enabled.load(std::memory_order_relaxed);
 }
-#else
-inline constexpr bool enabled() noexcept { return false; }
-#endif
 
-/// Turn metric recording on/off (no-op when compiled out).
+/// Turn metric recording on/off.
 void set_enabled(bool on) noexcept;
 
 /// Monotonic nanoseconds (steady_clock). Only meaningful as a
@@ -279,19 +272,42 @@ struct Arg {
   double value;
 };
 
+/// The closed event vocabulary (DESIGN.md §14). Each kind is recorded
+/// as a `"ph":"i"` instant with `cat:"event"`, named by
+/// event_kind_name, whose args are the kind's event_arg_names. The
+/// first arg is always the clock the fact happened on: the engine round
+/// for message faults, resyncs and watchdog dumps, the fault epoch for
+/// the graph-fault kinds. tools/trace_summary --check audits exactly
+/// this vocabulary.
+enum class EventKind : std::uint8_t {
+  kDrop,      // round, edge, from
+  kDup,       // round, edge, from
+  kDelay,     // round, edge, from, rounds
+  kCrash,     // epoch, vertex
+  kRevive,    // epoch, vertex
+  kCut,       // epoch, u, v (adversarial deletion of a matched edge)
+  kReinsert,  // epoch, u, v
+  kResync,    // round, sweep, perturbed
+  kWatchdog,  // round, delivered
+};
+inline constexpr unsigned kEventKinds = 9;
+static_assert(static_cast<unsigned>(EventKind::kWatchdog) + 1 == kEventKinds);
+inline constexpr unsigned kMaxArgs = 4;
+
+/// Stable wire name of a kind ("crash", ...); "unknown" out of range.
+const char* event_kind_name(EventKind k) noexcept;
+/// Arg names of a kind, packed to the front; unused slots are nullptr.
+std::array<const char*, kMaxArgs> event_arg_names(EventKind k) noexcept;
+
 class Tracer {
  public:
   static Tracer& global();
 
-#if LPS_TELEMETRY
   bool recording() const noexcept {
     return recording_.load(std::memory_order_relaxed);
   }
-#else
-  constexpr bool recording() const noexcept { return false; }
-#endif
-  /// Start/stop span collection (no-op when compiled out). Starting
-  /// does NOT clear prior events; call reset() for a fresh trace.
+  /// Start/stop collection. Starting does NOT clear prior events; call
+  /// reset() for a fresh trace.
   void set_recording(bool on) noexcept;
 
   /// Drop all recorded events (buffers stay registered). Only call
@@ -311,12 +327,19 @@ class Tracer {
   void set_thread_label(const std::string& label);
 
   /// Record a complete span ("ph":"X"). `name` and `cat` must outlive
-  /// the tracer (string literals or intern()ed). At most 3 args kept.
+  /// the tracer (string literals or intern()ed). At most kMaxArgs args
+  /// kept.
   void emit(const char* name, const char* cat, std::uint64_t ts_ns,
             std::uint64_t dur_ns, std::initializer_list<Arg> args = {});
   /// Record an instant event ("ph":"i").
   void instant(const char* name, const char* cat,
                std::initializer_list<Arg> args = {});
+  /// Record one vocabulary event as a `cat:"event"` instant: `round`
+  /// fills the kind's first arg, a/b/c the following ones (slots the
+  /// kind does not name are ignored). Callers gate on recording() once
+  /// per round or pass, not per event.
+  void event(EventKind kind, std::uint64_t round, std::uint64_t a = 0,
+             std::uint64_t b = 0, std::uint64_t c = 0);
 
   std::size_t events() const noexcept;
   std::size_t dropped() const noexcept;
@@ -336,7 +359,7 @@ class Tracer {
     std::uint64_t dur_ns;
     char ph;  // 'X' or 'i'
     std::uint8_t argc;
-    std::array<Arg, 3> args;
+    std::array<Arg, kMaxArgs> args;
   };
   struct Buffer {
     std::uint32_t tid = 0;
@@ -347,7 +370,7 @@ class Tracer {
   Tracer() = default;
   Buffer& local_buffer();
   void push(const char* name, const char* cat, std::uint64_t ts_ns,
-            std::uint64_t dur_ns, char ph, std::initializer_list<Arg> args);
+            std::uint64_t dur_ns, char ph, const Arg* args, std::size_t argc);
 
   std::atomic<bool> recording_{false};
   std::atomic<std::size_t> total_{0};

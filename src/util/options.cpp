@@ -132,29 +132,40 @@ bool Options::has(const std::string& key) const {
   return values_.count(key) != 0;
 }
 
+const std::string* Options::lookup(const std::string& key) const {
+  used_.insert(key);
+  const auto it = values_.find(key);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 std::string Options::get(const std::string& key,
                          const std::string& fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* v = lookup(key);
+  return v == nullptr ? fallback : *v;
 }
 
 std::int64_t Options::get_int(const std::string& key,
                               std::int64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return parse_int_value("--" + key, it->second);
+  const std::string* v = lookup(key);
+  return v == nullptr ? fallback : parse_int_value("--" + key, *v);
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return parse_double_value("--" + key, it->second);
+  const std::string* v = lookup(key);
+  return v == nullptr ? fallback : parse_double_value("--" + key, *v);
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return parse_bool_value("--" + key, it->second);
+  const std::string* v = lookup(key);
+  return v == nullptr ? fallback : parse_bool_value("--" + key, *v);
+}
+
+void Options::check_all_used() const {
+  for (const auto& [key, _] : values_) {
+    if (used_.count(key) == 0) {
+      throw std::invalid_argument("unknown flag '--" + key + "'");
+    }
+  }
 }
 
 }  // namespace lps

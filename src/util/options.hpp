@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -66,10 +67,20 @@ class Options {
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
 
+  /// Every --key given must have been read by a get*() call; throws
+  /// std::invalid_argument("unknown flag '--key'") otherwise, so typos
+  /// and retired flags fail loudly instead of being ignored.
+  void check_all_used() const;
+
  private:
+  /// The value given for `key` (nullptr when absent); records the key
+  /// as read either way.
+  const std::string* lookup(const std::string& key) const;
+
   std::string program_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> used_;
 };
 
 }  // namespace lps

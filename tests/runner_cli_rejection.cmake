@@ -1,7 +1,8 @@
-# CLI contract test for tools/runner's input rejection: every malformed
-# spec string — generator, solver, solver config, fault plan, dynamic
-# stream — must exit 2 with exactly one `runner: invalid spec:` line on
-# stderr, never a stack trace, a zero exit, or a leg-dependent format.
+# CLI contract test for tools/runner's input rejection: every unknown
+# flag and every malformed spec string — generator, solver, solver
+# config, fault plan, dynamic stream — must exit 2 with exactly one
+# `runner: invalid spec:` line on stderr, never a stack trace, a zero
+# exit, or a leg-dependent format.
 # CTest-unfriendly to express with PASS_REGULAR_EXPRESSION (which
 # overrides the exit-code check entirely), so it runs as a script:
 #
@@ -20,6 +21,7 @@ function(expect_reject)
     RESULT_VARIABLE code
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
+  set(last_err "${err}" PARENT_SCOPE)
   if(NOT code EQUAL 2)
     message(SEND_ERROR
         "expected exit 2, got '${code}' for: ${ARGN}\nstderr: ${err}")
@@ -86,6 +88,15 @@ expect_reject(--generator path:n=8 --solver greedy_mcm --dynamic greedy
 expect_reject(--generator path:n=8 --solver greedy_mcm
               --dynamic nosuchmaintainer
               --dynamic-stream churn:n=64,m0=64,updates=16)
+
+# Unknown flags: a typo and the retired event-log flag both fail
+# instead of running to exit 0 with nothing written.
+set(retired events)
+expect_reject(--generator path:n=8 --solver greedy_mcm --trcae t.json)
+expect_reject(--generator path:n=8 --solver greedy_mcm --${retired} x)
+if(NOT last_err STREQUAL "runner: invalid spec: unknown flag '--${retired}'\n")
+  message(SEND_ERROR "unexpected unknown-flag diagnostic: ${last_err}")
+endif()
 
 # And the contract's other half: well-formed specs still run.
 expect_accept(--generator path:n=8 --solver greedy_mcm --oracle none

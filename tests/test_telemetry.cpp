@@ -1,9 +1,10 @@
 // The telemetry subsystem's contracts (DESIGN.md §12): log-scale
 // histogram buckets quantize within 25%, concurrent per-slot recording
 // merges deterministically, exported Chrome traces parse back
-// losslessly, and — the load-bearing one — switching metrics + tracing
-// on changes nothing about any engine client's execution (same identity
-// matrix as test_sharding, via engine_cases.hpp).
+// losslessly, and — the load-bearing one — switching metrics, tracing
+// and a silent Monitor on changes nothing about any engine client's
+// execution (same identity matrix as test_sharding, via
+// engine_cases.hpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 
 #include "engine_cases.hpp"
 #include "runtime/thread_pool.hpp"
+#include "telemetry/monitor.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_reader.hpp"
 
@@ -174,9 +176,6 @@ TEST(Tracer, ChromeTraceRoundTrips) {
   tel::Tracer& tracer = tel::Tracer::global();
   tracer.reset();
   tracer.set_recording(true);
-  if (!tracer.recording()) {
-    GTEST_SKIP() << "telemetry compiled out (LPS_TELEMETRY=0)";
-  }
   tracer.set_thread_label("gtest-main");
   tracer.emit("unit.span", "test", 1000, 500,
               {{"alpha", 1.0}, {"beta", 2.5}});
@@ -241,10 +240,9 @@ TEST(TraceReader, RejectsMalformedDocuments) {
 }
 
 TEST(Telemetry, EngineClientsBitIdenticalWithTelemetryOn) {
-  // The acceptance-critical contract: metrics + span recording change
-  // nothing about any engine client's execution. Compiled out
-  // (LPS_TELEMETRY=0) the switches are no-ops and this degenerates to
-  // solving twice — still a valid determinism check.
+  // The acceptance-critical contract: metrics, trace recording and a
+  // silent Monitor sampling the progress board change nothing about any
+  // engine client's execution.
   tel::Tracer& tracer = tel::Tracer::global();
   const bool prev_enabled = tel::enabled();
   for (const test_support::ShardCase& c : test_support::kEngineCases) {
@@ -252,15 +250,18 @@ TEST(Telemetry, EngineClientsBitIdenticalWithTelemetryOn) {
     tel::set_enabled(true);
     tracer.reset();
     tracer.set_recording(true);
+    tel::MonitorOptions mo;
+    mo.interval_ms = 20;
+    mo.out = nullptr;  // silent sampling; no watchdog
+    tel::Monitor monitor(mo);
     const api::SolveResult traced = test_support::solve_with(c, 0, nullptr);
+    monitor.stop();
     tracer.set_recording(false);
     tel::set_enabled(prev_enabled);
     test_support::expect_identical(
         base, traced, std::string(c.solver) + " telemetry on vs off");
-#if LPS_TELEMETRY
     EXPECT_GT(tracer.events(), 0u)
         << c.solver << " recorded no spans with tracing on";
-#endif
   }
   tracer.reset();
 }

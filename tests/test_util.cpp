@@ -364,5 +364,14 @@ TEST(Options, BadBoolThrows) {
   EXPECT_THROW(opts.get_bool("flag", false), std::invalid_argument);
 }
 
+TEST(Options, UnreadFlagsAreUnknown) {
+  const char* argv[] = {"prog", "--trace=t.json", "--trcae", "x"};
+  Options opts(4, const_cast<char**>(argv));
+  EXPECT_EQ(opts.get("trace", ""), "t.json");
+  EXPECT_THROW(opts.check_all_used(), std::invalid_argument);
+  EXPECT_EQ(opts.get("trcae", ""), "x");  // read with any getter counts
+  EXPECT_NO_THROW(opts.check_all_used());
+}
+
 }  // namespace
 }  // namespace lps

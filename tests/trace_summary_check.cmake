@@ -1,8 +1,8 @@
-# CLI contract test for tools/trace_summary's exit codes (PR 9
-# satellite): `--check` returns 0 on a valid trace, 1 on a truncated or
-# non-JSON input, and usage errors return 2; `--check --events`
-# additionally enforces the event-log invariants (closed vocabulary,
-# sorted ns stamps, crash/revive pairing).
+# CLI contract test for tools/trace_summary's exit codes: `--check`
+# returns 0 on a valid trace, 1 on a truncated or non-JSON input or on
+# unsound event instants (outside the closed vocabulary, missing args,
+# time going back on one tid, unpaired crash/revive), and usage errors
+# return 2.
 #
 #   cmake -DRUNNER=<runner> -DTRACE_SUMMARY=<trace_summary>
 #         -P trace_summary_check.cmake
@@ -23,6 +23,7 @@ function(expect_code expected)
     RESULT_VARIABLE code
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
+  set(last_out "${out}" PARENT_SCOPE)
   if(NOT code EQUAL ${expected})
     message(SEND_ERROR
         "expected exit ${expected}, got '${code}' for: ${ARGN}\n"
@@ -30,8 +31,7 @@ function(expect_code expected)
   endif()
 endfunction()
 
-# A real trace from a real run (works in -DLPS_TELEMETRY=OFF builds too:
-# the tracer still writes a valid empty document).
+# A real trace from a real run.
 execute_process(
   COMMAND "${RUNNER}" --generator er:n=64,deg=3 --solver israeli_itai
           --oracle none --ledger off --log-level quiet
@@ -69,44 +69,55 @@ expect_code(2)
 expect_code(2 --frobnicate "${workdir}/run.trace.json")
 expect_code(2 "${workdir}/run.trace.json" "${workdir}/garbage.json")
 
-# ------------------------------------------------- event-log fixtures --
-# Valid log: sorted ns, known kinds, every crash revived (including a
-# flapping vertex that crashes twice).
-file(WRITE "${workdir}/events_ok.jsonl"
-"{\"ev\":\"round\",\"round\":1,\"ns\":100,\"delivered\":4,\"sent\":4,\"stepped\":2}
-{\"ev\":\"crash\",\"round\":1,\"ns\":150,\"vertex\":7,\"epoch\":1}
-{\"ev\":\"revive\",\"round\":2,\"ns\":200,\"vertex\":7,\"epoch\":2}
-{\"ev\":\"crash\",\"round\":3,\"ns\":250,\"vertex\":7,\"epoch\":3}
-{\"ev\":\"revive\",\"round\":4,\"ns\":300,\"vertex\":7,\"epoch\":4}
-")
-expect_code(0 --check --events "${workdir}/events_ok.jsonl")
-expect_code(0 --events "${workdir}/events_ok.jsonl")
+# ------------------------------------------- event-instant fixtures --
+# A trace without event instants checks exactly as before.
+file(WRITE "${workdir}/no_events.json" [=[
+{"traceEvents": [
+{"name": "engine.round", "cat": "engine", "ph": "X", "pid": 1, "tid": 0, "ts": 0, "dur": 5},
+{"name": "unit.instant", "cat": "test", "ph": "i", "pid": 1, "tid": 0, "ts": 9}
+]}
+]=])
+expect_code(0 --check "${workdir}/no_events.json")
+if(NOT last_out STREQUAL "${workdir}/no_events.json: ok (2 events)\n")
+  message(SEND_ERROR "unexpected --check output: ${last_out}")
+endif()
 
+# Valid instants: known kinds with their args, ts rising per tid (tid 1
+# may lag tid 0), and a flapping vertex whose every crash is revived.
+file(WRITE "${workdir}/events_ok.json" [=[
+{"traceEvents": [
+{"name": "crash", "cat": "event", "ph": "i", "pid": 1, "tid": 0, "ts": 2, "args": {"epoch": 0, "vertex": 7}},
+{"name": "revive", "cat": "event", "ph": "i", "pid": 1, "tid": 0, "ts": 3, "args": {"epoch": 1, "vertex": 7}},
+{"name": "delay", "cat": "event", "ph": "i", "pid": 1, "tid": 1, "ts": 1, "args": {"round": 4, "edge": 9, "from": 2, "rounds": 3}},
+{"name": "crash", "cat": "event", "ph": "i", "pid": 1, "tid": 0, "ts": 4, "args": {"epoch": 2, "vertex": 7}},
+{"name": "revive", "cat": "event", "ph": "i", "pid": 1, "tid": 0, "ts": 5, "args": {"epoch": 3, "vertex": 7}}
+]}
+]=])
+expect_code(0 --check "${workdir}/events_ok.json")
+expect_code(0 "${workdir}/events_ok.json")
+
+# Each failing fixture is the valid document's shape with one violation.
+function(expect_bad_events name)
+  string(JOIN ",\n" body ${ARGN})
+  file(WRITE "${workdir}/${name}.json" "{\"traceEvents\": [\n${body}\n]}\n")
+  expect_code(1 --check "${workdir}/${name}.json")
+endfunction()
+set(crash9 [=[{"name": "crash", "cat": "event", "ph": "i", "pid": 1, "tid": 0, "ts": 1, "args": {"epoch": 0, "vertex": 9}}]=])
+set(revive3 [=[{"name": "revive", "cat": "event", "ph": "i", "pid": 1, "tid": 0, "ts": 1, "args": {"epoch": 0, "vertex": 3}}]=])
+set(drop_ts2 [=[{"name": "drop", "cat": "event", "ph": "i", "pid": 1, "tid": 0, "ts": 2, "args": {"round": 1, "edge": 4, "from": 2}}]=])
+set(drop_ts1 [=[{"name": "drop", "cat": "event", "ph": "i", "pid": 1, "tid": 0, "ts": 1, "args": {"round": 1, "edge": 5, "from": 3}}]=])
 # Unpaired crash: vertex 9 never revives.
-file(WRITE "${workdir}/events_unpaired.jsonl"
-"{\"ev\":\"crash\",\"round\":1,\"ns\":100,\"vertex\":9,\"epoch\":1}
-")
-expect_code(1 --check --events "${workdir}/events_unpaired.jsonl")
-
+expect_bad_events(events_unpaired "${crash9}")
 # Revive without a preceding crash.
-file(WRITE "${workdir}/events_orphan_revive.jsonl"
-"{\"ev\":\"revive\",\"round\":1,\"ns\":100,\"vertex\":3,\"epoch\":1}
-")
-expect_code(1 --check --events "${workdir}/events_orphan_revive.jsonl")
-
-# Unknown event kind (outside the closed vocabulary).
-file(WRITE "${workdir}/events_unknown.jsonl"
-"{\"ev\":\"frobnicate\",\"round\":1,\"ns\":100}
-")
-expect_code(1 --check --events "${workdir}/events_unknown.jsonl")
-
-# Unsorted ns stamps.
-file(WRITE "${workdir}/events_unsorted.jsonl"
-"{\"ev\":\"round\",\"round\":1,\"ns\":200,\"delivered\":1,\"sent\":1,\"stepped\":1}
-{\"ev\":\"round\",\"round\":2,\"ns\":100,\"delivered\":1,\"sent\":1,\"stepped\":1}
-")
-expect_code(1 --check --events "${workdir}/events_unsorted.jsonl")
-
-# Non-JSON line.
-file(WRITE "${workdir}/events_garbage.jsonl" "not json\n")
-expect_code(1 --check --events "${workdir}/events_garbage.jsonl")
+expect_bad_events(events_orphan_revive "${revive3}")
+# Unknown kind (outside the closed vocabulary).
+expect_bad_events(events_unknown
+    [=[{"name": "frobnicate", "cat": "event", "ph": "i", "pid": 1, "tid": 0, "ts": 1, "args": {"round": 1}}]=])
+# A required arg missing (drop without its edge).
+expect_bad_events(events_missing_arg
+    [=[{"name": "drop", "cat": "event", "ph": "i", "pid": 1, "tid": 0, "ts": 1, "args": {"round": 1, "from": 2}}]=])
+# Instants going back in time on one tid.
+expect_bad_events(events_unsorted "${drop_ts2}" "${drop_ts1}")
+# Non-JSON input.
+file(WRITE "${workdir}/events_garbage.json" "not json\n")
+expect_code(1 --check "${workdir}/events_garbage.json")

@@ -1,14 +1,14 @@
 // runner: command-line front-end over api::run_one. One run per
 // invocation; prints the per-run JSON record (telemetry block included)
-// to stdout and optionally writes it, plus a Chrome trace and a
-// structured event log, to disk.
+// to stdout and optionally writes it, plus a Chrome trace (spans and
+// typed event instants), to disk.
 //
 //   runner --generator er:n=1048576,deg=4 --solver israeli_itai
 //          --threads 4 --trace out.json
 //   runner --generator grid:rows=64,cols=64 --solver bipartite_mcm
 //          --lca auto --lca-queries 5000 --json-dir bench/out
 //   runner --generator er:n=4096,deg=8 --solver israeli_itai
-//          --faults drop10 --events events.jsonl
+//          --faults drop10 --trace faults.json
 //   runner --generator er:n=1048576,deg=4 --solver israeli_itai
 //          --monitor --stall-timeout-ms 30000 --stall-abort
 //
@@ -21,11 +21,12 @@
 // informational notes, debug adds a resolved-spec echo.
 //
 // Exit codes: 0 success, 1 runtime failure (trace write, I/O, internal
-// error), 2 rejected input — a malformed or unknown generator / config
-// / stream / fault spec, reported as one `runner: invalid spec:` line
-// on stderr. run_one validates every spec string (generator, solver
-// config, fault plan, dynamic stream, maintainer config) before any
-// solve work, so rejection is fast and uniform across legs. A stall
+// error), 2 rejected input — an unknown flag or a malformed or unknown
+// generator / config / stream / fault spec, reported as one
+// `runner: invalid spec:` line on stderr. run_one validates every spec
+// string (generator, solver config, fault plan, dynamic stream,
+// maintainer config) before any solve work, so rejection is fast and
+// uniform across legs. A stall
 // abort (--stall-abort) exits with telemetry::kWatchdogExitCode (86).
 #include <cstdio>
 #include <exception>
@@ -59,7 +60,6 @@ void usage() {
       "                       flap1|advdel|chaos) or name:k=v,... plan;\n"
       "                       flap/adversarial plans need --dynamic\n"
       "  --trace PATH         write a Chrome/Perfetto trace of the run\n"
-      "  --events PATH        write the structured event log (JSONL)\n"
       "  --monitor            periodic progress line on stderr (1s)\n"
       "  --monitor-ms N       status-line period in ms (implies --monitor)\n"
       "  --stall-timeout-ms N watchdog: dump state when no round\n"
@@ -118,39 +118,42 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(opts.get_int("dynamic-checkpoints", 8));
   spec.faults = opts.get("faults", "");
   spec.trace = opts.get("trace", "");
-  spec.events = opts.get("events", "");
   spec.telemetry = !opts.get_bool("no-telemetry", false);
   const long long monitor_ms = opts.get_int("monitor-ms", 0);
+  const bool monitor = opts.get_bool("monitor", false);
   spec.monitor_ms = monitor_ms > 0 ? static_cast<unsigned>(monitor_ms)
-                    : opts.get_bool("monitor", false) ? 1000u
-                                                      : 0u;
+                    : monitor      ? 1000u
+                                   : 0u;
   spec.stall_timeout_ms =
       static_cast<unsigned>(opts.get_int("stall-timeout-ms", 0));
   spec.stall_abort = opts.get_bool("stall-abort", false);
   spec.ledger = opts.get("ledger", "");
+  const std::string json_dir = opts.get("json-dir", "");
 
   if (debug) {
     std::fprintf(stderr,
                  "runner: spec: generator=%s solver=%s config='%s' "
                  "seed=%llu solver-seed=%llu threads=%u shards=%u "
                  "oracle=%s faults='%s' dynamic='%s' trace='%s' "
-                 "events='%s' monitor-ms=%u stall-timeout-ms=%u\n",
+                 "monitor-ms=%u stall-timeout-ms=%u\n",
                  spec.generator.c_str(), spec.solver.c_str(),
                  spec.config.c_str(),
                  static_cast<unsigned long long>(spec.instance_seed),
                  static_cast<unsigned long long>(spec.solver_seed),
                  spec.threads, spec.shards, spec.oracle.c_str(),
                  spec.faults.c_str(), spec.dynamic.c_str(),
-                 spec.trace.c_str(), spec.events.c_str(), spec.monitor_ms,
+                 spec.trace.c_str(), spec.monitor_ms,
                  spec.stall_timeout_ms);
   }
 
   try {
+    // Every flag was read above; anything left over is a typo or a
+    // retired flag.
+    opts.check_all_used();
     const lps::api::RunResult result = lps::api::run_one(spec);
     std::cout << result.to_json() << "\n";
-    const std::string dir = opts.get("json-dir", "");
-    if (!dir.empty()) {
-      const std::string path = lps::api::write_json(result, dir);
+    if (!json_dir.empty()) {
+      const std::string path = lps::api::write_json(result, json_dir);
       if (!quiet) std::fprintf(stderr, "wrote %s\n", path.c_str());
     }
     if (!result.trace_path.empty()) {
@@ -163,24 +166,13 @@ int main(int argc, char** argv) {
                    spec.trace.c_str());
       return 1;
     }
-    if (!result.events_path.empty()) {
-      if (!quiet) {
-        std::fprintf(stderr, "event log written to %s (%llu events)\n",
-                     result.events_path.c_str(),
-                     static_cast<unsigned long long>(result.events_recorded));
-      }
-    } else if (!spec.events.empty()) {
-      std::fprintf(stderr, "runner: failed to write event log to %s\n",
-                   spec.events.c_str());
-      return 1;
-    }
     if (result.stalled) {
       std::fprintf(stderr, "runner: watchdog reported a stall (see dump)\n");
     }
   } catch (const std::invalid_argument& e) {
-    // Every malformed spec string — generator, solver name/config,
-    // fault plan, dynamic stream, maintainer config — lands here via
-    // run_one's eager validation: one diagnostic line, exit 2.
+    // Unknown flags and every malformed spec string — generator, solver
+    // name/config, fault plan, dynamic stream, maintainer config — land
+    // here via run_one's eager validation: one diagnostic line, exit 2.
     std::fprintf(stderr, "runner: invalid spec: %s\n", e.what());
     return 2;
   } catch (const std::exception& e) {

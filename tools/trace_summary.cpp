@@ -1,30 +1,25 @@
 // trace_summary: fold a Chrome-trace JSON (written by --trace on the
-// runner/benches) into a text report, or validate it for CI. With
-// --events the input is a structured event log (JSONL written by
-// --events on the runner / EventLog::write_jsonl) instead of a trace.
+// runner/benches) into a text report, or validate it for CI.
 //
 //   trace_summary out.json              # report: top spans, round
-//                                       # percentiles, shard imbalance
-//   trace_summary --check out.json      # validate structure; exit 0/1
-//   trace_summary --events ev.jsonl     # per-kind counts + timeline
-//   trace_summary --check --events ev.jsonl  # validate; also enforces
-//                                       # crash/revive pairing
+//                                       # percentiles, shard imbalance,
+//                                       # event-instant counts per kind
+//   trace_summary --check out.json      # validate; exit 0/1
 //
 // --check accepts any well-formed Chrome trace; the report additionally
 // understands the engine span taxonomy (engine.round / engine.exchange.p2
-// with shard args) when present. Event-log validation enforces the
-// closed vocabulary of telemetry/event_log.hpp, non-decreasing ns
-// stamps, and — the recovery invariant — that every `crash` vertex has
-// a later `revive`.
+// with shard args) when present. The typed event instants (cat "event",
+// telemetry::EventKind) are audited as well: every kind is in the
+// closed vocabulary and carries its args, ts never decreases on one
+// tid, and — the recovery invariant — every `crash` vertex has a later
+// `revive` (a vertex may flap: crash, revive, crash, revive).
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "telemetry/event_log.hpp"
+#include "telemetry/telemetry.hpp"
 #include "telemetry/trace_reader.hpp"
 
 namespace {
@@ -115,7 +110,77 @@ int report(const TraceDoc& doc, const std::string& path) {
         shard_us.size(), mean, static_cast<unsigned long long>(hottest),
         max_us, mean > 0.0 ? max_us / mean : 0.0);
   }
+
+  // Event instants per kind.
+  std::map<std::string, std::size_t> kinds;
+  for (const TraceSpan& s : doc.spans) {
+    if (s.cat == "event") ++kinds[s.name];
+  }
+  if (!kinds.empty()) {
+    std::printf("\n%-12s %10s\n", "event", "count");
+    for (const auto& [kind, count] : kinds) {
+      std::printf("%-12s %10zu\n", kind.c_str(), count);
+    }
+  }
   return 0;
+}
+
+/// Audit the event instants (see the header); returns "" when they are
+/// sound, else the first violation.
+std::string audit_events(const TraceDoc& doc) {
+  std::map<std::string, std::array<const char*, lps::telemetry::kMaxArgs>>
+      vocabulary;
+  for (unsigned k = 0; k < lps::telemetry::kEventKinds; ++k) {
+    const auto kind = static_cast<lps::telemetry::EventKind>(k);
+    vocabulary[lps::telemetry::event_kind_name(kind)] =
+        lps::telemetry::event_arg_names(kind);
+  }
+  std::map<std::uint32_t, double> last_ts;  // per tid
+  std::vector<const TraceSpan*> flaps;      // crash/revive instants
+  for (std::size_t i = 0; i < doc.spans.size(); ++i) {
+    const TraceSpan& s = doc.spans[i];
+    if (s.cat != "event") continue;
+    const std::string where =
+        "event " + std::to_string(i) + " '" + s.name + "'";
+    const auto kind = vocabulary.find(s.name);
+    if (s.ph != 'i' || kind == vocabulary.end()) {
+      return where + " is not an instant of the event vocabulary";
+    }
+    for (const char* arg : kind->second) {
+      if (arg != nullptr && s.args.count(arg) == 0) {
+        return where + " lacks arg '" + arg + "'";
+      }
+    }
+    const auto [prev, first] = last_ts.emplace(s.tid, s.ts_us);
+    if (!first && s.ts_us < prev->second) {
+      return where + " goes back in time on tid " + std::to_string(s.tid);
+    }
+    prev->second = s.ts_us;
+    if (s.name == "crash" || s.name == "revive") flaps.push_back(&s);
+  }
+  // Pair on the merged timeline; a stable sort keeps each thread's
+  // emission order among equal stamps.
+  std::stable_sort(flaps.begin(), flaps.end(),
+                   [](const TraceSpan* a, const TraceSpan* b) {
+                     return a->ts_us < b->ts_us;
+                   });
+  std::map<std::uint64_t, std::int64_t> down;  // vertex -> outstanding
+  for (const TraceSpan* s : flaps) {
+    const auto v = static_cast<std::uint64_t>(s->args.at("vertex"));
+    if (s->name == "crash") {
+      ++down[v];
+    } else if (--down[v] < 0) {
+      return "revive of vertex " + std::to_string(v) +
+             " without a preceding crash";
+    }
+  }
+  for (const auto& [v, outstanding] : down) {
+    if (outstanding != 0) {
+      return "vertex " + std::to_string(v) +
+             " crashed without a matching revive";
+    }
+  }
+  return "";
 }
 
 int check(const TraceDoc& doc, const std::string& path) {
@@ -134,125 +199,12 @@ int check(const TraceDoc& doc, const std::string& path) {
       return 1;
     }
   }
-  std::printf("%s: ok (%zu events)\n", path.c_str(), doc.spans.size());
-  return 0;
-}
-
-/// Validate (and optionally summarize) an event-log JSONL file. Exit
-/// codes match the trace path: 0 ok, 1 any violation.
-int events_mode(const std::string& path, bool check_only) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "trace_summary: cannot open '%s'\n", path.c_str());
+  const std::string bad = audit_events(doc);
+  if (!bad.empty()) {
+    std::fprintf(stderr, "trace_summary: %s: %s\n", path.c_str(), bad.c_str());
     return 1;
   }
-  std::set<std::string> known;
-  for (unsigned k = 0; k < lps::telemetry::kEventKinds; ++k) {
-    known.insert(lps::telemetry::event_kind_name(
-        static_cast<lps::telemetry::EventKind>(k)));
-  }
-
-  std::map<std::string, std::size_t> counts;
-  // vertex -> outstanding crashes (a flapping vertex can crash again
-  // after a revive; the invariant is crashes(v) == revives(v) overall).
-  std::map<std::uint64_t, std::int64_t> down;
-  std::string line;
-  std::size_t line_no = 0;
-  std::size_t total = 0;
-  double prev_ns = -1.0;
-  double first_ns = 0.0;
-  double last_ns = 0.0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    lps::telemetry::JsonValue v;
-    std::string error;
-    if (!lps::telemetry::parse_json(line, v, &error)) {
-      std::fprintf(stderr, "trace_summary: %s:%zu: not JSON: %s\n",
-                   path.c_str(), line_no, error.c_str());
-      return 1;
-    }
-    if (!v.is_object()) {
-      std::fprintf(stderr, "trace_summary: %s:%zu: event is not an object\n",
-                   path.c_str(), line_no);
-      return 1;
-    }
-    const lps::telemetry::JsonValue* ev = v.find("ev");
-    const lps::telemetry::JsonValue* round = v.find("round");
-    const lps::telemetry::JsonValue* ns = v.find("ns");
-    if (ev == nullptr || !ev->is_string() || round == nullptr ||
-        !round->is_number() || ns == nullptr || !ns->is_number()) {
-      std::fprintf(stderr,
-                   "trace_summary: %s:%zu: missing ev/round/ns fields\n",
-                   path.c_str(), line_no);
-      return 1;
-    }
-    if (known.count(ev->string) == 0) {
-      std::fprintf(stderr, "trace_summary: %s:%zu: unknown event kind '%s'\n",
-                   path.c_str(), line_no, ev->string.c_str());
-      return 1;
-    }
-    if (ns->number < 0.0 || round->number < 0.0) {
-      std::fprintf(stderr, "trace_summary: %s:%zu: negative ns/round\n",
-                   path.c_str(), line_no);
-      return 1;
-    }
-    if (ns->number < prev_ns) {
-      std::fprintf(stderr,
-                   "trace_summary: %s:%zu: ns stamps not sorted "
-                   "(%.0f after %.0f)\n",
-                   path.c_str(), line_no, ns->number, prev_ns);
-      return 1;
-    }
-    prev_ns = ns->number;
-    if (total == 0) first_ns = ns->number;
-    last_ns = ns->number;
-    ++total;
-    ++counts[ev->string];
-    if (ev->string == "crash" || ev->string == "revive") {
-      const lps::telemetry::JsonValue* vert = v.find("vertex");
-      if (vert == nullptr || !vert->is_number()) {
-        std::fprintf(stderr,
-                     "trace_summary: %s:%zu: %s event lacks a vertex\n",
-                     path.c_str(), line_no, ev->string.c_str());
-        return 1;
-      }
-      const auto vid = static_cast<std::uint64_t>(vert->number);
-      down[vid] += ev->string == "crash" ? 1 : -1;
-      if (down[vid] < 0) {
-        std::fprintf(stderr,
-                     "trace_summary: %s:%zu: revive of vertex %llu "
-                     "without a preceding crash\n",
-                     path.c_str(), line_no,
-                     static_cast<unsigned long long>(vid));
-        return 1;
-      }
-    }
-  }
-  // The recovery invariant: every crash eventually paired with a revive
-  // (FaultSession's terminal heal guarantees this on a complete run).
-  for (const auto& [vid, outstanding] : down) {
-    if (outstanding != 0) {
-      std::fprintf(stderr,
-                   "trace_summary: %s: vertex %llu crashed without a "
-                   "matching revive (%lld outstanding)\n",
-                   path.c_str(), static_cast<unsigned long long>(vid),
-                   static_cast<long long>(outstanding));
-      return 1;
-    }
-  }
-  if (check_only) {
-    std::printf("%s: ok (%zu events, crash/revive balanced)\n", path.c_str(),
-                total);
-    return 0;
-  }
-  std::printf("event log: %s\n", path.c_str());
-  std::printf("events: %zu  span: %.3f ms\n\n", total,
-              (last_ns - first_ns) / 1e6);
-  std::printf("%-12s %10s\n", "kind", "count");
-  for (const auto& [kind, count] : counts) {
-    std::printf("%-12s %10zu\n", kind.c_str(), count);
-  }
+  std::printf("%s: ok (%zu events)\n", path.c_str(), doc.spans.size());
   return 0;
 }
 
@@ -260,17 +212,13 @@ int events_mode(const std::string& path, bool check_only) {
 
 int main(int argc, char** argv) {
   bool check_only = false;
-  bool events = false;
   std::string path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--check") {
       check_only = true;
-    } else if (arg == "--events") {
-      events = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: trace_summary [--check] [--events] <trace.json|log.jsonl>\n");
+      std::printf("usage: trace_summary [--check] <trace.json>\n");
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "trace_summary: unknown flag '%s'\n", arg.c_str());
@@ -283,12 +231,9 @@ int main(int argc, char** argv) {
     }
   }
   if (path.empty()) {
-    std::fprintf(
-        stderr,
-        "usage: trace_summary [--check] [--events] <trace.json|log.jsonl>\n");
+    std::fprintf(stderr, "usage: trace_summary [--check] <trace.json>\n");
     return 2;
   }
-  if (events) return events_mode(path, check_only);
   TraceDoc doc;
   std::string error;
   if (!lps::telemetry::load_chrome_trace_file(path, doc, &error)) {
