@@ -90,10 +90,15 @@ std::vector<std::uint8_t> require_side(const Instance& instance,
   return std::move(*side);
 }
 
+/// k in [1, 31]: 31 is the largest k whose general_mcm default
+/// empty-streak stop 1 << (2k+1) is a defined shift. Range-checked
+/// before narrowing, so k=2^32+3 is rejected rather than run as k=3.
 int config_k(const SolverConfig& c) {
-  const int k = static_cast<int>(c.get_int("k", 3));
-  if (k < 1) throw std::invalid_argument("config: k must be >= 1");
-  return k;
+  const std::int64_t k = c.get_int("k", 3);
+  if (k < 1 || k > 31) {
+    throw std::invalid_argument("config: k must be in [1, 31]");
+  }
+  return static_cast<int>(k);
 }
 
 /// generic_mcm documents eps in (0, 1] (eps = 1 -> k = 1); the other

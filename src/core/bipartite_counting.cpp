@@ -31,70 +31,95 @@ CountingResult count_augmenting_paths(const Graph& g,
                                       const Matching& m, int max_len,
                                       const std::vector<char>& active_edges,
                                       ThreadPool* pool, unsigned shards) {
+  CountingResult out;
+  count_augmenting_paths(g, side, m, max_len, active_edges, out, pool, shards);
+  return out;
+}
+
+void count_augmenting_paths(const Graph& g,
+                            const std::vector<std::uint8_t>& side,
+                            const Matching& m, int max_len,
+                            const std::vector<char>& active_edges,
+                            CountingResult& out, ThreadPool* pool,
+                            unsigned shards) {
   const NodeId n = g.num_nodes();
+  const GraphStore& s = g.store();
   if (side.size() != n) {
     throw std::invalid_argument("count_augmenting_paths: side size");
   }
   if (max_len < 1 || max_len % 2 == 0) {
     throw std::invalid_argument("count_augmenting_paths: max_len must be odd");
   }
+  if (!active_edges.empty() && active_edges.size() != g.num_edges()) {
+    throw std::invalid_argument(
+        "count_augmenting_paths: active_edges size mismatch");
+  }
   auto active = [&](EdgeId e) {
     return active_edges.empty() || active_edges[e];
   };
 
-  CountingResult out;
-  out.depth.assign(n, kUnreached);
-  out.counts.assign(n, {});
-  out.total.assign(n, BigCounter{});
-  out.endpoint.assign(n, 0);
+  if (out.depth.size() != n || out.counts.size() != s.adj_to.size()) {
+    out.depth.assign(n, kUnreached);
+    out.counts.assign(s.adj_to.size(), BigCounter{});
+    out.total.assign(n, BigCounter{});
+    out.endpoint.assign(n, 0);
+  } else {
+    // Only the previous pass's reached nodes hold state.
+    for (const NodeId v : out.reached) {
+      out.depth[v] = kUnreached;
+      out.total[v].clear();
+      out.endpoint[v] = 0;
+      for (std::uint64_t a = s.offsets[v]; a < s.offsets[v + 1]; ++a) {
+        out.counts[a].clear();
+      }
+    }
+  }
+  out.reached.clear();
 
   CountNet net(g, /*seed=*/0, CountBits{});
   net.set_thread_pool(pool);
   net.set_shards(shards);
 
-  // The BFS is message-driven: free X nodes launch in round 0 (everyone
-  // is stepped by the initial-activation default, non-sources return
-  // immediately) and afterwards only the frontier — nodes with arriving
+  // The BFS is message-driven: round 0 steps only the sources (the free
+  // X nodes) and afterwards only the frontier — nodes with arriving
   // counts — is stepped, so a counting pass costs O(n + reached + sent)
   // instead of O(n * l + m * l).
+  net.restrict_initial_active();
+  for (NodeId v = 0; v < n; ++v) {
+    if (side[v] == 0 && m.is_free(v)) net.activate(v);
+  }
   auto step = [&](CountNet::Ctx& ctx) {
     const NodeId v = ctx.id();
     const auto nbrs = ctx.graph().neighbors(v);
     const std::uint64_t round = ctx.round();
-    const bool is_x = side[v] == 0;
-    const bool free = m.is_free(v);
 
     if (round == 0) {
-      // Free X nodes start the BFS.
-      if (is_x && free) {
-        out.depth[v] = 0;
-        out.total[v] = BigCounter(1);
-        if (max_len >= 1) {
-          for (const auto& inc : nbrs) {
-            if (active(inc.edge)) {
-              ctx.send(inc.edge, CountMessage{BigCounter(1)});
-            }
-          }
-        }
+      // A free X node starts the BFS.
+      out.depth[v] = 0;
+      out.total[v] = BigCounter(1);
+      for (const auto& inc : nbrs) {
+        if (active(inc.edge)) ctx.send(inc.edge, CountMessage{BigCounter(1)});
       }
       return;
     }
 
     if (out.depth[v] != kUnreached) return;  // visited: discard arrivals
+    BigCounter* counts = out.counts.data() + s.offsets[v];
     bool any = false;
     for (const auto& in : ctx.inbox()) {
       if (!active(in.edge)) continue;
       if (!any) {
         any = true;
         out.depth[v] = static_cast<std::uint32_t>(round);
-        out.counts[v].assign(nbrs.size(), BigCounter{});
       }
       // The inbox slot IS the incidence position: accumulate directly.
-      out.counts[v][in.slot] = in.payload->count;
+      counts[in.slot] = in.payload->count;
       out.total[v] += in.payload->count;
     }
     if (!any) return;
 
+    const bool is_x = side[v] == 0;
+    const bool free = m.is_free(v);
     const bool may_send = round + 1 <= static_cast<std::uint64_t>(max_len);
     if (!is_x) {
       // Y node: structural sanity — Y arrivals happen at odd rounds.
@@ -130,7 +155,9 @@ CountingResult count_augmenting_paths(const Graph& g,
   // Rounds 0..max_len: sends in 0..max_len-1, deliveries in 1..max_len.
   for (int r = 0; r <= max_len; ++r) net.run_round(step);
   out.stats = net.stats();
-  return out;
+  for (NodeId v = 0; v < n; ++v) {
+    if (out.depth[v] != kUnreached) out.reached.push_back(v);
+  }
 }
 
 namespace {

@@ -30,13 +30,16 @@ struct CountingResult {
   /// d(v): the round of first arrival (free X nodes have 0); kUnreached
   /// if the BFS never reached the node within max_len rounds.
   std::vector<std::uint32_t> depth;
-  /// counts[v][i] aligned with g.neighbors(v): paths arriving on edge i.
-  std::vector<std::vector<BigCounter>> counts;
-  /// n_v = sum over i of counts[v][i].
+  /// Arc-positioned: counts[offsets[v] + i] is the number of paths
+  /// arriving at v on its i-th incidence (zero off the reached nodes).
+  std::vector<BigCounter> counts;
+  /// n_v = sum over v's slice of counts.
   std::vector<BigCounter> total;
   /// endpoint[v] == 1 iff v is a free Y node the BFS reached: each such
   /// node terminates n_v augmenting paths of length depth[v].
   std::vector<char> endpoint;
+  /// The nodes the BFS reached (depth != kUnreached), ascending.
+  std::vector<NodeId> reached;
   NetStats stats;
 
   bool is_path_endpoint(NodeId v) const { return endpoint[v] != 0; }
@@ -44,15 +47,28 @@ struct CountingResult {
 
 /// Run the counting BFS for paths of length <= max_len (odd). `side`
 /// 2-colors the active subgraph (side 0 = X); `active_edges` restricts
-/// to a logical subgraph (empty = all edges). `m` is the current
-/// matching; matched edges outside the active set must not exist between
-/// two active-incident nodes (Algorithm 4 guarantees this for Ĝ).
+/// to a logical subgraph (empty = all edges, else one entry per edge).
+/// `m` is the current matching; matched edges outside the active set
+/// must not exist between two active-incident nodes (Algorithm 4
+/// guarantees this for Ĝ).
 CountingResult count_augmenting_paths(const Graph& g,
                                       const std::vector<std::uint8_t>& side,
                                       const Matching& m, int max_len,
                                       const std::vector<char>& active_edges,
                                       ThreadPool* pool = nullptr,
                                       unsigned shards = 0);
+
+/// The same pass into a caller-held result, for solves that run many
+/// passes on one graph. `out` must be empty or come from an earlier
+/// pass on `g`: the pass clears only the nodes that pass reached, and
+/// the cleared BigCounters keep their limb capacity, so the per-node
+/// columns are allocated once per solve rather than once per pass.
+void count_augmenting_paths(const Graph& g,
+                            const std::vector<std::uint8_t>& side,
+                            const Matching& m, int max_len,
+                            const std::vector<char>& active_edges,
+                            CountingResult& out, ThreadPool* pool = nullptr,
+                            unsigned shards = 0);
 
 /// Brute-force oracle: the number of augmenting paths of length exactly
 /// `len` w.r.t. m ending at free Y node `y`, restricted to active edges.

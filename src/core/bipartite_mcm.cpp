@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "runtime/engine.hpp"
-#include "runtime/simd.hpp"
 #include "util/rng.hpp"
 
 namespace lps {
@@ -43,11 +42,12 @@ double draw_winner_value(const BigCounter& n, Rng& rng) {
   return std::log(-std::log(u)) - ln_n;
 }
 
-/// Sample an incidence slot with probability counts[i] / total.
-std::size_t sample_slot(const std::vector<BigCounter>& counts,
+/// Sample an incidence slot with probability counts[i] / total, over a
+/// node's slice of the arc-positioned count column.
+std::size_t sample_slot(const BigCounter* counts, std::size_t degree,
                         const BigCounter& total, Rng& rng) {
   BigCounter r = BigCounter::sample_below(total, rng);
-  for (std::size_t i = 0; i < counts.size(); ++i) {
+  for (std::size_t i = 0; i < degree; ++i) {
     if (counts[i].is_zero()) continue;
     if (r < counts[i]) return i;
     r -= counts[i];
@@ -55,20 +55,20 @@ std::size_t sample_slot(const std::vector<BigCounter>& counts,
   throw std::logic_error("sample_slot: counts do not sum to total");
 }
 
-/// Per-iteration token state for one node.
-struct TokenState {
-  bool forwarded = false;
-  NodeId forwarded_leader = kInvalidNode;
-  EdgeId arrival_edge = kInvalidEdge;  // edge the winning token came in on
-  EdgeId forward_edge = kInvalidEdge;  // edge it was sent out on
-};
-
 }  // namespace
 
 AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
                         Matching& m, int max_len,
                         const std::vector<char>& active_edges,
                         const AugOptions& opts) {
+  AugScratch scratch;
+  return bipartite_aug(g, side, m, max_len, active_edges, opts, scratch);
+}
+
+AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
+                        Matching& m, int max_len,
+                        const std::vector<char>& active_edges,
+                        const AugOptions& opts, AugScratch& scratch) {
   const NodeId n = g.num_nodes();
   if (max_len < 1 || max_len % 2 == 0) {
     throw std::invalid_argument("bipartite_aug: max_len must be odd");
@@ -91,35 +91,51 @@ AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
 
   AugResult result;
   const int l = max_len;
+  const std::uint64_t token_rounds = static_cast<std::uint64_t>(l);
+  const std::uint64_t traceback_start = token_rounds + 1;
+
+  if (scratch.tok.size() != n) {
+    scratch = AugScratch{};
+    scratch.tok.assign(n, {});
+    scratch.flipped.assign(n, 0);
+    scratch.new_match_edge.assign(n, kInvalidEdge);
+  }
+  const CountingResult& counting = scratch.counting;
+  std::vector<AugScratch::Token>& tok = scratch.tok;
+  std::vector<char>& flipped = scratch.flipped;
+  std::vector<EdgeId>& new_match_edge = scratch.new_match_edge;
+  std::vector<std::vector<NodeId>>& cohorts = scratch.cohorts;
+  cohorts.resize(token_rounds + 1);
 
   for (std::uint64_t iter = 0; iter < max_iterations; ++iter) {
+    // Token state is written only at nodes the counting pass reached, so
+    // resetting the previous pass's reached nodes leaves it all clean.
+    for (const NodeId v : counting.reached) {
+      tok[v] = AugScratch::Token{};
+      flipped[v] = 0;
+      new_match_edge[v] = kInvalidEdge;
+    }
+
     // --- Phase 1: Algorithm 3 counting. ---
-    CountingResult counting =
-        count_augmenting_paths(g, side, m, l, active_edges, opts.pool,
-                               opts.shards);
+    count_augmenting_paths(g, side, m, l, active_edges, scratch.counting,
+                           opts.pool, opts.shards);
     result.stats.merge(counting.stats);
     ++result.iterations;
 
-    // Dense byte scan over the endpoint column (free Y nodes reached).
-    const bool any_endpoint = simd::any_ne_u8(
-        reinterpret_cast<const std::uint8_t*>(counting.endpoint.data()), n, 0);
+    // Any free Y node reached?
+    const bool any_endpoint =
+        std::any_of(counting.reached.begin(), counting.reached.end(),
+                    [&](NodeId v) { return counting.is_path_endpoint(v); });
     if (!any_endpoint) {
       result.converged = true;
       break;
     }
 
     // --- Phase 2: token selection + traceback (Lemma 3.7). ---
-    std::vector<TokenState> tok(n);
-    std::vector<char> flipped(n, 0);
-    std::vector<EdgeId> new_match_edge(n, kInvalidEdge);
-
     TokenNet net(g, splitmix64(opts.seed ^ (iter * 0x9e3779b97f4a7c15ULL)),
                  TokenBits{id_bits});
     net.set_thread_pool(opts.pool);
     net.set_shards(opts.shards);
-
-    const std::uint64_t token_rounds = static_cast<std::uint64_t>(l);
-    const std::uint64_t traceback_start = token_rounds + 1;
 
     // Active-set contract: depth-d nodes act spontaneously only at token
     // round l - d, so the driver loop below activates each depth cohort
@@ -171,8 +187,9 @@ AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
         // Choose the backward edge: Y samples by counts, X follows its
         // matched edge (which is exactly the single counted slot).
         const auto nbrs = ctx.graph().neighbors(v);
-        const std::size_t slot =
-            sample_slot(counting.counts[v], counting.total[v], ctx.rng());
+        const std::size_t slot = sample_slot(
+            counting.counts.data() + g.store().offsets[v], nbrs.size(),
+            counting.total[v], ctx.rng());
         const EdgeId fwd = nbrs[slot].edge;
         tok[v].forwarded = true;
         tok[v].forwarded_leader = best_leader;
@@ -217,12 +234,10 @@ AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
 
     // Bucket reached nodes by action round l - depth for cohort
     // activation (cost: one pass over reached nodes per iteration).
-    std::vector<std::vector<NodeId>> cohorts(token_rounds + 1);
-    for (NodeId v = 0; v < n; ++v) {
+    for (std::vector<NodeId>& cohort : cohorts) cohort.clear();
+    for (const NodeId v : counting.reached) {
       const std::uint32_t d = counting.depth[v];
-      if (d != kUnreached && d <= token_rounds) {
-        cohorts[token_rounds - d].push_back(v);
-      }
+      if (d <= token_rounds) cohorts[token_rounds - d].push_back(v);
     }
     net.restrict_initial_active();
     // Token rounds 0..l, traceback rounds l+1..2l+1.
@@ -238,31 +253,33 @@ AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
     // --- Apply the flips to the global matching. ---
     // Every path edge is reported by both of its endpoints (old matched
     // edges by both interior endpoints; new edges by both nodes pairing
-    // up), so each toggled edge appears exactly twice.
-    std::vector<EdgeId> toggles;
-    for (NodeId v = 0; v < n; ++v) {
+    // up), so each toggled edge appears exactly twice: keep one copy.
+    std::vector<EdgeId>& toggles = scratch.toggles;
+    toggles.clear();
+    for (const NodeId v : counting.reached) {
       if (!flipped[v]) continue;
       if (!m.is_free(v)) toggles.push_back(m.matched_edge(v));
       toggles.push_back(new_match_edge[v]);
     }
     std::sort(toggles.begin(), toggles.end());
-    std::vector<EdgeId> unique_toggles;
+    std::size_t kept = 0;
     for (std::size_t i = 0; i < toggles.size();) {
       std::size_t j = i;
       while (j < toggles.size() && toggles[j] == toggles[i]) ++j;
       if (j - i != 2) {
         throw std::logic_error("bipartite_aug: inconsistent flip parity");
       }
-      unique_toggles.push_back(toggles[i]);
+      toggles[kept++] = toggles[i];
       i = j;
     }
-    if (unique_toggles.empty()) {
+    toggles.resize(kept);
+    if (toggles.empty()) {
       throw std::logic_error(
           "bipartite_aug: an iteration with endpoints selected no path");
     }
-    m.symmetric_difference(g, unique_toggles);
+    m.symmetric_difference(g, toggles);
     // Each confirmed path has exactly one depth-0 endpoint.
-    for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId v : counting.reached) {
       if (flipped[v] && counting.depth[v] == 0) ++result.paths_applied;
     }
   }
@@ -276,13 +293,15 @@ BipartiteMcmResult bipartite_mcm(const Graph& g,
   BipartiteMcmResult result;
   result.matching = Matching(g.num_nodes());
   result.converged = true;
+  AugScratch scratch;  // one per solve, shared by every phase
   for (int l = 1; l <= 2 * opts.k - 1; l += 2) {
     AugOptions aug_opts;
     aug_opts.seed = splitmix64(opts.seed ^ (0xb1ca00 + l));
     aug_opts.max_iterations = opts.max_iterations_per_phase;
     aug_opts.pool = opts.pool;
     aug_opts.shards = opts.shards;
-    AugResult aug = bipartite_aug(g, side, result.matching, l, {}, aug_opts);
+    AugResult aug =
+        bipartite_aug(g, side, result.matching, l, {}, aug_opts, scratch);
     result.stats.merge(aug.stats);
     result.phases.push_back({l, aug.iterations, aug.paths_applied});
     result.converged = result.converged && aug.converged;

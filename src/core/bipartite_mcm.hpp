@@ -53,9 +53,38 @@ struct AugResult {
   bool converged = false;  // no augmenting path of length <= l remains
 };
 
+/// Aug's per-node state: Algorithm 3's counting columns and Lemma 3.7's
+/// token columns. A solve that calls Aug many times on one graph holds
+/// one scratch and passes it to every call; each Aug iteration then
+/// clears only the nodes the previous one reached instead of allocating
+/// O(n + m) state afresh. Reuse a scratch only on one graph.
+struct AugScratch {
+  /// Per-iteration token state of one node.
+  struct Token {
+    bool forwarded = false;
+    NodeId forwarded_leader = kInvalidNode;
+    EdgeId arrival_edge = kInvalidEdge;  // edge the winning token came in on
+    EdgeId forward_edge = kInvalidEdge;  // edge it was sent out on
+  };
+
+  CountingResult counting;
+  std::vector<Token> tok;
+  std::vector<char> flipped;
+  std::vector<EdgeId> new_match_edge;
+  std::vector<std::vector<NodeId>> cohorts;  // reached nodes by action round
+  std::vector<EdgeId> toggles;
+};
+
 /// Applies a maximal set of disjoint augmenting paths of length <=
 /// max_len (odd) to `m` in place. `side` must 2-color the active
-/// subgraph (side 0 = X); `active_edges` empty means all edges.
+/// subgraph (side 0 = X); `active_edges` empty means all edges, else
+/// one entry per edge.
+AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
+                        Matching& m, int max_len,
+                        const std::vector<char>& active_edges,
+                        const AugOptions& opts, AugScratch& scratch);
+
+/// The same, over a scratch of its own.
 AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
                         Matching& m, int max_len,
                         const std::vector<char>& active_edges,

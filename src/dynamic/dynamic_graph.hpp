@@ -145,6 +145,10 @@ class DynamicGraph {
   /// accumulated and read-heavy phases are coming.
   void compact();
 
+  /// The flat base store under the overlay; right after compact() it
+  /// holds every live row.
+  const GraphStore& base_store() const noexcept { return *base_; }
+
   /// Number of vertices whose rows currently live in the overlay (0
   /// right after construction, from_graph, or compact()).
   std::size_t overlay_rows() const noexcept { return overlay_live_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace lps {
 
@@ -92,6 +93,40 @@ GraphStore GraphStore::build(NodeId n, std::vector<Edge> edges,
     s.max_degree = std::max(s.max_degree, s.degree(v));
   }
   return s;
+}
+
+const std::vector<std::uint32_t>& GraphStore::rev_slot() const {
+  RevSlotCache::State& st = *rev_slot_.state_;
+  // The pass records a bad store instead of throwing: libstdc++'s
+  // call_once (pthread_once underneath) can hang the next caller after
+  // an exception escapes it, e.g. under ThreadSanitizer.
+  std::call_once(st.once, [&] {
+    // Transpose pass: visiting senders v in ascending order reaches
+    // each receiver's row in slot order (rows are sorted by neighbor
+    // id), so a per-row cursor is v's position there. The check makes
+    // a store that breaks the sorted-row invariant fail loudly instead
+    // of yielding a wrong slot; since no cursor may pass its row's end
+    // and the arcs add up to the rows, passing it for every arc also
+    // proves every arc has its mirror.
+    std::vector<std::uint32_t> table(adj_to.size());
+    std::vector<std::uint32_t> cursor(n, 0);
+    for (NodeId v = 0; v < n; ++v) {
+      for (std::uint64_t a = offsets[v]; a < offsets[v + 1]; ++a) {
+        const NodeId to = adj_to[a];
+        if (to >= n || cursor[to] >= degree(to) ||
+            adj_to[offsets[to] + cursor[to]] != v) {
+          st.error = "GraphStore::rev_slot: rows not sorted or not "
+                     "mirrored at arc " +
+                     std::to_string(v) + " -> " + std::to_string(to);
+          return;
+        }
+        table[a] = cursor[to]++;
+      }
+    }
+    st.table = std::move(table);
+  });
+  if (!st.error.empty()) throw std::logic_error(st.error);
+  return st.table;
 }
 
 const std::shared_ptr<const GraphStore>& GraphStore::empty() {

@@ -14,6 +14,8 @@
 //                           half the cache lines of the old AoS layout
 //   edge_u[m], edge_v[m]    endpoint columns, normalized u < v
 //   edge_weight[m]          optional weight column ([] = unweighted)
+//   rev_slot()[2m]          reverse-arc table, built on first use and
+//                           shared by every network on the store
 //
 // `Graph` wraps a shared_ptr<const GraphStore>, so copying a Graph is a
 // refcount bump and the dynamic overlay can hand static solvers, the LCA
@@ -27,6 +29,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace lps {
@@ -172,6 +177,36 @@ class EdgeListView {
   std::size_t size_ = 0;
 };
 
+/// Holder for GraphStore's lazily built reverse-arc table. A copy (or
+/// copy-assignment) never carries the table over: the copy's columns
+/// may be edited before first use, so it builds its own. A move hands
+/// the table over with the columns it describes and leaves the source
+/// without one.
+class RevSlotCache {
+ public:
+  RevSlotCache() = default;
+  RevSlotCache(const RevSlotCache&) : RevSlotCache() {}
+  RevSlotCache(RevSlotCache&& o)
+      : state_(std::exchange(o.state_, std::make_unique<State>())) {}
+  RevSlotCache& operator=(const RevSlotCache&) {
+    state_ = std::make_unique<State>();
+    return *this;
+  }
+  RevSlotCache& operator=(RevSlotCache&& o) {
+    state_ = std::exchange(o.state_, std::make_unique<State>());
+    return *this;
+  }
+
+ private:
+  friend struct GraphStore;
+  struct State {
+    std::once_flag once;
+    std::vector<std::uint32_t> table;
+    std::string error;  // set instead of the table for a malformed store
+  };
+  std::unique_ptr<State> state_ = std::make_unique<State>();
+};
+
 struct GraphStore {
   NodeId n = 0;
   NodeId max_degree = 0;
@@ -207,8 +242,19 @@ struct GraphStore {
   static GraphStore build(NodeId n, std::vector<Edge> edges,
                           std::vector<double> weights = {});
 
+  /// The reverse-arc table, one entry per arc: for arc a = v -> to,
+  /// rev_slot()[a] is v's position in to's row, so the mirror arc is
+  /// offsets[to] + rev_slot()[a]. It depends on topology only, so every
+  /// SyncNetwork on the store shares it. Built on first call (thread-
+  /// safe, one O(n + m) transpose pass) and never by build(); throws
+  /// std::logic_error if the rows are not sorted or not mirrored.
+  const std::vector<std::uint32_t>& rev_slot() const;
+
   /// The shared empty store default-constructed Graphs point at.
   static const std::shared_ptr<const GraphStore>& empty();
+
+ private:
+  RevSlotCache rev_slot_;
 };
 
 }  // namespace lps

@@ -241,8 +241,6 @@ class SyncNetwork {
         seed_(seed),
         meter_(std::move(meter)),
         plan_(plan_shards(g.num_nodes(), /*requested=*/0)),
-        arc_meta_(2 * static_cast<std::size_t>(g.num_edges()),
-                  ArcMeta{kNeverEpoch, 0}),
         inbox_meta_(g.num_nodes(), InboxMeta{kNeverEpoch, 0, 0, 0}),
         active_stamp_(g.num_nodes(), kNeverEpoch),
         shard_active_(plan_.count) {
@@ -253,23 +251,15 @@ class SyncNetwork {
     // sends along its i-th incidence is arc offsets[v] + i. Senders then
     // stamp and read channel state at positions inside their own row —
     // shard-local by construction — instead of at edge-table positions
-    // that are random relative to vertex order. Precompute, per arc
-    // v -> to, the position of v in to's row (the receiver-side
-    // incidence position: the canonical inbox sort key); it shares a
-    // cache line with the channel's send stamp, so the send path reads
-    // one per-arc location, not two.
-    const GraphStore& s = g.store();
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const std::uint64_t base = s.offsets[v];
-      const std::uint64_t end = s.offsets[v + 1];
-      for (std::uint64_t a = base; a < end; ++a) {
-        const NodeId to = s.adj_to[a];
-        // Position of v in to's (sorted) row, by binary search.
-        const NodeId* row = s.adj_to.data() + s.offsets[to];
-        const NodeId* hit =
-            std::lower_bound(row, s.adj_to.data() + s.offsets[to + 1], v);
-        arc_meta_[a].slot = static_cast<std::uint32_t>(hit - row);
-      }
+    // that are random relative to vertex order. Each arc v -> to also
+    // carries v's position in to's row (the receiver-side incidence
+    // position: the canonical inbox sort key), copied from the store's
+    // shared reverse-arc table; it sits beside the channel's send stamp,
+    // so the send path reads one per-arc location, not two.
+    const std::vector<std::uint32_t>& rev = g.store().rev_slot();
+    arc_meta_.reserve(rev.size());
+    for (const std::uint32_t slot : rev) {
+      arc_meta_.push_back(ArcMeta{kNeverEpoch, slot});
     }
   }
 

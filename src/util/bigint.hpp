@@ -51,6 +51,9 @@ class BigCounter {
 
   bool is_zero() const { return limbs_.empty(); }
 
+  /// Set to zero, keeping the limb capacity for reuse.
+  void clear() noexcept { limbs_.clear(); }
+
   /// Number of significant bits (0 for zero).
   std::size_t bit_size() const;
 

@@ -68,6 +68,15 @@ expect_reject(--generator nosuchfamily:n=8 --solver greedy_mcm)
 expect_reject(--generator path:n=8 --solver nosuchsolver)
 # Config key the solver does not understand.
 expect_reject(--generator path:n=8 --solver israeli_itai --config bogus=1)
+# Out-of-range k is rejected, never narrowed: 2^32 + 3 must not run as
+# k = 3, and k = 32 would overflow general_mcm's streak stop 1 << (2k+1).
+expect_reject(--generator bipartite:nx=64,ny=64,deg=3 --solver bipartite_mcm
+              --config k=4294967299 --oracle none)
+if(NOT last_err STREQUAL "runner: invalid spec: config: k must be in [1, 31]\n")
+  message(SEND_ERROR "unexpected out-of-range k diagnostic: ${last_err}")
+endif()
+expect_reject(--generator er:n=64,deg=3 --solver general_mcm --config k=32
+              --oracle none)
 # Fault specs: unknown preset, out-of-range probability, unknown key,
 # and budget violation (drop + delay_p + dup > 1).
 expect_reject(--generator path:n=8 --solver israeli_itai --faults nosuchpreset)

@@ -145,6 +145,48 @@ TEST(BipartiteCounting, RejectsBadArguments) {
       std::invalid_argument);
   EXPECT_THROW(count_augmenting_paths(fig.graph, {0, 1}, fig.matching, 3, {}),
                std::invalid_argument);
+  // The edge mask must have one entry per edge: a short one would be
+  // read out of bounds, a long one belongs to another graph.
+  const std::size_t m = fig.graph.num_edges();
+  EXPECT_THROW(count_augmenting_paths(fig.graph, fig.side, fig.matching, 3,
+                                      std::vector<char>(m - 1, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(count_augmenting_paths(fig.graph, fig.side, fig.matching, 3,
+                                      std::vector<char>(m + 1, 1)),
+               std::invalid_argument);
+}
+
+TEST(BipartiteCounting, ReusedResultMatchesFreshPasses) {
+  // One result object across passes whose matchings and masks change
+  // must equal a fresh pass every time: the reuse clears exactly the
+  // state the previous pass left behind.
+  Rng rng(5);
+  const auto bg = random_bipartite(40, 40, 0.1, rng);
+  const Graph& g = bg.graph;
+  Matching m(g.num_nodes());
+  CountingResult reused;
+  for (int pass = 0; pass < 6; ++pass) {
+    std::vector<char> mask;
+    if (pass % 2 == 1) {
+      mask.resize(g.num_edges());
+      for (char& c : mask) c = rng.coin() ? 1 : 0;
+    }
+    const int len = 2 * (pass % 3) + 3;
+    count_augmenting_paths(g, bg.side, m, len, mask, reused);
+    const CountingResult fresh =
+        count_augmenting_paths(g, bg.side, m, len, mask);
+    EXPECT_EQ(reused.depth, fresh.depth) << "pass " << pass;
+    EXPECT_EQ(reused.counts, fresh.counts) << "pass " << pass;
+    EXPECT_EQ(reused.total, fresh.total) << "pass " << pass;
+    EXPECT_EQ(reused.endpoint, fresh.endpoint) << "pass " << pass;
+    EXPECT_EQ(reused.reached, fresh.reached) << "pass " << pass;
+    EXPECT_EQ(reused.stats.total_bits, fresh.stats.total_bits);
+    // Grow the matching between passes so the sources change.
+    AugOptions opts;
+    opts.seed = 100 + pass;
+    opts.max_iterations = 1;
+    bipartite_aug(g, bg.side, m, 3, {}, opts);
+  }
 }
 
 // --------------------------------------------- Aug (Lemma 3.7 etc.) ---
@@ -206,6 +248,60 @@ TEST(BipartiteAug, AppliedPathsAreCountedAndDisjoint) {
   EXPECT_EQ(m.size(), 4u);
   EXPECT_GE(res.paths_applied, 2u);
   EXPECT_FALSE(has_augmenting_path_leq(fig.graph, m, 3));
+}
+
+TEST(BipartiteAug, RejectsMaskOfWrongSize) {
+  const auto fig = make_fig1();
+  Matching m = fig.matching;
+  EXPECT_THROW(bipartite_aug(fig.graph, fig.side, m, 3,
+                             std::vector<char>(fig.graph.num_edges() - 1, 1)),
+               std::invalid_argument);
+}
+
+TEST(BipartiteAug, ReusedScratchMatchesFreshCalls) {
+  // general_mcm's call pattern: one scratch across Aug calls on one
+  // general graph whose 2-coloring, Ĝ mask and matching change every
+  // call (and here the path cap too). Each call must be bit-identical
+  // to a call over a fresh scratch.
+  Rng rng(9);
+  const Graph g = erdos_renyi(120, 0.05, rng);
+  Matching reused_m(g.num_nodes());
+  Matching fresh_m(g.num_nodes());
+  AugScratch scratch;
+  std::vector<std::uint8_t> color(g.num_nodes());
+  std::vector<char> in_v_hat(g.num_nodes());
+  std::vector<char> mask(g.num_edges());
+  for (int call = 0; call < 12; ++call) {
+    // Algorithm 4's Ĝ: V̂ = free or bichromatically matched vertices,
+    // Ê = bichromatic edges inside V̂.
+    for (std::uint8_t& c : color) c = rng.coin() ? 1 : 0;
+    const auto bichromatic = [&](EdgeId e) {
+      return color[g.edge(e).u] != color[g.edge(e).v];
+    };
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const EdgeId me = reused_m.matched_edge(v);
+      in_v_hat[v] = me == kInvalidEdge || bichromatic(me);
+    }
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const Edge ed = g.edge(e);
+      mask[e] = bichromatic(e) && in_v_hat[ed.u] && in_v_hat[ed.v];
+    }
+    AugOptions opts;
+    opts.seed = 1000 + call;
+    const int l = (call % 3 == 2) ? 1 : 2 * (call % 3) + 3;
+    const AugResult a =
+        bipartite_aug(g, color, reused_m, l, mask, opts, scratch);
+    const AugResult b = bipartite_aug(g, color, fresh_m, l, mask, opts);
+    ASSERT_EQ(reused_m, fresh_m) << "call " << call;
+    EXPECT_EQ(a.paths_applied, b.paths_applied) << "call " << call;
+    EXPECT_EQ(a.iterations, b.iterations) << "call " << call;
+    EXPECT_EQ(a.converged, b.converged) << "call " << call;
+    EXPECT_EQ(a.stats.rounds, b.stats.rounds) << "call " << call;
+    EXPECT_EQ(a.stats.messages, b.stats.messages) << "call " << call;
+    EXPECT_EQ(a.stats.total_bits, b.stats.total_bits) << "call " << call;
+    EXPECT_EQ(a.stats.max_message_bits, b.stats.max_message_bits);
+  }
+  EXPECT_GT(reused_m.size(), 0u);
 }
 
 // ----------------------------------------- Theorem 3.8 driver ---------

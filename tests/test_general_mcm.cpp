@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "core/general_mcm.hpp"
 #include "graph/generators.hpp"
@@ -21,10 +22,30 @@ TEST(GeneralMcm, PaperBudgetFormula) {
             static_cast<std::uint64_t>(std::ceil(32 * 3 * std::log(2.0))));
 }
 
+TEST(GeneralMcm, PaperBudgetSaturatesBeyond64Bits) {
+  // 2^57 * 29 * ln 28 < 2^64 <= 2^59 * 30 * ln 29: from k = 29 on the
+  // budget saturates instead of converting an out-of-range double.
+  EXPECT_LT(general_mcm_paper_budget(28), UINT64_MAX);
+  EXPECT_GT(general_mcm_paper_budget(28), general_mcm_paper_budget(27));
+  for (const int k : {29, 30, 31}) {
+    EXPECT_EQ(general_mcm_paper_budget(k), UINT64_MAX) << "k=" << k;
+  }
+}
+
 TEST(GeneralMcm, RejectsSmallK) {
   GeneralMcmOptions opts;
   opts.k = 1;
   EXPECT_THROW(general_mcm(path_graph(4), opts), std::invalid_argument);
+}
+
+TEST(GeneralMcm, RejectsKWhoseStreakStopOverflows) {
+  // The default empty-streak stop is 1 << (2k+1): defined up to k = 31.
+  GeneralMcmOptions opts;
+  opts.k = 32;
+  EXPECT_THROW(general_mcm(path_graph(4), opts), std::invalid_argument);
+  opts.k = 31;
+  opts.max_iterations = 1;
+  EXPECT_NO_THROW(general_mcm(path_graph(4), opts));
 }
 
 class GeneralSweep : public ::testing::TestWithParam<std::uint64_t> {};

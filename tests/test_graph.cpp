@@ -2,12 +2,14 @@
 // subgraphs, generators (parameterized sweeps), weights, IO.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <iomanip>
 #include <numeric>
 #include <set>
 #include <sstream>
 
+#include "dynamic/dynamic_graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
@@ -100,6 +102,67 @@ TEST(Graph, EmptyGraph) {
   EXPECT_EQ(g.num_nodes(), 0u);
   EXPECT_EQ(g.num_edges(), 0u);
   EXPECT_TRUE(g.bipartition().has_value());
+}
+
+// --------------------------------------------- reverse-arc table --
+
+/// rev_slot()'s definition, checked arc by arc against a binary search
+/// of the receiver's sorted row.
+void expect_rev_slot_definition(const GraphStore& s) {
+  const std::vector<std::uint32_t>& rev = s.rev_slot();
+  ASSERT_EQ(rev.size(), s.adj_to.size());
+  for (NodeId v = 0; v < s.n; ++v) {
+    for (std::uint64_t a = s.offsets[v]; a < s.offsets[v + 1]; ++a) {
+      const NodeId to = s.adj_to[a];
+      const NodeId* row = s.adj_to.data() + s.offsets[to];
+      const NodeId* hit =
+          std::lower_bound(row, s.adj_to.data() + s.offsets[to + 1], v);
+      ASSERT_EQ(rev[a], static_cast<std::uint32_t>(hit - row))
+          << "arc " << v << " -> " << to;
+      ASSERT_EQ(s.adj_to[s.offsets[to] + rev[a]], v);
+    }
+  }
+}
+
+TEST(GraphStore, RevSlotMatchesDefinition) {
+  Rng rng(3);
+  expect_rev_slot_definition(erdos_renyi(500, 0.02, rng).store());
+  expect_rev_slot_definition(
+      random_bipartite(200, 150, 0.03, rng).graph.store());
+  // A star: the hub's row is every sender's target.
+  std::vector<Edge> star;
+  for (NodeId v = 1; v <= 2000; ++v) star.push_back({v, 0});
+  expect_rev_slot_definition(Graph(2001, star).store());
+  // Isolated vertices interleaved with a triangle and a pair.
+  expect_rev_slot_definition(
+      Graph(50, {{40, 3}, {7, 40}, {3, 7}, {10, 11}}).store());
+  expect_rev_slot_definition(Graph(0, {}).store());
+}
+
+TEST(GraphStore, RevSlotOnCompactedDynamicStore) {
+  Rng rng(8);
+  dynamic::DynamicGraph dg =
+      dynamic::DynamicGraph::from_graph(erdos_renyi(300, 0.03, rng));
+  for (EdgeId e = 0; e < 60; e += 3) dg.delete_edge(e);
+  dg.remove_vertex(17);
+  for (NodeId v = 0; v + 5 < 300; v += 7) {
+    if (v != 17 && v + 5 != 17 && dg.find_edge(v, v + 5) == kInvalidEdge) {
+      dg.insert_edge(v, v + 5);
+    }
+  }
+  dg.compact();
+  ASSERT_EQ(dg.overlay_rows(), 0u);
+  expect_rev_slot_definition(dg.base_store());
+}
+
+TEST(GraphStore, RevSlotIsBuiltOnceAndNeverCopied) {
+  Rng rng(4);
+  const Graph g = erdos_renyi(200, 0.05, rng);
+  const std::uint32_t* table = g.store().rev_slot().data();
+  EXPECT_EQ(g.store().rev_slot().data(), table);  // built once
+  const GraphStore copy = g.store();  // builds a table of its own
+  EXPECT_EQ(copy.rev_slot(), g.store().rev_slot());
+  EXPECT_NE(copy.rev_slot().data(), table);
 }
 
 TEST(Graph, BipartitionEvenCycleYesOddCycleNo) {

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <numeric>
+#include <thread>
 
 #include "core/israeli_itai.hpp"
 #include "graph/generators.hpp"
@@ -377,6 +379,81 @@ TEST(SyncNetwork, PoolBitIdenticalToSequentialAt8Threads) {
   EXPECT_EQ(seq_stats.messages, par_stats.messages);
   EXPECT_EQ(seq_stats.total_bits, par_stats.total_bits);
   EXPECT_EQ(seq_stats.max_message_bits, par_stats.max_message_bits);
+}
+
+/// Round 0: every node sends its id to every neighbor. Round 1: returns
+/// how many deliveries name a slot whose row entry is not the sender.
+std::uint64_t count_slot_mismatches(const Graph& g, std::uint64_t seed) {
+  SyncNetwork<IntMsg> net(g, seed);
+  std::uint64_t bad = 0;
+  auto step = [&](SyncNetwork<IntMsg>::Ctx& ctx) {
+    if (ctx.round() == 0) {
+      ctx.send_all(IntMsg{static_cast<int>(ctx.id())});
+      return;
+    }
+    const auto row = ctx.graph().neighbors(ctx.id());
+    for (const auto& in : ctx.inbox()) {
+      if (row[in.slot].to != in.from ||
+          in.payload->value != static_cast<int>(in.from)) {
+        ++bad;
+      }
+    }
+  };
+  net.run_round(step);
+  net.run_round(step);
+  return bad;
+}
+
+TEST(SyncNetwork, NetworksOnOneStoreShareOneReverseArcTable) {
+  Rng rng(41);
+  const Graph g = erdos_renyi(400, 0.02, rng);
+  EXPECT_EQ(count_slot_mismatches(g, 1), 0u);  // first network builds it
+  const std::uint32_t* table = g.store().rev_slot().data();
+  const Graph copy = g;  // same store
+  EXPECT_EQ(count_slot_mismatches(copy, 2), 0u);
+  EXPECT_EQ(copy.store().rev_slot().data(), table);
+}
+
+TEST(SyncNetwork, ConcurrentConstructionOnOneStoreBuildsOneTable) {
+  // Eight threads race to build the first networks on a fresh store:
+  // the table is built once (call_once) and every network reads it.
+  Rng rng(43);
+  const Graph g = erdos_renyi(2000, 0.004, rng);
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<std::uint64_t> mismatches(kThreads, 1);
+  std::vector<const std::uint32_t*> tables(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      const Graph mine = g;
+      mismatches[t] =
+          count_slot_mismatches(mine, static_cast<std::uint64_t>(t));
+      tables[t] = mine.store().rev_slot().data();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+    EXPECT_EQ(tables[t], tables[0]) << "thread " << t;
+  }
+}
+
+TEST(SyncNetwork, RejectsStoreWithUnsortedRow) {
+  // Path 1 - 0 - 2 with vertex 0's row stored as {2, 1}: a binary
+  // search would silently return a wrong slot here.
+  auto s = std::make_shared<GraphStore>();
+  s->n = 3;
+  s->offsets = {0, 2, 3, 4};
+  s->adj_to = {2, 1, 0, 0};
+  s->adj_edge = {1, 0, 0, 1};
+  s->edge_u = {0, 0};
+  s->edge_v = {1, 2};
+  const Graph g(std::shared_ptr<const GraphStore>(std::move(s)));
+  EXPECT_THROW(g.store().rev_slot(), std::logic_error);
+  EXPECT_THROW(SyncNetwork<IntMsg>(g, 1), std::logic_error);
 }
 
 TEST(NetStats, MergeAndScaledMerge) {

@@ -60,6 +60,46 @@ TEST(Sharding, ShardsAndThreadsComposeBitIdentically) {
   }
 }
 
+// The tests above compare plans of one build with each other, so a
+// change that alters every plan alike would pass them. These
+// fingerprints pin the executions themselves (instance seed 7, solver
+// seed 11, default shards, no pool); a change that is meant to be
+// execution-neutral must leave every one of them untouched.
+struct PinnedExecution {
+  const char* solver;
+  std::uint64_t rounds;
+  std::uint64_t messages;
+  std::uint64_t total_bits;
+  std::uint64_t max_message_bits;
+  std::size_t matching_size;
+};
+
+constexpr PinnedExecution kPinned[] = {
+    {"israeli_itai", 36, 16959, 135672, 8, 1694},
+    {"bipartite_mcm", 48, 9891, 152819, 77, 854},
+    {"general_mcm", 2760, 1801129, 2019940, 77, 893},
+    {"generic_mcm", 76, 83976, 9785435, 644, 875},
+    {"hoepman_mwm", 9, 11199, 22398, 2, 818},
+    {"class_mwm", 56, 30660, 271884, 12, 775},
+    {"weighted_mwm", 161, 68895, 2588092, 64, 863},
+    {"pipelined_max", 125, 4095, 32760, 8, 0},
+};
+
+TEST(Sharding, ExecutionsMatchPinnedFingerprints) {
+  ASSERT_EQ(std::size(kPinned), std::size(kCases));
+  for (std::size_t i = 0; i < std::size(kCases); ++i) {
+    const ShardCase& c = kCases[i];
+    const PinnedExecution& pin = kPinned[i];
+    ASSERT_EQ(std::string(c.solver), pin.solver);
+    const SolveResult r = solve_with(c, /*shards=*/0, nullptr);
+    EXPECT_EQ(r.stats.rounds, pin.rounds) << c.solver;
+    EXPECT_EQ(r.stats.messages, pin.messages) << c.solver;
+    EXPECT_EQ(r.stats.total_bits, pin.total_bits) << c.solver;
+    EXPECT_EQ(r.stats.max_message_bits, pin.max_message_bits) << c.solver;
+    EXPECT_EQ(r.matching.size(), pin.matching_size) << c.solver;
+  }
+}
+
 TEST(Sharding, LcaOracleAgreesWithShardedGlobalRun) {
   // The oracle simulates the virtual global execution per query and
   // never touches the engine; its answers must match a sharded global
