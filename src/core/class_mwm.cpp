@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/israeli_itai.hpp"
@@ -20,17 +22,27 @@ ClassMwmResult class_mwm(const WeightedGraph& wg,
   result.matching = Matching(g.num_nodes());
   if (g.num_edges() == 0) return result;
 
-  // Class index per edge, shifted to start at 0.
+  // Class level per edge, in double: a class_base just above 1 puts the
+  // levels far outside int range. Within a span of at most 2^20 classes,
+  // level - lo is exact (Sterbenz), so it names the class directly.
   const double log_base = std::log(opts.class_base);
-  std::vector<int> cls(g.num_edges());
-  int lo = std::numeric_limits<int>::max();
-  int hi = std::numeric_limits<int>::min();
+  std::vector<double> level(g.num_edges());
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    cls[e] = static_cast<int>(std::floor(std::log(wg.weight(e)) / log_base));
-    lo = std::min(lo, cls[e]);
-    hi = std::max(hi, cls[e]);
+    level[e] = std::floor(std::log(wg.weight(e)) / log_base);
+    lo = std::min(lo, level[e]);
+    hi = std::max(hi, level[e]);
   }
-  const std::size_t num_classes = static_cast<std::size_t>(hi - lo + 1);
+  const double span = hi - lo + 1.0;
+  constexpr double kMaxClasses = 1 << 20;
+  if (!(span <= kMaxClasses)) {
+    std::ostringstream msg;
+    msg << std::setprecision(15) << "class_mwm: class_base=" << opts.class_base
+        << " spans " << span << " weight classes (limit 2^20)";
+    throw std::invalid_argument(msg.str());
+  }
+  const auto num_classes = static_cast<std::size_t>(span);
   result.num_classes = num_classes;
 
   // Step 2: per-class maximal matchings, composed in parallel (the
@@ -42,7 +54,7 @@ ClassMwmResult class_mwm(const WeightedGraph& wg,
     std::vector<char> mask(g.num_edges(), 0);
     bool nonempty = false;
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      if (cls[e] == lo + static_cast<int>(c)) {
+      if (level[e] - lo == static_cast<double>(c)) {
         mask[e] = 1;
         nonempty = true;
       }

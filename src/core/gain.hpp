@@ -16,9 +16,11 @@
 namespace lps {
 
 /// Derived weights w_M for every edge. When `stats` is non-null, the
-/// one-round exchange in which every matched node announces its matched
-/// edge weight to its neighbors is executed on the synchronous runtime
-/// and accounted there (each endpoint then computes w_M locally).
+/// exchange in which every matched node announces its 64-bit matched
+/// edge weight to its neighbors (each endpoint then computes w_M
+/// locally) is merged into it in closed form: 2 rounds (announce,
+/// deliver), sum of deg(v) over matched v messages of 64 bits each.
+/// `pool` and `shards` are unused; they remain for source compatibility.
 std::vector<double> gain_weights(const WeightedGraph& wg, const Matching& m,
                                  NetStats* stats = nullptr,
                                  ThreadPool* pool = nullptr,
@@ -27,6 +29,10 @@ std::vector<double> gain_weights(const WeightedGraph& wg, const Matching& m,
 /// wrap(e) w.r.t. m: e plus the matched edges at its endpoints.
 /// Requires e unmatched (checked).
 std::vector<EdgeId> wrap_edges(const Graph& g, const Matching& m, EdgeId e);
+
+/// As above, appending wrap(e) to `out` instead of returning it.
+void wrap_edges(const Graph& g, const Matching& m, EdgeId e,
+                std::vector<EdgeId>& out);
 
 /// Lemma 4.1: M <- M ⊕ (∪_{e in m_prime} wrap(e)). m_prime must be a
 /// matching of unmatched edges (checked); the result is validated to be

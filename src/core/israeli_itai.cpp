@@ -43,6 +43,11 @@ DistMatchingResult israeli_itai(const Graph& g,
   // Persistent node state (owned here, indexed by node id; each node
   // touches only its own entries during a round).
   std::vector<EdgeId> matched_edge(n, kInvalidEdge);
+  // free_neighbor per arc, laid out at CSR arc positions (offsets[v] + i
+  // for v's i-th incidence) — the same indexing the engine's inbox slots
+  // use, so a kMatched arrival updates its flag without scanning the row.
+  const std::vector<std::uint64_t>& adj_offset = g.store().offsets;
+  std::vector<std::uint8_t> neighbor_free(adj_offset[n], 1);
   if (opts.initial) {
     if (opts.initial->num_nodes() != n) {
       throw std::invalid_argument("israeli_itai: initial matching size");
@@ -50,22 +55,14 @@ DistMatchingResult israeli_itai(const Graph& g,
     for (NodeId v = 0; v < n; ++v) {
       matched_edge[v] = opts.initial->matched_edge(v);
     }
-  }
-  // free_neighbor per arc, laid out at CSR arc positions (offsets[v] + i
-  // for v's i-th incidence) — the same indexing the engine's inbox slots
-  // use, so a kMatched arrival updates its flag without scanning the row.
-  const std::vector<std::uint64_t>& adj_offset = g.store().offsets;
-  std::vector<std::uint8_t> neighbor_free(adj_offset[n], 1);
-  // Initialize neighbor liveness against the initial matching.
-  {
-    std::vector<std::uint8_t> is_matched(n, 0);
-    for (NodeId v = 0; v < n; ++v) {
-      if (matched_edge[v] != kInvalidEdge) is_matched[v] = 1;
-    }
+    // Neighbor liveness against the initial matching (without one,
+    // every neighbor starts free and this pass would write nothing).
     for (NodeId v = 0; v < n; ++v) {
       const auto nbrs = g.neighbors(v);
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        if (is_matched[nbrs[i].to]) neighbor_free[adj_offset[v] + i] = 0;
+        if (matched_edge[nbrs[i].to] != kInvalidEdge) {
+          neighbor_free[adj_offset[v] + i] = 0;
+        }
       }
     }
   }
@@ -83,6 +80,23 @@ DistMatchingResult israeli_itai(const Graph& g,
   const std::unique_ptr<faults::MessageFaultInjector> injector =
       faults::make_message_injector(opts.faults, opts.seed);
   if (injector != nullptr) net.set_message_faults(injector.get());
+  // A masked run steps only its mask's endpoints in round 0. A node with
+  // no active edge finds no candidate at stage 0 and sends nothing; the
+  // proposal_edge and had_candidates it would write there are their
+  // initial values, and its coin decides nothing: a coin matters only
+  // beside a valid proposal_edge (stage 2) or to an acceptor holding
+  // proposals (stage 1), and nobody proposes over an inactive edge. So
+  // skipping it is bit-identical to stepping it.
+  if (!opts.active_edges.empty()) {
+    net.restrict_initial_active();
+    const GraphStore& s = g.store();
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (opts.active_edges[e]) {
+        net.activate(s.edge_u[e]);
+        net.activate(s.edge_v[e]);
+      }
+    }
+  }
 
   const std::uint64_t max_phases = opts.max_phases != 0
                                        ? opts.max_phases

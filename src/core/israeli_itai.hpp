@@ -30,7 +30,8 @@ struct IsraeliItaiOptions {
   /// Hard cap on phases (3 rounds each); 0 picks 40 + 12*ceil(log2(n+1)).
   std::uint64_t max_phases = 0;
   /// Restrict the run to a logical subgraph: inactive edges are treated
-  /// as absent. Empty = all edges active.
+  /// as absent. Empty = all edges active. A masked run's round 0 steps
+  /// only the endpoints of active edges (the same execution bit for bit).
   std::vector<char> active_edges;
   /// Start from this matching instead of the empty one (its endpoints
   /// count as already matched).

@@ -1,6 +1,7 @@
 #include "core/weighted_mwm.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/class_mwm.hpp"
@@ -31,8 +32,13 @@ MwmBlackBox greedy_black_box() {
 }
 
 std::uint64_t weighted_mwm_iteration_budget(double delta, double eps) {
-  return static_cast<std::uint64_t>(
-      std::ceil(3.0 / (2.0 * delta) * std::log(2.0 / eps)));
+  const double budget = std::ceil(3.0 / (2.0 * delta) * std::log(2.0 / eps));
+  // A tiny delta pushes the budget past 2^64 (exact as a double);
+  // saturate rather than convert an out-of-range value.
+  if (!(budget < 18446744073709551616.0)) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  return static_cast<std::uint64_t>(budget);
 }
 
 WeightedMwmResult weighted_mwm(const WeightedGraph& wg,
@@ -58,8 +64,7 @@ WeightedMwmResult weighted_mwm(const WeightedGraph& wg,
   for (std::uint64_t iter = 0; iter < iterations; ++iter) {
     // Line 3: G' = (V, E, w_M). One exchange round, accounted.
     const std::vector<double> gains =
-        gain_weights(wg, result.matching, &result.stats, opts.pool,
-                     opts.shards);
+        gain_weights(wg, result.matching, &result.stats);
 
     // Restrict to positive-gain edges: a maximum-weight matching never
     // gains from edges with w_M <= 0, and the class black box requires

@@ -61,7 +61,8 @@ WeightedMwmResult weighted_mwm(const WeightedGraph& wg,
                                const WeightedMwmOptions& opts = {});
 
 /// Lemma 4.3's default iteration budget ceil(3/(2 delta) ln(2/eps)) —
-/// the count weighted_mwm runs when max_iterations is 0.
+/// the count weighted_mwm runs when max_iterations is 0. Saturates at
+/// UINT64_MAX.
 std::uint64_t weighted_mwm_iteration_budget(double delta, double eps);
 
 }  // namespace lps

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 namespace lps {
 
@@ -46,21 +47,49 @@ void Matching::remove(const Graph& g, EdgeId e) {
 
 void Matching::symmetric_difference(const Graph& g,
                                     const std::vector<EdgeId>& s) {
-  std::unordered_set<EdgeId> toggles(s.begin(), s.end());
-  if (toggles.size() != s.size()) {
-    throw std::invalid_argument("symmetric_difference: duplicate edges in P");
-  }
-  std::vector<EdgeId> result;
-  result.reserve(size_ + toggles.size());
-  for (EdgeId e : edge_ids(g)) {
-    if (auto it = toggles.find(e); it != toggles.end()) {
-      toggles.erase(it);  // in both: drops out
-    } else {
-      result.push_back(e);
+  // In place, in O(|S|): drop the toggled matched edges, then add the
+  // rest. Only endpoints of S change, so saving their entries first lets
+  // a failure restore M exactly; entry 2i holds s[i]'s u before any
+  // change, which also tells whether s[i] was matched.
+  std::vector<std::pair<NodeId, EdgeId>> saved;
+  saved.reserve(2 * s.size());
+  for (EdgeId e : s) {
+    if (e >= g.num_edges()) {
+      throw std::invalid_argument("symmetric_difference: edge id out of range");
     }
+    const Edge& ed = g.edge(e);
+    saved.emplace_back(ed.u, match_edge_[ed.u]);
+    saved.emplace_back(ed.v, match_edge_[ed.v]);
   }
-  result.insert(result.end(), toggles.begin(), toggles.end());
-  *this = from_edges(g, result);  // validates disjointness
+  auto fail = [&](const char* what) {
+    for (const auto& [v, e] : saved) match_edge_[v] = e;
+    throw std::invalid_argument(what);
+  };
+  std::size_t removed = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (saved[2 * i].second != s[i]) continue;
+    const NodeId u = saved[2 * i].first;
+    // Matched before any change, so only an earlier copy can have
+    // dropped it.
+    if (match_edge_[u] != s[i]) {
+      fail("symmetric_difference: duplicate edges in P");
+    }
+    match_edge_[u] = kInvalidEdge;
+    match_edge_[saved[2 * i + 1].first] = kInvalidEdge;
+    ++removed;
+  }
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (saved[2 * i].second == s[i]) continue;
+    const NodeId u = saved[2 * i].first;
+    const NodeId v = saved[2 * i + 1].first;
+    // A repeated unmatched id finds its own first copy here.
+    if (!is_free(u) || !is_free(v)) {
+      fail("symmetric_difference: result is not a matching");
+    }
+    match_edge_[u] = s[i];
+    match_edge_[v] = s[i];
+  }
+  size_ = size_ + s.size() - 2 * removed;
 }
 
 double Matching::weight(const WeightedGraph& wg) const {

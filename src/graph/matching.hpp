@@ -41,8 +41,10 @@ class Matching {
   /// Remove an edge currently in the matching (checked).
   void remove(const Graph& g, EdgeId e);
 
-  /// Replace M by M (xor) S for an arbitrary edge set S; throws if the
-  /// result is not a matching. This implements the paper's `M <- M ⊕ P`.
+  /// Replace M by M (xor) S for an arbitrary edge set S, in place in
+  /// O(|S|). Throws std::invalid_argument, leaving M unchanged, on a
+  /// repeated or out-of-range id or when the result is not a matching.
+  /// This implements the paper's `M <- M ⊕ P`.
   void symmetric_difference(const Graph& g, const std::vector<EdgeId>& s);
 
   double weight(const WeightedGraph& wg) const;

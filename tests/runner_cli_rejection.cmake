@@ -77,6 +77,11 @@ if(NOT last_err STREQUAL "runner: invalid spec: config: k must be in [1, 31]\n")
 endif()
 expect_reject(--generator er:n=64,deg=3 --solver general_mcm --config k=32
               --oracle none)
+# A class_base just above 1 spreads uniform weights over ~4.5e10 weight
+# classes: rejected before any class index is formed, never converted to
+# int.
+expect_reject(--generator er:n=64,deg=3,w=uniform --solver class_mwm
+              --config class_base=1.0000000001 --oracle none)
 # Fault specs: unknown preset, out-of-range probability, unknown key,
 # and budget violation (drop + delay_p + dup > 1).
 expect_reject(--generator path:n=8 --solver israeli_itai --faults nosuchpreset)
@@ -112,3 +117,8 @@ expect_accept(--generator path:n=8 --solver greedy_mcm --oracle none
               --no-telemetry)
 expect_accept(--generator er:n=64,deg=3 --solver israeli_itai --oracle none
               --faults drop10 --no-telemetry)
+# A tiny delta saturates Lemma 4.3's iteration budget instead of
+# converting ~4.5e300 to an integer (checked by the sanitizer builds).
+expect_accept(--generator er:n=64,deg=3,w=uniform --solver weighted_mwm
+              --config delta=1e-300,max_iterations=1 --oracle none
+              --no-telemetry)

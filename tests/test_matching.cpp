@@ -53,6 +53,34 @@ TEST(Matching, SymmetricDifferenceRejectsNonMatching) {
   Matching m(4);
   EXPECT_THROW(m.symmetric_difference(g, {0, 1}), std::invalid_argument);
   EXPECT_THROW(m.symmetric_difference(g, {0, 0}), std::invalid_argument);
+
+  // On a non-empty matching a rejected call changes nothing, however far
+  // the update got before the check failed.
+  const Graph p = path_graph(8);  // edge i joins i and i+1
+  const Matching base = Matching::from_edges(p, {1, 3, 5});
+  const std::vector<std::vector<EdgeId>> rejected = {
+      {1, 1},                    // a matched edge twice
+      {1, 0, 0},                 // an added edge twice
+      {6, 1},                    // 6 meets matched 5, after 1 dropped
+      {1, 0, 2},                 // 2 meets matched 3, after 0 was added
+      {1, 3, 5, 0, 2, 4, 6, 2},  // the whole path flipped, then a repeat
+      {1, 0, 7},                 // out of range (p has edges 0..6)
+      {kInvalidEdge},
+  };
+  for (const std::vector<EdgeId>& s : rejected) {
+    Matching m2 = base;
+    EXPECT_THROW(m2.symmetric_difference(p, s), std::invalid_argument)
+        << ::testing::PrintToString(s);
+    EXPECT_EQ(m2.size(), base.size()) << ::testing::PrintToString(s);
+    for (NodeId v = 0; v < p.num_nodes(); ++v) {
+      EXPECT_EQ(m2.matched_edge(v), base.matched_edge(v))
+          << ::testing::PrintToString(s) << " at node " << v;
+    }
+  }
+  Matching flipped = base;
+  flipped.symmetric_difference(p, {1, 3, 5, 0, 2, 4, 6});
+  EXPECT_EQ(flipped.edge_ids(p), (std::vector<EdgeId>{0, 2, 4, 6}));
+  EXPECT_EQ(flipped.size(), 4u);
 }
 
 TEST(Matching, WeightSumsMatchedEdges) {

@@ -7,12 +7,16 @@
 #include <atomic>
 #include <memory>
 #include <numeric>
+#include <sstream>
 #include <thread>
 
 #include "core/israeli_itai.hpp"
 #include "graph/generators.hpp"
+#include "graph/weights.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/thread_pool.hpp"
+#include "telemetry/telemetry.hpp"
+#include "telemetry/trace_reader.hpp"
 #include "util/rng.hpp"
 
 namespace lps {
@@ -320,28 +324,93 @@ TEST(SyncNetwork, StepAllNodesRestoresFullSweep) {
   EXPECT_EQ(net.last_round_stepped(), 6u);
 }
 
+// Runs israeli_itai under active-set scheduling and with every node
+// stepped every round, and expects the same execution bit for bit: same
+// matching, same rounds, same message/bit meters.
+void expect_active_set_matches_step_all(const Graph& g,
+                                        IsraeliItaiOptions opts,
+                                        const std::string& what) {
+  opts.step_all_nodes = false;
+  const DistMatchingResult ra = israeli_itai(g, opts);
+  opts.step_all_nodes = true;
+  const DistMatchingResult rb = israeli_itai(g, opts);
+  EXPECT_EQ(ra.converged, rb.converged) << what;
+  EXPECT_EQ(ra.stats.rounds, rb.stats.rounds) << what;
+  EXPECT_EQ(ra.stats.messages, rb.stats.messages) << what;
+  EXPECT_EQ(ra.stats.total_bits, rb.stats.total_bits) << what;
+  EXPECT_EQ(ra.stats.max_message_bits, rb.stats.max_message_bits) << what;
+  ASSERT_EQ(ra.matching.num_nodes(), rb.matching.num_nodes()) << what;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(ra.matching.matched_edge(v), rb.matching.matched_edge(v))
+        << what << " at node " << v;
+  }
+}
+
 TEST(SyncNetwork, ActiveSetMatchesStepAllOnIsraeliItai) {
   // The migrated israeli_itai keeps every node alive that could act
   // spontaneously, so active-set scheduling must reproduce the
-  // step-everything execution bit for bit: same matching, same rounds,
-  // same message/bit meters.
+  // step-everything execution. A masked run also steps only its mask's
+  // endpoints in round 0, which must not change the execution either.
   Rng rng(21);
   const Graph g = erdos_renyi(400, 8.0 / 400, rng);
-  IsraeliItaiOptions active;
-  active.seed = 5;
-  IsraeliItaiOptions all = active;
-  all.step_all_nodes = true;
-  const DistMatchingResult ra = israeli_itai(g, active);
-  const DistMatchingResult rb = israeli_itai(g, all);
-  EXPECT_EQ(ra.converged, rb.converged);
-  EXPECT_EQ(ra.stats.rounds, rb.stats.rounds);
-  EXPECT_EQ(ra.stats.messages, rb.stats.messages);
-  EXPECT_EQ(ra.stats.total_bits, rb.stats.total_bits);
-  EXPECT_EQ(ra.stats.max_message_bits, rb.stats.max_message_bits);
-  ASSERT_EQ(ra.matching.num_nodes(), rb.matching.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_EQ(ra.matching.matched_edge(v), rb.matching.matched_edge(v)) << v;
+  IsraeliItaiOptions opts;
+  opts.seed = 5;
+  expect_active_set_matches_step_all(g, opts, "unmasked");
+
+  opts.active_edges.assign(g.num_edges(), 0);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    opts.active_edges[e] = rng.below(10) == 0 ? 1 : 0;
   }
+  expect_active_set_matches_step_all(g, opts, "random 10% mask");
+
+  opts.active_edges.assign(g.num_edges(), 0);
+  opts.active_edges[g.num_edges() / 2] = 1;
+  expect_active_set_matches_step_all(g, opts, "one-edge mask");
+
+  // One weight class of a power-of-two weighted instance, as class_mwm
+  // runs it (with these weights a class is one weight value).
+  const Graph h = erdos_renyi(1000, 4.0 / 1000, rng);
+  const std::vector<double> w = power_of_two_weights(h.num_edges(), 10, rng);
+  opts.active_edges.assign(h.num_edges(), 0);
+  std::size_t in_class = 0;
+  for (EdgeId e = 0; e < h.num_edges(); ++e) {
+    if (w[e] == w[0]) {
+      opts.active_edges[e] = 1;
+      ++in_class;
+    }
+  }
+  ASSERT_GT(in_class, 50u);
+  ASSERT_LT(in_class, h.num_edges() / 2);
+  expect_active_set_matches_step_all(h, opts, "pow2 weight class");
+}
+
+TEST(SyncNetwork, MaskedIsraeliItaiStepsOnlyMaskEndpointsInRoundZero) {
+  // An unmasked run steps all n nodes in round 0; a one-edge mask steps
+  // its two endpoints.
+  Rng rng(23);
+  const Graph g = erdos_renyi(400, 8.0 / 400, rng);
+  IsraeliItaiOptions opts;
+  opts.active_edges.assign(g.num_edges(), 0);
+  opts.active_edges[g.num_edges() / 3] = 1;
+  telemetry::Tracer& tracer = telemetry::Tracer::global();
+  tracer.reset();
+  tracer.set_recording(true);
+  const DistMatchingResult r = israeli_itai(g, opts);
+  tracer.set_recording(false);
+  std::ostringstream os;
+  tracer.write_chrome_trace(os);
+  tracer.reset();
+  EXPECT_EQ(r.matching.size(), 1u);
+  telemetry::TraceDoc doc;
+  std::string error;
+  ASSERT_TRUE(telemetry::load_chrome_trace(os.str(), doc, &error)) << error;
+  int round0_steps = 0;
+  for (const telemetry::TraceSpan& span : doc.spans) {
+    if (span.name != "engine.step" || span.args.at("round") != 0.0) continue;
+    ++round0_steps;
+    EXPECT_EQ(span.args.at("stepped"), 2.0);
+  }
+  EXPECT_EQ(round0_steps, 1);
 }
 
 TEST(SyncNetwork, PoolBitIdenticalToSequentialAt8Threads) {

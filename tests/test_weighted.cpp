@@ -3,11 +3,15 @@
 // Algorithm 5 (Theorem 4.5).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/class_mwm.hpp"
 #include "core/gain.hpp"
 #include "core/weighted_mwm.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
+#include "runtime/engine.hpp"
 #include "seq/exact_small.hpp"
 #include "seq/greedy.hpp"
 #include "tests/helpers.hpp"
@@ -67,7 +71,43 @@ TEST(Gain, WrapEdgesShapes) {
                std::invalid_argument);
 }
 
+// The reference the closed-form accounting must equal: the announce
+// exchange as an engine execution. In round 0 every matched node sends
+// its matched edge weight (64 bits) to each neighbor; round 1 delivers.
+NetStats announce_exchange_on_engine(const WeightedGraph& wg,
+                                     const Matching& m) {
+  struct WeightMsg {
+    double w;
+  };
+  struct WeightBits {
+    std::uint64_t operator()(const WeightMsg&) const noexcept { return 64; }
+  };
+  using WeightNet = SyncNetwork<WeightMsg, WeightBits>;
+  WeightNet net(wg.graph, 0, WeightBits{});
+  auto step = [&](WeightNet::Ctx& ctx) {
+    const NodeId v = ctx.id();
+    if (ctx.round() == 0 && !m.is_free(v)) {
+      ctx.send_all(WeightMsg{wg.weight(m.matched_edge(v))});
+    }
+  };
+  net.run_round(step);
+  net.run_round(step);
+  return net.stats();
+}
+
 TEST(Gain, DistributedExchangeRoundIsAccounted) {
+  // gain_weights accounts the exchange in closed form; it must equal the
+  // engine execution exactly.
+  auto expect_same = [](const WeightedGraph& wg, const Matching& m,
+                        const std::string& what) {
+    NetStats closed;
+    gain_weights(wg, m, &closed);
+    const NetStats engine = announce_exchange_on_engine(wg, m);
+    EXPECT_EQ(closed.rounds, engine.rounds) << what;
+    EXPECT_EQ(closed.messages, engine.messages) << what;
+    EXPECT_EQ(closed.total_bits, engine.total_bits) << what;
+    EXPECT_EQ(closed.max_message_bits, engine.max_message_bits) << what;
+  };
   const auto fig = make_fig2();
   NetStats stats;
   const auto gains = gain_weights(fig.wg, fig.m, &stats);
@@ -75,6 +115,28 @@ TEST(Gain, DistributedExchangeRoundIsAccounted) {
   EXPECT_GT(stats.messages, 0u);
   EXPECT_EQ(stats.max_message_bits, 64u);
   EXPECT_DOUBLE_EQ(gains[fig.wg.graph.find_edge(0, 1)], 4.0);
+  expect_same(fig.wg, fig.m, "figure 2");
+
+  const Matching empty(fig.wg.graph.num_nodes());
+  expect_same(fig.wg, empty, "empty matching");
+  NetStats none;
+  gain_weights(fig.wg, empty, &none);
+  EXPECT_EQ(none.rounds, 2u);
+  EXPECT_EQ(none.messages, 0u);
+  EXPECT_EQ(none.total_bits, 0u);
+  EXPECT_EQ(none.max_message_bits, 0u);
+
+  Rng rng(41);
+  for (int t = 0; t < 4; ++t) {
+    Graph g = erdos_renyi(300, 6.0 / 300, rng);
+    auto w = uniform_weights(g.num_edges(), 1.0, 50.0, rng);
+    const WeightedGraph wg = make_weighted(std::move(g), std::move(w));
+    Matching m = greedy_mwm(wg);
+    expect_same(wg, m, "greedy, trial " + std::to_string(t));
+    const std::vector<EdgeId> ids = m.edge_ids(wg.graph);
+    for (std::size_t i = 0; i < ids.size(); i += 2) m.remove(wg.graph, ids[i]);
+    expect_same(wg, m, "partial, trial " + std::to_string(t));
+  }
 }
 
 class Lemma41Sweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -178,6 +240,24 @@ TEST(ClassMwm, EmptyGraph) {
   EXPECT_EQ(res.matching.size(), 0u);
 }
 
+TEST(ClassMwm, RejectsClassSpanBeyondLimit) {
+  // With class_base = 1 + 1e-10, weights 1 and 100 span ~4.6e10 classes,
+  // far past int: rejected by a diagnostic naming class_base.
+  const WeightedGraph wg = make_weighted(path_graph(3), {1.0, 100.0});
+  try {
+    class_mwm(wg, {.seed = 1, .class_base = 1.0000000001});
+    ADD_FAILURE() << "class span of ~4.6e10 was not rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("class_base=1.0000000001"),
+              std::string::npos)
+        << e.what();
+  }
+  // 4608 classes is within the limit: two non-empty ones run.
+  const ClassMwmResult res = class_mwm(wg, {.seed = 1, .class_base = 1.001});
+  EXPECT_EQ(res.num_classes, 4608u);
+  EXPECT_EQ(res.matching.size(), 1u);
+}
+
 // -------------------------------------------- Algorithm 5 / Thm 4.5 ---
 
 class WeightedMwmSweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -271,6 +351,17 @@ TEST(WeightedMwm, RejectsBadParameters) {
   opts.eps = 0.1;
   opts.delta = 0.0;
   EXPECT_THROW(weighted_mwm(wg, opts), std::invalid_argument);
+}
+
+TEST(WeightedMwm, IterationBudgetSaturates) {
+  // ceil(3/(2 delta) ln(2/eps)): 23 at the paper's delta = 1/5, eps = 0.1.
+  EXPECT_EQ(weighted_mwm_iteration_budget(0.2, 0.1), 23u);
+  EXPECT_GT(weighted_mwm_iteration_budget(1e-18, 0.1), 4000000000000000000u);
+  // Past 2^64 the budget saturates instead of converting out of range.
+  EXPECT_EQ(weighted_mwm_iteration_budget(1e-19, 0.1),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(weighted_mwm_iteration_budget(1e-300, 0.1),
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 }  // namespace
