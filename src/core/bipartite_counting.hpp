@@ -60,9 +60,10 @@ CountingResult count_augmenting_paths(const Graph& g,
 
 /// The same pass into a caller-held result, for solves that run many
 /// passes on one graph. `out` must be empty or come from an earlier
-/// pass on `g`: the pass clears only the nodes that pass reached, and
-/// the cleared BigCounters keep their limb capacity, so the per-node
-/// columns are allocated once per solve rather than once per pass.
+/// pass on `g`: the pass clears only the nodes that pass reached, so the
+/// per-node columns are allocated once per solve rather than once per
+/// pass. A count that fits in 64 bits owns no heap block, and a cleared
+/// count that had spilled past 64 bits keeps its block for reuse.
 void count_augmenting_paths(const Graph& g,
                             const std::vector<std::uint8_t>& side,
                             const Matching& m, int max_len,

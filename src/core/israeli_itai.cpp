@@ -153,14 +153,23 @@ DistMatchingResult israeli_itai(const Graph& g,
     } else if (stage == 1) {  // accept
       if (free) ctx.keep_active();
       if (!free || coin[v]) return;
-      std::vector<EdgeId> proposals;
-      for (const auto& in : ctx.inbox()) {
-        if (in.payload->type == IiType::kPropose && active(in.edge)) {
-          proposals.push_back(in.edge);
+      // Accept one active proposal uniformly: count them, draw, then walk
+      // the inbox to the drawn one.
+      auto is_proposal = [&](const auto& in) {
+        return in.payload->type == IiType::kPropose && active(in.edge);
+      };
+      const auto& inbox = ctx.inbox();
+      std::uint64_t proposals = 0;
+      for (const auto& in : inbox) proposals += is_proposal(in) ? 1 : 0;
+      if (proposals == 0) return;
+      std::uint64_t pick = ctx.rng().below(proposals);
+      EdgeId chosen = kInvalidEdge;
+      for (const auto& in : inbox) {
+        if (is_proposal(in) && pick-- == 0) {
+          chosen = in.edge;
+          break;
         }
       }
-      if (proposals.empty()) return;
-      const EdgeId chosen = proposals[ctx.rng().below(proposals.size())];
       matched_edge[v] = chosen;
       ctx.send(chosen, IiMessage{IiType::kAccept});
       for (const auto& inc : nbrs) {

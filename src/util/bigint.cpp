@@ -18,7 +18,7 @@ void BigCounter::normalize() {
 
 BigCounter& BigCounter::operator+=(const BigCounter& rhs) {
   const std::size_t n = std::max(limbs_.size(), rhs.limbs_.size());
-  limbs_.resize(n, 0);
+  limbs_.resize(n);
   unsigned __int128 carry = 0;
   for (std::size_t i = 0; i < n; ++i) {
     unsigned __int128 sum = carry + limbs_[i];
@@ -113,7 +113,7 @@ std::uint64_t BigCounter::to_u64() const {
 std::string BigCounter::to_string() const {
   if (limbs_.empty()) return "0";
   // Repeated division by 10^9.
-  std::vector<std::uint64_t> work = limbs_;
+  std::vector<std::uint64_t> work(limbs_.begin(), limbs_.end());
   std::string out;
   while (!work.empty()) {
     std::uint64_t rem = 0;

@@ -4,7 +4,10 @@
 // Aug subroutine's maximality, and the Theorem 3.8 driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "core/bipartite_counting.hpp"
 #include "core/bipartite_mcm.hpp"
@@ -186,6 +189,110 @@ TEST(BipartiteCounting, ReusedResultMatchesFreshPasses) {
     opts.seed = 100 + pass;
     opts.max_iterations = 1;
     bipartite_aug(g, bg.side, m, 3, {}, opts);
+  }
+}
+
+/// A layered ladder whose path counts outgrow one 64-bit limb: layers
+/// 0..61 of 8 nodes (node layer*8 + j), even layers on side X, complete
+/// bipartite blocks between layers 2t and 2t+1, and matched pairs j<->j
+/// between layers 2t+1 and 2t+2. Layer 0 is the only free X layer and
+/// layer 61 the only free Y layer, so every augmenting path has 61 edges
+/// and n_v at depth d is exactly 8^ceil(d/2).
+struct SpillLadder {
+  static constexpr NodeId kWidth = 8;
+  static constexpr NodeId kLayers = 62;
+  Graph graph;
+  std::vector<std::uint8_t> side;
+  Matching matching;
+};
+
+SpillLadder make_spill_ladder() {
+  constexpr NodeId w = SpillLadder::kWidth;
+  constexpr NodeId layers = SpillLadder::kLayers;
+  std::vector<Edge> edges;
+  std::vector<std::pair<NodeId, NodeId>> matched;
+  for (NodeId layer = 0; layer + 1 < layers; ++layer) {
+    for (NodeId i = 0; i < w; ++i) {
+      const NodeId u = layer * w + i;
+      if (layer % 2 == 0) {
+        for (NodeId j = 0; j < w; ++j) edges.push_back({u, u - i + w + j});
+      } else {
+        edges.push_back({u, u + w});
+        matched.emplace_back(u, u + w);
+      }
+    }
+  }
+  SpillLadder ladder{Graph(layers * w, std::move(edges)), {}, {}};
+  ladder.side.resize(layers * w);
+  for (NodeId v = 0; v < layers * w; ++v) {
+    ladder.side[v] = static_cast<std::uint8_t>((v / w) % 2);
+  }
+  std::vector<EdgeId> ids;
+  for (const auto& [u, v] : matched) ids.push_back(ladder.graph.find_edge(u, v));
+  ladder.matching = Matching::from_edges(ladder.graph, ids);
+  return ladder;
+}
+
+BigCounter power_of_two(int e) {
+  BigCounter x(1);
+  for (; e > 0; e -= 32) x.shift_left(std::min(e, 32));
+  return x;
+}
+
+TEST(BipartiteCounting, CountsSpillPastOneLimbOnTheLadder) {
+  // Counts past 2^64 exercise the counter's heap path inside a real
+  // counting pass and a real Aug solve, across threads and shards.
+  const SpillLadder ladder = make_spill_ladder();
+  const Graph& g = ladder.graph;
+  constexpr NodeId w = SpillLadder::kWidth;
+  ThreadPool pool4(4);
+  CountingResult base_count;
+  Matching base_matching;
+  AugResult base_aug;
+  bool have_base = false;
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool4}) {
+    for (const unsigned shards : {1u, 0u}) {  // one shard, then auto
+      SCOPED_TRACE(std::string(pool ? "threads=4" : "threads=1") +
+                   " shards=" + std::to_string(shards));
+      const CountingResult res = count_augmenting_paths(
+          g, ladder.side, ladder.matching, 61, {}, pool, shards);
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        const int d = static_cast<int>(v / w);
+        ASSERT_EQ(res.depth[v], static_cast<std::uint32_t>(d)) << "v=" << v;
+        ASSERT_EQ(res.total[v], power_of_two(3 * ((d + 1) / 2))) << "v=" << v;
+        EXPECT_EQ(res.is_path_endpoint(v), d == 61) << "v=" << v;
+      }
+      const BigCounter& endpoint_paths = res.total[61 * w];
+      EXPECT_EQ(endpoint_paths, power_of_two(93));
+      EXPECT_FALSE(endpoint_paths.fits_u64());
+      // The depth-60 forwarders send 2^90: 91 bits plus 2.
+      EXPECT_EQ(res.stats.max_message_bits, 93u);
+
+      Matching m = ladder.matching;
+      AugOptions opts;
+      opts.seed = 17;
+      opts.pool = pool;
+      opts.shards = shards;
+      const AugResult aug = bipartite_aug(g, ladder.side, m, 61, {}, opts);
+      EXPECT_TRUE(aug.converged);
+      EXPECT_EQ(m.size(), 248u);  // perfect
+      EXPECT_TRUE(is_valid_matching(g, m.edge_ids(g)));
+
+      if (!have_base) {
+        base_count = res;
+        base_matching = m;
+        base_aug = aug;
+        have_base = true;
+        continue;
+      }
+      EXPECT_EQ(res.counts, base_count.counts);
+      EXPECT_EQ(res.stats.messages, base_count.stats.messages);
+      EXPECT_EQ(res.stats.total_bits, base_count.stats.total_bits);
+      EXPECT_EQ(m, base_matching);
+      EXPECT_EQ(aug.iterations, base_aug.iterations);
+      EXPECT_EQ(aug.paths_applied, base_aug.paths_applied);
+      EXPECT_EQ(aug.stats.total_bits, base_aug.stats.total_bits);
+    }
   }
 }
 

@@ -2,9 +2,13 @@
 // tables, CLI options.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "util/bigint.hpp"
 #include "util/options.hpp"
@@ -132,10 +136,15 @@ TEST(BigCounter, SmallArithmeticMatchesU64) {
 TEST(BigCounter, CarryChains) {
   BigCounter x(~0ULL);
   BigCounter one(1);
-  BigCounter sum = x + one;  // 2^64
+  BigCounter sum = x + one;  // 2^64: the first value past one limb
   EXPECT_EQ(sum.bit_size(), 65u);
   EXPECT_EQ(sum.to_string(), "18446744073709551616");
-  EXPECT_EQ((sum - one).to_u64(), ~0ULL);
+  EXPECT_FALSE(sum.fits_u64());
+  EXPECT_THROW(sum.to_u64(), std::overflow_error);
+  const BigCounter back = sum - one;
+  EXPECT_EQ(back, x);
+  EXPECT_TRUE(back.fits_u64());
+  EXPECT_EQ(back.to_u64(), ~0ULL);
 }
 
 TEST(BigCounter, LargeAdditionAgainstInt128) {
@@ -253,6 +262,147 @@ TEST(BigCounter, DecimalStringKnownValues) {
   x.shift_left(32);
   x += BigCounter(5);
   EXPECT_EQ(x.to_string(), "184467440737095516165");
+}
+
+// A one-limb count is one 16-byte value: it owns no heap block, and the
+// engine's payload columns move it without copying (vector growth moves
+// only nothrow-movable elements).
+static_assert(sizeof(BigCounter) <= 16);
+static_assert(std::is_nothrow_move_constructible_v<BigCounter>);
+static_assert(std::is_nothrow_move_assignable_v<BigCounter>);
+
+/// The counter whose little-endian 64-bit limbs are `limbs`.
+BigCounter from_limbs(const std::vector<std::uint64_t>& limbs) {
+  BigCounter x;
+  for (std::size_t i = limbs.size(); i-- > 0;) {
+    x.shift_left(32);
+    x.shift_left(32);
+    x += BigCounter(limbs[i]);
+  }
+  return x;
+}
+
+TEST(BigCounter, ShiftAcrossTheLimbBoundaryAndBack) {
+  BigCounter x((std::uint64_t{1} << 63) | 1);
+  x.shift_left(1);  // 2^64 + 2
+  EXPECT_EQ(x.bit_size(), 65u);
+  EXPECT_FALSE(x.fits_u64());
+  EXPECT_EQ(x.to_string(), "18446744073709551618");
+  x -= BigCounter(~0ULL);
+  EXPECT_EQ(x, BigCounter(3));
+  EXPECT_TRUE(x.fits_u64());
+  x.shift_left(63);  // 3 * 2^63 = 2^64 + 2^63
+  EXPECT_EQ(x, from_limbs({std::uint64_t{1} << 63, 1}));
+  x -= BigCounter(std::uint64_t{1} << 63);
+  x -= BigCounter(std::uint64_t{1} << 63);
+  EXPECT_EQ(x.to_u64(), std::uint64_t{1} << 63);
+}
+
+TEST(BigCounter, CopyAndMoveBetweenInlineAndSpilled) {
+  const BigCounter small(42);
+  const BigCounter big = from_limbs({6, 1});      // 2^64 + 6
+  const BigCounter huge = from_limbs({0, 0, 1});  // 2^128
+  for (const BigCounter& value : {small, big}) {
+    for (const BigCounter& target : {BigCounter(5), huge}) {
+      SCOPED_TRACE(value.to_string() + " into " + target.to_string());
+      const BigCounter copied(value);
+      EXPECT_EQ(copied, value);
+      BigCounter copy_assigned = target;
+      copy_assigned = value;
+      EXPECT_EQ(copy_assigned, value);
+
+      BigCounter source = value;
+      BigCounter moved(std::move(source));
+      EXPECT_EQ(moved, value);
+      EXPECT_TRUE(source.is_zero());
+      BigCounter move_assigned = target;
+      move_assigned = std::move(moved);
+      EXPECT_EQ(move_assigned, value);
+      EXPECT_TRUE(moved.is_zero());
+
+      // A moved-from counter takes new values, inline or spilled.
+      source += BigCounter(3);
+      EXPECT_EQ(source, BigCounter(3));
+      moved = huge;
+      EXPECT_EQ(moved, huge);
+    }
+  }
+  EXPECT_EQ(big.to_string(), "18446744073709551622");  // sources unchanged
+}
+
+TEST(BigCounter, SelfAssignmentKeepsTheValue) {
+  for (const BigCounter& value : {BigCounter(42), from_limbs({6, 1})}) {
+    BigCounter x = value;
+    BigCounter& alias = x;
+    x = alias;
+    EXPECT_EQ(x, value);
+    x = std::move(alias);
+    EXPECT_EQ(x, value);
+  }
+}
+
+TEST(BigCounter, ClearedSpilledCounterIsZeroAndReusable) {
+  BigCounter x = from_limbs({0, 0, 1});
+  x.clear();
+  EXPECT_TRUE(x.is_zero());
+  EXPECT_EQ(x.bit_size(), 0u);
+  EXPECT_EQ(x, BigCounter{});
+  x += BigCounter(5);
+  EXPECT_EQ(x, BigCounter(5));
+  EXPECT_TRUE(x.fits_u64());
+  x.shift_left(63);
+  x.shift_left(63);  // 5 * 2^126
+  EXPECT_EQ(x, from_limbs({0, std::uint64_t{1} << 62, 1}));
+}
+
+/// Little-endian limb comparison: a < b.
+bool limbs_less(const std::vector<std::uint64_t>& a,
+                const std::vector<std::uint64_t>& b) {
+  if (a.size() != b.size()) return a.size() < b.size();
+  for (std::size_t i = a.size(); i-- > 0;) {
+    if (a[i] != b[i]) return a[i] < b[i];
+  }
+  return false;
+}
+
+/// sample_below over plain limb vectors: fill ceil(bits/64) limbs from
+/// rng(), shift the top limb right by 64 - (bits mod 64), and reject
+/// values >= bound. The counter's sampler must draw exactly these.
+std::vector<std::uint64_t> reference_sample_below(
+    const std::vector<std::uint64_t>& bound, Rng& rng) {
+  const std::size_t bits =
+      64 * (bound.size() - 1) + std::bit_width(bound.back());
+  const std::size_t full_limbs = bits / 64;
+  const int top_bits = static_cast<int>(bits % 64);
+  for (;;) {
+    std::vector<std::uint64_t> candidate(full_limbs + (top_bits ? 1 : 0));
+    for (std::size_t i = 0; i < full_limbs; ++i) candidate[i] = rng();
+    if (top_bits != 0) candidate.back() = rng() >> (64 - top_bits);
+    while (!candidate.empty() && candidate.back() == 0) candidate.pop_back();
+    if (limbs_less(candidate, bound)) return candidate;
+  }
+}
+
+TEST(BigCounter, SampleBelowDrawsTheReferenceSequence) {
+  const std::vector<std::vector<std::uint64_t>> bounds = {
+      {6},
+      {(std::uint64_t{1} << 63) + 5},
+      {~0ULL},
+      {3, 1},                       // 2^64 + 3
+      {0, std::uint64_t{1} << 36},  // 2^100
+  };
+  for (const auto& bound_limbs : bounds) {
+    const BigCounter bound = from_limbs(bound_limbs);
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      Rng rng(seed), ref_rng(seed);
+      for (int i = 0; i < 200; ++i) {
+        const BigCounter s = BigCounter::sample_below(bound, rng);
+        ASSERT_EQ(s, from_limbs(reference_sample_below(bound_limbs, ref_rng)))
+            << bound.to_string() << " seed " << seed << " draw " << i;
+      }
+      EXPECT_EQ(rng(), ref_rng()) << "the streams must stay in step";
+    }
+  }
 }
 
 // -------------------------------------------------------------- Stats --
