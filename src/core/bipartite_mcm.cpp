@@ -30,8 +30,6 @@ struct TokenBits {
   }
 };
 
-using TokenNet = SyncNetwork<TokenMessage, TokenBits>;
-
 /// Draw the Lemma 3.7 winner value for a leader with n paths: the max of
 /// n i.i.d. uniforms, represented order-faithfully in log-domain.
 /// max(U_1..U_n) ~ U^(1/n); D = ln(-ln(U^(1/n))) = ln(-ln u) - ln n,
@@ -57,18 +55,18 @@ std::size_t sample_slot(const BigCounter* counts, std::size_t degree,
 
 }  // namespace
 
-AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
-                        Matching& m, int max_len,
-                        const std::vector<char>& active_edges,
-                        const AugOptions& opts) {
-  AugScratch scratch;
-  return bipartite_aug(g, side, m, max_len, active_edges, opts, scratch);
-}
+class TokenNet : public SyncNetwork<TokenMessage, TokenBits> {
+ public:
+  using SyncNetwork::SyncNetwork;
+};
 
-AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
-                        Matching& m, int max_len,
-                        const std::vector<char>& active_edges,
-                        const AugOptions& opts, AugScratch& scratch) {
+namespace {
+
+/// Aug's iteration loop, for either way of giving the subgraph.
+template <typename Subgraph>
+AugResult aug_loop(const Graph& g, const Subgraph& h, Matching& m,
+                   int max_len, std::vector<NodeId>& free,
+                   const AugOptions& opts, AugScratch& scratch) {
   const NodeId n = g.num_nodes();
   if (max_len < 1 || max_len % 2 == 0) {
     throw std::invalid_argument("bipartite_aug: max_len must be odd");
@@ -94,8 +92,10 @@ AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
   const std::uint64_t token_rounds = static_cast<std::uint64_t>(l);
   const std::uint64_t traceback_start = token_rounds + 1;
 
-  if (scratch.tok.size() != n) {
-    scratch = AugScratch{};
+  if (!scratch.counting.built_for(g) || scratch.tok.size() != n) {
+    // New, copied, or last used on another graph: build it all for g.
+    // (`free` may live in the scratch, so it is left alone.)
+    scratch.counting = CountingResult{};
     scratch.tok.assign(n, {});
     scratch.flipped.assign(n, 0);
     scratch.new_match_edge.assign(n, kInvalidEdge);
@@ -108,17 +108,9 @@ AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
   cohorts.resize(token_rounds + 1);
 
   for (std::uint64_t iter = 0; iter < max_iterations; ++iter) {
-    // Token state is written only at nodes the counting pass reached, so
-    // resetting the previous pass's reached nodes leaves it all clean.
-    for (const NodeId v : counting.reached) {
-      tok[v] = AugScratch::Token{};
-      flipped[v] = 0;
-      new_match_edge[v] = kInvalidEdge;
-    }
-
     // --- Phase 1: Algorithm 3 counting. ---
-    count_augmenting_paths(g, side, m, l, active_edges, scratch.counting,
-                           opts.pool, opts.shards);
+    count_augmenting_paths(g, h, m, l, free, scratch.counting, opts.pool,
+                           opts.shards);
     result.stats.merge(counting.stats);
     ++result.iterations;
 
@@ -132,10 +124,16 @@ AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
     }
 
     // --- Phase 2: token selection + traceback (Lemma 3.7). ---
-    TokenNet net(g, splitmix64(opts.seed ^ (iter * 0x9e3779b97f4a7c15ULL)),
-                 TokenBits{id_bits});
-    net.set_thread_pool(opts.pool);
-    net.set_shards(opts.shards);
+    // The token network is built at the first token phase, not before
+    // the first counting pass: that pass, from the emptiest matching, is
+    // the solve's largest, and it runs without this network's tables.
+    TokenNet* net = scratch.net.get();
+    if (net == nullptr || &net->graph().store() != &g.store()) {
+      net = &scratch.net.emplace(g, /*seed=*/0, TokenBits{id_bits});
+    }
+    net->reset(splitmix64(opts.seed ^ (iter * 0x9e3779b97f4a7c15ULL)));
+    net->set_thread_pool(opts.pool);
+    net->set_shards(opts.shards);
 
     // Active-set contract: depth-d nodes act spontaneously only at token
     // round l - d, so the driver loop below activates each depth cohort
@@ -239,16 +237,17 @@ AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
       const std::uint32_t d = counting.depth[v];
       if (d <= token_rounds) cohorts[token_rounds - d].push_back(v);
     }
-    net.restrict_initial_active();
+    net->restrict_initial_active();
     // Token rounds 0..l, traceback rounds l+1..2l+1.
     const std::uint64_t total_rounds = traceback_start + token_rounds + 1;
     for (std::uint64_t r = 0; r < total_rounds; ++r) {
       if (r < cohorts.size()) {
-        for (NodeId v : cohorts[r]) net.activate(v);
+        for (NodeId v : cohorts[r]) net->activate(v);
       }
-      net.run_round(step);
+      net->run_round(step);
     }
-    result.stats.merge(net.stats());
+    result.stats.merge(net->stats());
+    net->release_message_buffers();
 
     // --- Apply the flips to the global matching. ---
     // Every path edge is reported by both of its endpoints (old matched
@@ -278,12 +277,48 @@ AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
           "bipartite_aug: an iteration with endpoints selected no path");
     }
     m.symmetric_difference(g, toggles);
-    // Each confirmed path has exactly one depth-0 endpoint.
+    // Each confirmed path has exactly one depth-0 endpoint. The token
+    // phase wrote state only at the pass's reached nodes: clearing them
+    // here leaves it all clean, so the pass that ends a call (no
+    // endpoint, no token phase) leaves nothing for the next one to clear.
     for (const NodeId v : counting.reached) {
       if (flipped[v] && counting.depth[v] == 0) ++result.paths_applied;
+      tok[v] = AugScratch::Token{};
+      flipped[v] = 0;
+      new_match_edge[v] = kInvalidEdge;
     }
   }
   return result;
+}
+
+}  // namespace
+
+AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
+                        Matching& m, int max_len,
+                        const std::vector<char>& active_edges,
+                        const AugOptions& opts) {
+  AugScratch scratch;
+  return bipartite_aug(g, side, m, max_len, active_edges, opts, scratch);
+}
+
+AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
+                        Matching& m, int max_len,
+                        const std::vector<char>& active_edges,
+                        const AugOptions& opts, AugScratch& scratch) {
+  const MaskedSubgraph h(g, side, active_edges);
+  // The sources of every counting pass of this call, listed once: the
+  // passes drop the nodes that augmentations match.
+  scratch.free.clear();
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (side[v] == 0 && m.is_free(v)) scratch.free.push_back(v);
+  }
+  return aug_loop(g, h, m, max_len, scratch.free, opts, scratch);
+}
+
+AugResult bipartite_aug(const Graph& g, const BichromaticSubgraph& h,
+                        Matching& m, int max_len, std::vector<NodeId>& free,
+                        const AugOptions& opts, AugScratch& scratch) {
+  return aug_loop(g, h, m, max_len, free, opts, scratch);
 }
 
 BipartiteMcmResult bipartite_mcm(const Graph& g,

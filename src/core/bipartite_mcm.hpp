@@ -30,6 +30,7 @@
 
 #include "core/bipartite_counting.hpp"
 #include "graph/matching.hpp"
+#include "runtime/network_slot.hpp"
 #include "runtime/round_stats.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -53,11 +54,16 @@ struct AugResult {
   bool converged = false;  // no augmenting path of length <= l remains
 };
 
+/// The token phase's round network (defined in bipartite_mcm.cpp).
+class TokenNet;
+
 /// Aug's per-node state: Algorithm 3's counting columns and Lemma 3.7's
-/// token columns. A solve that calls Aug many times on one graph holds
-/// one scratch and passes it to every call; each Aug iteration then
-/// clears only the nodes the previous one reached instead of allocating
-/// O(n + m) state afresh. Reuse a scratch only on one graph.
+/// token columns, plus the two round networks, which each Aug iteration
+/// restarts instead of rebuilding. A solve that calls Aug many times on
+/// one graph holds one scratch and passes it to every call; each Aug
+/// iteration then clears only the nodes the previous one reached instead
+/// of allocating O(n + m) state afresh. The scratch records the graph it
+/// was built for: a call on another graph rebuilds it.
 struct AugScratch {
   /// Per-iteration token state of one node.
   struct Token {
@@ -68,11 +74,13 @@ struct AugScratch {
   };
 
   CountingResult counting;
+  NetworkSlot<TokenNet> net;
   std::vector<Token> tok;
   std::vector<char> flipped;
   std::vector<EdgeId> new_match_edge;
   std::vector<std::vector<NodeId>> cohorts;  // reached nodes by action round
   std::vector<EdgeId> toggles;
+  std::vector<NodeId> free;  // the mask form's free X nodes, per call
 };
 
 /// Applies a maximal set of disjoint augmenting paths of length <=
@@ -89,6 +97,14 @@ AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
                         Matching& m, int max_len,
                         const std::vector<char>& active_edges,
                         const AugOptions& opts = {});
+
+/// Aug over Algorithm 4's Ĝ given as the on-demand view `h`, which must
+/// read `m`. `free` must list every free node of `m` (it may list matched
+/// ones; each counting pass drops them), so general_mcm keeps one list
+/// per solve and no pass scans all n nodes for its sources.
+AugResult bipartite_aug(const Graph& g, const BichromaticSubgraph& h,
+                        Matching& m, int max_len, std::vector<NodeId>& free,
+                        const AugOptions& opts, AugScratch& scratch);
 
 struct BipartiteMcmOptions {
   int k = 3;  // target ratio 1 - 1/(k+1); paper states 1 - 1/k via l=2k-1

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -28,7 +29,6 @@ GeneralMcmResult general_mcm(const Graph& g, const GeneralMcmOptions& opts) {
   }
   const NodeId n = g.num_nodes();
   const EdgeId m = g.num_edges();
-  const GraphStore& s = g.store();
   const int l = 2 * opts.k - 1;
 
   GeneralMcmResult result;
@@ -42,10 +42,11 @@ GeneralMcmResult general_mcm(const Graph& g, const GeneralMcmOptions& opts) {
           ? opts.empty_streak_stop
           : (std::uint64_t{1} << (2 * opts.k + 1));
 
-  std::vector<std::uint8_t> color(n, 0);
-  std::vector<std::uint8_t> v_hat(n, 0);
-  std::vector<char> active_edge(m, 0);
   AugScratch scratch;  // one per solve, shared by every Aug call
+  // Every free node, shrinking as augmentations match them (they never
+  // free one): each counting pass starts from this list, not from all n.
+  std::vector<NodeId> free(n);
+  std::iota(free.begin(), free.end(), NodeId{0});
   std::uint64_t empty_streak = 0;
 
   // Line 3's color exchange: one round, one 1-bit message per arc.
@@ -56,29 +57,13 @@ GeneralMcmResult general_mcm(const Graph& g, const GeneralMcmOptions& opts) {
 
   for (std::uint64_t iter = 0; iter < budget; ++iter) {
     // Line 3: every node colors itself red (0) or blue (1) uniformly and
-    // tells its neighbors (color_round above); the colors come from
-    // per-(seed, iteration, node) substreams so the execution is
-    // deterministic and order-independent.
-    for (NodeId v = 0; v < n; ++v) {
-      color[v] = Rng::substream(opts.seed, iter, std::uint64_t{v}).coin()
-                     ? 1
-                     : 0;
-    }
+    // tells its neighbors (color_round above). The colors come from
+    // per-(seed, iteration, node) substreams, so the execution is
+    // deterministic and order-independent. No pass computes them all:
+    // Line 4's Ĝ is the view `h`, evaluated only at the nodes and edges
+    // the counting BFS reaches.
     result.stats.merge(color_round);
-
-    // Line 4: Ĝ. A vertex is in V̂ iff free or matched bichromatically;
-    // an edge is in Ê iff bichromatic with both endpoints in V̂.
-    for (NodeId v = 0; v < n; ++v) {
-      const EdgeId me = result.matching.matched_edge(v);
-      v_hat[v] = me == kInvalidEdge ||
-                 color[s.edge_u[me]] != color[s.edge_v[me]];
-    }
-    for (EdgeId e = 0; e < m; ++e) {
-      const NodeId u = s.edge_u[e];
-      const NodeId v = s.edge_v[e];
-      active_edge[e] =
-          static_cast<char>((color[u] != color[v]) & v_hat[u] & v_hat[v]);
-    }
+    const BichromaticSubgraph h(g, result.matching, opts.seed, iter);
 
     // Line 5-6: P <- Aug(Ĝ, M, 2k-1); M <- M ⊕ P. Side 0 = red.
     AugOptions aug_opts;
@@ -86,8 +71,8 @@ GeneralMcmResult general_mcm(const Graph& g, const GeneralMcmOptions& opts) {
     aug_opts.max_iterations = opts.max_aug_iterations;
     aug_opts.pool = opts.pool;
     aug_opts.shards = opts.shards;
-    AugResult aug = bipartite_aug(g, color, result.matching, l, active_edge,
-                                  aug_opts, scratch);
+    AugResult aug =
+        bipartite_aug(g, h, result.matching, l, free, aug_opts, scratch);
     result.stats.merge(aug.stats);
     result.paths_applied += aug.paths_applied;
     ++result.iterations;

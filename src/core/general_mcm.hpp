@@ -3,7 +3,9 @@
 // uniformly, forms the logical bipartite subgraph
 //    V̂ = { free vertices } ∪ { endpoints of bichromatic matched edges }
 //    Ê = bichromatic edges of E with both endpoints in V̂,
-// and runs Aug(Ĝ, M, 2k-1) (the Section 3.2 engine). Observation 3.1
+// and runs Aug(Ĝ, M, 2k-1) (the Section 3.2 engine). Colors and Ĝ are
+// evaluated only where Aug's counting BFS goes (BichromaticSubgraph,
+// DESIGN.md §3), so an iteration costs its frontier. Observation 3.1
 // makes every augmentation valid in G; Lemma 3.9/3.10 show that
 // 2^{2k+1}(k+1) ln k iterations reach a (1-1/k)-approximation w.h.p.
 // (Theorem 3.11).

@@ -63,6 +63,16 @@
 //    send nor mutate state, an execution under active-set scheduling is
 //    bit-identical to a step_all_nodes() execution whenever the protocol
 //    keeps alive every node that might act without an incoming message.
+//  * Reuse across runs. Construction costs O(n + m) (the per-arc and
+//    per-node stamp tables); reset(seed) costs O(workers + shards) and
+//    makes the next run bit-identical to one on a fresh network with
+//    that seed, so a solver that runs many short executions on one graph
+//    builds its network once. round() restarts at 0, while the stamps
+//    are compared against an epoch base that reset() moves past every
+//    stamp already written — no table is swept, except once every 2^31
+//    epochs (see kEpochSweepAt). release_message_buffers() frees the
+//    message columns between runs, so an idle network holds only its
+//    graph-sized tables.
 //
 // A node program is any callable `void step(Ctx& ctx)`; persistent node
 // state lives in arrays owned by the algorithm object (indexed by node
@@ -80,6 +90,7 @@
 #include <functional>
 #include <iterator>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -196,7 +207,7 @@ class SyncNetwork {
    public:
     NodeId id() const noexcept { return id_; }
     std::uint64_t round() const noexcept { return net_->round_; }
-    const Graph& graph() const noexcept { return *net_->graph_; }
+    const Graph& graph() const noexcept { return net_->graph_; }
     /// The node's per-(node, round) substream, derived on first use —
     /// steps that never draw (most receivers, most rounds of most
     /// protocols) skip the hash entirely; the stream is the same either
@@ -236,8 +247,18 @@ class SyncNetwork {
     PerWorker* worker_ = nullptr;
   };
 
+  /// Builds the graph-sized tables, O(n + m). The network holds a copy
+  /// of `g` (a shared reference to its store), so it stays valid for as
+  /// long as it is kept, whatever happens to `g`.
   SyncNetwork(const Graph& g, std::uint64_t seed, Meter meter = Meter{})
-      : graph_(&g),
+      : SyncNetwork(setup_clock(), g, seed, std::move(meter)) {}
+
+ private:
+  // The public constructor's body; `t_setup` (see setup_clock()) is taken
+  // before any table is allocated, so the setup span covers them all.
+  SyncNetwork(std::uint64_t t_setup, const Graph& g, std::uint64_t seed,
+              Meter meter)
+      : graph_(g),
         seed_(seed),
         meter_(std::move(meter)),
         plan_(plan_shards(g.num_nodes(), /*requested=*/0)),
@@ -261,6 +282,83 @@ class SyncNetwork {
     for (const std::uint32_t slot : rev) {
       arc_meta_.push_back(ArcMeta{kNeverEpoch, slot});
     }
+    trace_setup(t_setup, /*reset=*/false);
+  }
+
+ public:
+  /// Restart the network for a new run with `seed`: the run is
+  /// bit-identical to one on a fresh network built on the same graph
+  /// with that seed and this network's meter, thread pool, shard plan,
+  /// step_all_nodes() mode and fault injector, which are kept. round()
+  /// restarts at 0 (steps and the per-(node, round) substreams read it);
+  /// stats, the pending and delivered counters, pending activations and
+  /// restrict_initial_active() are cleared; messages still in flight
+  /// (sent in the last round, or held back by the fault layer) are
+  /// dropped and the message columns freed. O(workers + shards), plus an
+  /// O(n + m) stamp sweep once every 2^31 epochs (kEpochSweepAt).
+  void reset(std::uint64_t seed) {
+    const std::uint64_t t_setup = setup_clock();
+    // The finished run stamped epochs [epoch_base_, epoch_base_ + round_);
+    // the next one starts past all of them.
+    const std::uint64_t next = std::uint64_t{epoch_base_} + round_;
+    if (next >= kEpochSweepAt) {
+      for (ArcMeta& am : arc_meta_) am.stamp = kNeverEpoch;
+      for (InboxMeta& im : inbox_meta_) im.stamp = kNeverEpoch;
+      std::fill(active_stamp_.begin(), active_stamp_.end(), kNeverEpoch);
+      epoch_base_ = 0;
+    } else {
+      epoch_base_ = static_cast<std::uint32_t>(next);
+    }
+    release_message_buffers();
+    seed_ = seed;
+    round_ = 0;
+    stats_ = NetStats{};
+    delivered_last_round_ = 0;
+    delivered_total_ = 0;
+    stepped_last_round_ = 0;
+    pending_activations_.clear();
+    initial_restricted_ = false;
+    trace_setup(t_setup, /*reset=*/true);
+  }
+
+  /// Free the message columns (per-worker send columns and wake lists,
+  /// the exchange's staging and delivery columns, the fault layer's
+  /// held-back records) and the active lists, dropping any message still
+  /// in flight. Only the graph-sized stamp tables keep their memory. For
+  /// a network that sits idle until its next reset(); stats(), round()
+  /// and the last-round counters stay readable.
+  void release_message_buffers() {
+    for (PerWorker& w : workers_) {
+      free_vector(w.send_to);
+      free_vector(w.send_key);
+      free_vector(w.send_seq);
+      free_vector(w.send_msg);
+      free_vector(w.wake);
+    }
+    free_vector(scr_to_);
+    free_vector(scr_key_);
+    free_vector(scr_seq_);
+    free_vector(scr_msg_);
+    free_vector(dlv_key_);
+    free_vector(dlv_seq_);
+    free_vector(dlv_msg_);
+    free_vector(shard_receivers_);
+    free_vector(active_);
+    shard_active_.assign(plan_.count, {});
+    free_vector(delayed_);
+    free_vector(dup_buf_);
+    pending_ = 0;
+  }
+
+  /// Test hook: move the epoch base to just below kEpochSweepAt, so the
+  /// reset() after the next run (of at least one round) sweeps the stamp
+  /// tables and restarts the base at 0. Call only between runs: after
+  /// construction or reset(), before the first round.
+  void advance_epoch_base_for_testing() {
+    if (round_ != 0) {
+      throw std::logic_error("SyncNetwork: epoch base moved mid-run");
+    }
+    epoch_base_ = kEpochSweepAt - 1;
   }
 
   /// Optional: step nodes with a thread pool (nullptr = sequential).
@@ -269,11 +367,15 @@ class SyncNetwork {
   /// Repartition the vertex set: 0 = auto (cache-sized shards, the
   /// default), 1 = the pre-shard single-partition layout, k = at most k
   /// contiguous shards. Any value produces bit-identical executions;
-  /// callable between rounds.
+  /// callable between rounds, and free when the plan does not change.
   void set_shards(unsigned requested) {
-    plan_ = plan_shards(graph_->num_nodes(), requested);
+    const ShardPlan plan = plan_shards(graph_.num_nodes(), requested);
+    if (plan.shift == plan_.shift && plan.count == plan_.count) return;
+    plan_ = plan;
     shard_active_.assign(plan_.count, {});
   }
+
+  const Graph& graph() const noexcept { return graph_; }
 
   /// The number of vertex shards the mailbox and scheduler operate on.
   unsigned shards() const noexcept { return plan_.count; }
@@ -326,12 +428,20 @@ class SyncNetwork {
     return stepped_last_round_;
   }
 
+  /// The nodes stepped in the most recent round, in step order; empty
+  /// when that round stepped every node (step_all_nodes(), or round 0
+  /// without restrict_initial_active()). Valid until the next round,
+  /// reset() or release_message_buffers().
+  std::span<const NodeId> last_round_active() const noexcept {
+    return active_;
+  }
+
   /// Execute one synchronous round: deliver everything sent last round,
   /// step the round's active set (or every node), collect sends for the
   /// next round.
   template <typename Step>
   void run_round(Step&& step) {
-    const Graph& g = *graph_;
+    const Graph& g = graph_;
     ensure_workers();
     ++stats_.rounds;
 
@@ -347,11 +457,11 @@ class SyncNetwork {
     delivered_last_round_ = dlv_key_.size();
 
     const bool all = step_all_ || (round_ == 0 && !initial_restricted_);
+    active_.clear();
     if (all) {
       for (PerWorker& w : workers_) w.wake.clear();
       pending_activations_.clear();
     } else {
-      active_.clear();
       for (std::vector<NodeId>& sa : shard_active_) sa.clear();
       for (const std::vector<NodeId>& rs : shard_receivers_) {
         for (NodeId v : rs) mark_active(v);
@@ -471,15 +581,42 @@ class SyncNetwork {
   }
 
  private:
-  // Round stamps in the hot bookkeeping are 32-bit epochs: the low word
-  // of round_. kNeverEpoch doubles as "never touched"; a live stamp
-  // could only alias it in round 2^32 - 1 (decades of rounds at any
-  // realistic rate), accepted in exchange for halving the stamp
-  // footprint in the per-arc and per-receiver metadata.
+  // Round stamps in the hot bookkeeping are 32-bit epochs: epoch_base_
+  // plus round_, truncated. kNeverEpoch doubles as "never touched".
+  // reset() moves the base past every epoch the finished run stamped, so
+  // a stamp left by an earlier run never equals a live epoch, and once
+  // the base reaches kEpochSweepAt it sweeps the three stamp tables
+  // back to kNeverEpoch and restarts the base at 0. Every run thus
+  // starts below 2^31, and a live stamp could alias kNeverEpoch (or
+  // wrap onto an older stamp) only after more than 2^31 rounds of one
+  // run — decades at any realistic rate — accepted in exchange for
+  // halving the stamp footprint in the per-arc and per-receiver
+  // metadata.
   static constexpr std::uint32_t kNeverEpoch =
       static_cast<std::uint32_t>(-1);
+  static constexpr std::uint32_t kEpochSweepAt = std::uint32_t{1} << 31;
   std::uint32_t epoch() const noexcept {
-    return static_cast<std::uint32_t>(round_);
+    return static_cast<std::uint32_t>(epoch_base_ + round_);
+  }
+
+  template <typename V>
+  static void free_vector(V& v) noexcept {
+    V().swap(v);
+  }
+
+  /// Start time of a setup to trace, or 0 when the tracer is off.
+  static std::uint64_t setup_clock() noexcept {
+    return telemetry::Tracer::global().recording() ? telemetry::now_ns() : 0;
+  }
+
+  /// Record a construction (reset = 0) or a reset (reset = 1) as an
+  /// `engine.setup` span.
+  void trace_setup(std::uint64_t t0, bool reset) const {
+    if (t0 == 0) return;
+    telemetry::Tracer::global().emit(
+        "engine.setup", "engine", t0, telemetry::now_ns() - t0,
+        {{"reset", reset ? 1.0 : 0.0},
+         {"nodes", static_cast<double>(graph_.num_nodes())}});
   }
 
   /// Per-arc channel metadata, packed so the send path touches one
@@ -530,7 +667,7 @@ class SyncNetwork {
     // Resolve the arc (from, e) by scanning the sender's own row — the
     // step function was just iterating it, so it is cache-hot, and the
     // resulting channel index is local to the sender's shard.
-    const GraphStore& s = graph_->store();
+    const GraphStore& s = graph_.store();
     const std::uint64_t base = s.offsets[from];
     const std::uint64_t end = s.offsets[from + 1];
     std::uint64_t arc = base;
@@ -553,7 +690,7 @@ class SyncNetwork {
 
   /// send_all: one pass over the sender's row, no per-edge arc lookup.
   void enqueue_all(NodeId from, const M& msg, PerWorker& w) {
-    const GraphStore& s = graph_->store();
+    const GraphStore& s = graph_.store();
     const std::uint64_t base = s.offsets[from];
     const std::uint64_t end = s.offsets[from + 1];
     for (std::uint64_t arc = base; arc < end; ++arc) {
@@ -613,7 +750,7 @@ class SyncNetwork {
   /// from the receiver-side arc named by the message's key. With `ttrace`
   /// every fate other than delivery is recorded as a trace instant.
   void inject_message_faults(bool ttrace) {
-    const GraphStore& s = graph_->store();
+    const GraphStore& s = graph_.store();
     telemetry::Tracer& tracer = telemetry::Tracer::global();
     for (PerWorker& w : workers_) {
       const std::size_t n_sends = w.send_to.size();
@@ -905,14 +1042,14 @@ class SyncNetwork {
   InboxView inbox_of(NodeId v) const {
     const InboxMeta& im = inbox_meta_[v];
     if (dlv_key_.empty() || im.stamp != epoch()) return {};
-    const GraphStore& s = graph_->store();
+    const GraphStore& s = graph_.store();
     const std::uint64_t base = s.offsets[v];
     return InboxView(dlv_key_.data() + im.off, dlv_msg_.data() + im.off,
                      s.adj_to.data() + base, s.adj_edge.data() + base,
                      im.cnt);
   }
 
-  const Graph* graph_;
+  Graph graph_;
   std::uint64_t seed_;
   Meter meter_;
   ThreadPool* pool_ = nullptr;
@@ -955,6 +1092,7 @@ class SyncNetwork {
   std::vector<PendingRec> dup_buf_;
 
   std::uint64_t round_ = 0;
+  std::uint32_t epoch_base_ = 0;  // see epoch(); moved by reset()
   std::uint64_t pending_ = 0;  // messages awaiting delivery next round
   std::uint64_t delivered_last_round_ = 0;
   std::uint64_t delivered_total_ = 0;  // cumulative (progress board)

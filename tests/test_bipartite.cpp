@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -190,6 +191,48 @@ TEST(BipartiteCounting, ReusedResultMatchesFreshPasses) {
     opts.max_iterations = 1;
     bipartite_aug(g, bg.side, m, 3, {}, opts);
   }
+
+  // One more input: a result (and an Aug scratch) last used on another
+  // graph with as many nodes and edges, whose k=1 matching the first pass
+  // counted over. Nothing of that graph may carry over.
+  Rng pair_rng(21);
+  for (int pair = 0; pair < 3; ++pair) {
+    SCOPED_TRACE("pair " + std::to_string(pair));
+    const auto a = random_bipartite(30, 30, 0.1, pair_rng);
+    auto b = random_bipartite(30, 30, 0.1, pair_rng);
+    while (b.graph.num_edges() != a.graph.num_edges()) {
+      b = random_bipartite(30, 30, 0.1, pair_rng);
+    }
+    BipartiteMcmOptions k1;
+    k1.k = 1;
+    const Matching ma = bipartite_mcm(a.graph, a.side, k1).matching;
+    const Matching mb(b.graph.num_nodes());
+    CountingResult across;
+    count_augmenting_paths(a.graph, a.side, ma, 3, {}, across);
+    count_augmenting_paths(b.graph, b.side, mb, 3, {}, across);
+    const CountingResult fresh =
+        count_augmenting_paths(b.graph, b.side, mb, 3, {});
+    EXPECT_EQ(across.depth, fresh.depth);
+    EXPECT_EQ(across.counts, fresh.counts);
+    EXPECT_EQ(across.total, fresh.total);
+    EXPECT_EQ(across.endpoint, fresh.endpoint);
+    EXPECT_EQ(across.reached, fresh.reached);
+    EXPECT_EQ(across.stats.total_bits, fresh.stats.total_bits);
+
+    AugScratch scratch;
+    AugOptions opts;
+    opts.seed = 7 + pair;
+    Matching on_a = ma;
+    bipartite_aug(a.graph, a.side, on_a, 3, {}, opts, scratch);
+    Matching reused_m = mb;
+    Matching fresh_m = mb;
+    const AugResult r = bipartite_aug(b.graph, b.side, reused_m, 3, {}, opts,
+                                      scratch);
+    const AugResult f = bipartite_aug(b.graph, b.side, fresh_m, 3, {}, opts);
+    EXPECT_EQ(reused_m, fresh_m);
+    EXPECT_EQ(r.iterations, f.iterations);
+    EXPECT_EQ(r.stats.total_bits, f.stats.total_bits);
+  }
 }
 
 /// A layered ladder whose path counts outgrow one 64-bit limb: layers
@@ -367,48 +410,94 @@ TEST(BipartiteAug, RejectsMaskOfWrongSize) {
 
 TEST(BipartiteAug, ReusedScratchMatchesFreshCalls) {
   // general_mcm's call pattern: one scratch across Aug calls on one
-  // general graph whose 2-coloring, Ĝ mask and matching change every
-  // call (and here the path cap too). Each call must be bit-identical
-  // to a call over a fresh scratch.
+  // general graph whose 2-coloring, Ĝ and matching change every call
+  // (and here the path cap too). Each call must be bit-identical to a
+  // call over a fresh scratch, and Ĝ given as masks must run exactly as
+  // Ĝ given as general_mcm's on-demand view, sequentially and from four
+  // threads.
   Rng rng(9);
   const Graph g = erdos_renyi(120, 0.05, rng);
-  Matching reused_m(g.num_nodes());
-  Matching fresh_m(g.num_nodes());
-  AugScratch scratch;
-  std::vector<std::uint8_t> color(g.num_nodes());
-  std::vector<char> in_v_hat(g.num_nodes());
-  std::vector<char> mask(g.num_edges());
-  for (int call = 0; call < 12; ++call) {
-    // Algorithm 4's Ĝ: V̂ = free or bichromatically matched vertices,
-    // Ê = bichromatic edges inside V̂.
-    for (std::uint8_t& c : color) c = rng.coin() ? 1 : 0;
-    const auto bichromatic = [&](EdgeId e) {
-      return color[g.edge(e).u] != color[g.edge(e).v];
-    };
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const EdgeId me = reused_m.matched_edge(v);
-      in_v_hat[v] = me == kInvalidEdge || bichromatic(me);
+  const NodeId n = g.num_nodes();
+  constexpr std::uint64_t kColorSeed = 77;
+  ThreadPool pool4(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool4}) {
+    SCOPED_TRACE(pool ? "threads=4" : "threads=1");
+    Matching reused_m(n);
+    Matching fresh_m(n);
+    Matching view_m(n);
+    AugScratch scratch;
+    AugScratch view_scratch;
+    std::vector<NodeId> free(n);
+    std::iota(free.begin(), free.end(), NodeId{0});
+    std::vector<std::uint8_t> color(n);
+    std::vector<char> in_v_hat(n);
+    std::vector<char> mask(g.num_edges());
+    for (int call = 0; call < 12; ++call) {
+      // Algorithm 4's Ĝ: V̂ = free or bichromatically matched vertices,
+      // Ê = bichromatic edges inside V̂.
+      for (NodeId v = 0; v < n; ++v) {
+        color[v] = Rng::substream(kColorSeed, call, std::uint64_t{v}).coin();
+      }
+      const auto bichromatic = [&](EdgeId e) {
+        return color[g.edge(e).u] != color[g.edge(e).v];
+      };
+      for (NodeId v = 0; v < n; ++v) {
+        const EdgeId me = reused_m.matched_edge(v);
+        in_v_hat[v] = me == kInvalidEdge || bichromatic(me);
+      }
+      for (EdgeId e = 0; e < g.num_edges(); ++e) {
+        const Edge ed = g.edge(e);
+        mask[e] = bichromatic(e) && in_v_hat[ed.u] && in_v_hat[ed.v];
+      }
+      const BichromaticSubgraph h(g, view_m, kColorSeed, call);
+      for (NodeId v = 0; v < n; ++v) {
+        ASSERT_EQ(h.side(v), color[v]) << "v=" << v;
+        ASSERT_EQ(h.in_v_hat(v, color[v]), in_v_hat[v] != 0) << "v=" << v;
+      }
+      for (EdgeId e = 0; e < g.num_edges(); ++e) {
+        ASSERT_EQ(h.active(e), mask[e] != 0) << "e=" << e;
+      }
+
+      AugOptions opts;
+      opts.seed = 1000 + call;
+      opts.pool = pool;
+      const int l = (call % 3 == 2) ? 1 : 2 * (call % 3) + 3;
+      const AugResult a =
+          bipartite_aug(g, color, reused_m, l, mask, opts, scratch);
+      const AugResult b = bipartite_aug(g, color, fresh_m, l, mask, opts);
+      const AugResult c =
+          bipartite_aug(g, h, view_m, l, free, opts, view_scratch);
+      const auto expect_same = [&](const AugResult& other,
+                                   const Matching& m, const char* name) {
+        SCOPED_TRACE(std::string(name) + " call " + std::to_string(call));
+        ASSERT_EQ(reused_m, m);
+        EXPECT_EQ(a.paths_applied, other.paths_applied);
+        EXPECT_EQ(a.iterations, other.iterations);
+        EXPECT_EQ(a.converged, other.converged);
+        EXPECT_EQ(a.stats.rounds, other.stats.rounds);
+        EXPECT_EQ(a.stats.messages, other.stats.messages);
+        EXPECT_EQ(a.stats.total_bits, other.stats.total_bits);
+        EXPECT_EQ(a.stats.max_message_bits, other.stats.max_message_bits);
+      };
+      expect_same(b, fresh_m, "fresh");
+      expect_same(c, view_m, "view");
     }
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      const Edge ed = g.edge(e);
-      mask[e] = bichromatic(e) && in_v_hat[ed.u] && in_v_hat[ed.v];
-    }
-    AugOptions opts;
-    opts.seed = 1000 + call;
-    const int l = (call % 3 == 2) ? 1 : 2 * (call % 3) + 3;
-    const AugResult a =
-        bipartite_aug(g, color, reused_m, l, mask, opts, scratch);
-    const AugResult b = bipartite_aug(g, color, fresh_m, l, mask, opts);
-    ASSERT_EQ(reused_m, fresh_m) << "call " << call;
-    EXPECT_EQ(a.paths_applied, b.paths_applied) << "call " << call;
-    EXPECT_EQ(a.iterations, b.iterations) << "call " << call;
-    EXPECT_EQ(a.converged, b.converged) << "call " << call;
-    EXPECT_EQ(a.stats.rounds, b.stats.rounds) << "call " << call;
-    EXPECT_EQ(a.stats.messages, b.stats.messages) << "call " << call;
-    EXPECT_EQ(a.stats.total_bits, b.stats.total_bits) << "call " << call;
-    EXPECT_EQ(a.stats.max_message_bits, b.stats.max_message_bits);
+    EXPECT_GT(reused_m.size(), 0u);
   }
-  EXPECT_GT(reused_m.size(), 0u);
+}
+
+TEST(BichromaticSubgraph, ColorIsTheSubstreamCoin) {
+  // The closed form against Rng::substream(seed, iter, v).coin() on
+  // 10^5 random triples, plus the small values general_mcm starts from.
+  Rng rng(61);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t seed = i < 1000 ? i % 10 : rng();
+    const std::uint64_t iter = i < 1000 ? i / 10 : rng();
+    const NodeId v = static_cast<NodeId>(i < 1000 ? i : rng());
+    ASSERT_EQ(BichromaticSubgraph::color(seed, iter, v),
+              Rng::substream(seed, iter, std::uint64_t{v}).coin() ? 1 : 0)
+        << "seed=" << seed << " iter=" << iter << " v=" << v;
+  }
 }
 
 // ----------------------------------------- Theorem 3.8 driver ---------

@@ -5,10 +5,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <sstream>
+#include <string>
 
 #include "core/general_mcm.hpp"
 #include "graph/generators.hpp"
 #include "seq/blossom.hpp"
+#include "telemetry/telemetry.hpp"
+#include "telemetry/trace_reader.hpp"
 #include "util/rng.hpp"
 
 namespace lps {
@@ -86,6 +90,40 @@ TEST_P(GeneralSweep, OddCyclesAndCliques) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneralSweep,
                          ::testing::Values(71u, 73u, 79u, 83u));
+
+TEST(GeneralMcm, BuildsTwoNetworksPerSolveAndResetsThemPerPass) {
+  // One counting and one token network per solve, restarted for every
+  // counting pass and token phase: the engine.setup spans say which.
+  Rng rng(3);
+  const Graph g = erdos_renyi(200, 0.02, rng);
+  GeneralMcmOptions opts;
+  opts.mode = GeneralMcmOptions::Mode::kPaper;
+  opts.max_iterations = 30;
+  telemetry::Tracer& tracer = telemetry::Tracer::global();
+  tracer.reset();
+  tracer.set_recording(true);
+  const GeneralMcmResult res = general_mcm(g, opts);
+  tracer.set_recording(false);
+  std::ostringstream os;
+  tracer.write_chrome_trace(os);
+  tracer.reset();
+  telemetry::TraceDoc doc;
+  std::string error;
+  ASSERT_TRUE(telemetry::load_chrome_trace(os.str(), doc, &error)) << error;
+  std::uint64_t builds = 0;
+  std::uint64_t resets = 0;
+  for (const telemetry::TraceSpan& s : doc.spans) {
+    if (s.name != "engine.setup") continue;
+    ASSERT_EQ(s.args.count("reset"), 1u);
+    EXPECT_EQ(s.args.at("nodes"), g.num_nodes());
+    (s.args.at("reset") == 1.0 ? resets : builds) += 1;
+  }
+  EXPECT_EQ(builds, 2u);
+  // At least one counting pass per iteration, each on a restarted
+  // network but the very first.
+  EXPECT_GE(resets + 1, res.iterations);
+  EXPECT_GT(res.paths_applied, 0u);
+}
 
 TEST(GeneralMcm, Observation32Statistics) {
   // An augmenting path of length l survives into Ĝ with probability

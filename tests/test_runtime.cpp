@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "core/israeli_itai.hpp"
+#include "faults/fault_plan.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
 #include "runtime/engine.hpp"
@@ -523,6 +524,119 @@ TEST(SyncNetwork, RejectsStoreWithUnsortedRow) {
   const Graph g(std::shared_ptr<const GraphStore>(std::move(s)));
   EXPECT_THROW(g.store().rev_slot(), std::logic_error);
   EXPECT_THROW(SyncNetwork<IntMsg>(g, 1), std::logic_error);
+}
+
+/// One run of a gossip protocol whose nodes send in every round, the last
+/// included, so every run ends with messages in flight.
+struct LoggedRun {
+  std::uint64_t seed;
+  int rounds;
+  std::vector<NodeId> activate;  // empty: round 0 steps every node
+  bool draw;                     // steps draw from ctx.rng()
+  bool faults;                   // a message-fault injector is attached
+};
+
+/// Everything a run shows its nodes: per node, each step's round, inbox
+/// (sender, edge, slot, payload) and draw; plus the run's stats.
+struct RunLog {
+  std::vector<std::vector<std::uint64_t>> steps;
+  NetStats stats;
+  std::uint64_t round0_deliveries = 0;
+};
+
+RunLog run_logged(SyncNetwork<IntMsg>& net, const LoggedRun& run) {
+  RunLog log;
+  log.steps.resize(net.graph().num_nodes());
+  if (!run.activate.empty()) {
+    net.restrict_initial_active();
+    for (const NodeId v : run.activate) net.activate(v);
+  }
+  auto step = [&](SyncNetwork<IntMsg>::Ctx& ctx) {
+    const NodeId v = ctx.id();
+    std::vector<std::uint64_t>& out = log.steps[v];
+    out.push_back(ctx.round());
+    for (const auto& in : ctx.inbox()) {
+      out.insert(out.end(), {in.from, in.edge, in.slot,
+                             static_cast<std::uint64_t>(in.payload->value)});
+    }
+    const std::uint64_t draw = run.draw ? ctx.rng()() : v * 7 + ctx.round();
+    out.push_back(draw);
+    for (const auto& inc : ctx.graph().neighbors(v)) {
+      if ((draw + inc.to) % 3 == 0) {
+        ctx.send(inc.edge, IntMsg{static_cast<int>(draw % 1000)});
+      }
+    }
+    if (draw % 5 == 0) ctx.keep_active();
+  };
+  for (int r = 0; r < run.rounds; ++r) {
+    net.run_round(step);
+    if (r == 0) log.round0_deliveries = net.last_round_deliveries();
+  }
+  log.stats = net.stats();
+  return log;
+}
+
+TEST(SyncNetwork, ResetRunsMatchFreshNetworks) {
+  // One network restarted across runs that differ in seed, activation
+  // set, RNG use and message faults, one reset sweeping the stamp tables
+  // (the forced epoch wrap): every run must match a fresh network with
+  // the same seed bit for bit.
+  Rng rng(47);
+  const NodeId n = 2500;
+  const Graph g = erdos_renyi(n, 4.0 / n, rng);
+  ThreadPool pool(4);
+  const faults::FaultPlan plan = faults::parse_fault_plan(
+      "mix:drop=0.1,dup=0.05,delay=3,delay_p=0.2,reorder");
+  std::vector<NodeId> odd;
+  for (NodeId v = 1; v < n; v += 2) odd.push_back(v);
+  // Run 2 outlasts run 1 by more than the plan's delays, so records run
+  // 1 leaves parked would come due inside run 2 if the reset kept them.
+  const std::vector<LoggedRun> runs = {
+      {11, 6, {0, 5, 9, 400, 2499}, true, false},
+      {12, 8, odd, true, true},
+      {13, 12, {}, false, true},  // the reset after it sweeps the stamps
+      {11, 6, {0, 5, 9, 400, 2499}, true, false},  // run 0, post-sweep
+      {14, 9, odd, false, false},
+  };
+  SyncNetwork<IntMsg> reused(g, 0);
+  reused.set_thread_pool(&pool);
+  reused.set_shards(4);
+  faults::MessageFaultInjector reused_faults(plan, 99);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    const LoggedRun& run = runs[i];
+    reused.reset(run.seed);
+    // Attached once for runs 1-2 (kept across the reset between them).
+    if (i == 1) reused.set_message_faults(&reused_faults);
+    if (i == 3) reused.set_message_faults(nullptr);
+    if (i == 2) reused.advance_epoch_base_for_testing();
+    const RunLog got = run_logged(reused, run);
+
+    SyncNetwork<IntMsg> fresh(g, run.seed);
+    fresh.set_thread_pool(&pool);
+    fresh.set_shards(4);
+    faults::MessageFaultInjector fresh_faults(plan, 99);
+    if (run.faults) fresh.set_message_faults(&fresh_faults);
+    const RunLog want = run_logged(fresh, run);
+
+    // Nothing the previous run sent or held back is delivered now.
+    EXPECT_EQ(got.round0_deliveries, 0u);
+    EXPECT_EQ(got.steps, want.steps);
+    EXPECT_EQ(got.stats.rounds, want.stats.rounds);
+    EXPECT_EQ(got.stats.messages, want.stats.messages);
+    EXPECT_EQ(got.stats.total_bits, want.stats.total_bits);
+    EXPECT_EQ(got.stats.max_message_bits, want.stats.max_message_bits);
+    EXPECT_GT(want.stats.messages, 0u);
+  }
+}
+
+TEST(SyncNetwork, EpochBaseMovesOnlyBetweenRuns) {
+  const Graph g = path_graph(4);
+  SyncNetwork<IntMsg> net(g, 1);
+  net.run_round([](SyncNetwork<IntMsg>::Ctx&) {});
+  EXPECT_THROW(net.advance_epoch_base_for_testing(), std::logic_error);
+  net.reset(2);
+  EXPECT_NO_THROW(net.advance_epoch_base_for_testing());
 }
 
 TEST(NetStats, MergeAndScaledMerge) {
