@@ -10,7 +10,8 @@
 //  2. Run Israeli–Itai maximal matching on every class simultaneously —
 //     the classes partition the edge set, so the per-class protocols use
 //     disjoint channels and compose in parallel (rounds = max over
-//     classes, messages summed).
+//     classes, messages summed). The simulation runs them one after
+//     another on one IsraeliItaiClassRuns (DESIGN.md §4).
 //  3. Survival sweep from the heaviest class down: an edge of M_i
 //     survives iff no adjacent surviving edge lies in a strictly
 //     heavier class. One round per class (survivors announce).
@@ -21,6 +22,8 @@
 // measure delta ~= 0.5-0.65 on our workloads, comfortably above the 1/5
 // the paper plugs into Algorithm 5.
 #pragma once
+
+#include <span>
 
 #include "graph/matching.hpp"
 #include "runtime/round_stats.hpp"
@@ -44,6 +47,13 @@ struct ClassMwmResult {
   std::size_t num_classes = 0;
   bool converged = true;
 };
+
+/// The black box on a view of g: edge e has weight w[e] when w[e] > 0
+/// and is absent otherwise (Algorithm 5 hands it G′ = (V, E, w_M) this
+/// way, without copying the positive-gain subgraph). Node ids are g's
+/// and the matching is over g.
+ClassMwmResult class_mwm(const Graph& g, std::span<const double> w,
+                         const ClassMwmOptions& opts = {});
 
 ClassMwmResult class_mwm(const WeightedGraph& wg,
                          const ClassMwmOptions& opts = {});

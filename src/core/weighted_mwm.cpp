@@ -1,33 +1,46 @@
 #include "core/weighted_mwm.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "core/class_mwm.hpp"
 #include "core/gain.hpp"
-#include "runtime/simd.hpp"
 #include "seq/greedy.hpp"
 #include "util/rng.hpp"
 
 namespace lps {
 
 MwmBlackBox class_mwm_black_box(ThreadPool* pool, unsigned shards) {
-  return [pool, shards](const WeightedGraph& wg, std::uint64_t seed,
-                        NetStats* stats) {
+  return [pool, shards](const Graph& g, std::span<const double> gains,
+                        std::uint64_t seed, NetStats* stats) {
     ClassMwmOptions opts;
     opts.seed = seed;
     opts.pool = pool;
     opts.shards = shards;
-    ClassMwmResult res = class_mwm(wg, opts);
+    ClassMwmResult res = class_mwm(g, gains, opts);
     if (stats != nullptr) stats->merge(res.stats);
     return std::move(res.matching);
   };
 }
 
 MwmBlackBox greedy_black_box() {
-  return [](const WeightedGraph& wg, std::uint64_t, NetStats*) {
-    return greedy_mwm(wg);
+  return [](const Graph& g, std::span<const double> gains, std::uint64_t,
+            NetStats*) {
+    // Greedy decides every positive-gain edge before any other, so its
+    // matching of G with these weights, less the edges outside G′, is its
+    // matching of G′.
+    const Matching all =
+        greedy_mwm(WeightedGraph{g, {gains.begin(), gains.end()}});
+    std::vector<EdgeId> kept;
+    for (const EdgeId e : all.edge_ids(g)) {
+      if (gains[e] > 0.0) kept.push_back(e);
+    }
+    return Matching::from_edges(g, kept);
   };
 }
 
@@ -66,47 +79,48 @@ WeightedMwmResult weighted_mwm(const WeightedGraph& wg,
     const std::vector<double> gains =
         gain_weights(wg, result.matching, &result.stats);
 
-    // Restrict to positive-gain edges: a maximum-weight matching never
-    // gains from edges with w_M <= 0, and the class black box requires
-    // positive weights.
-    std::vector<char> keep_edge(g.num_edges(), 0);
-    const std::size_t positive = simd::mask_positive_f64(
-        gains.data(), g.num_edges(),
-        reinterpret_cast<std::uint8_t*>(keep_edge.data()));
+    // G' keeps only positive-gain edges: a maximum-weight matching never
+    // gains from edges with w_M <= 0. The box gets G' as a view (G and
+    // the gains), not as a copy.
     ++result.iterations;
-    if (positive == 0) {
+    if (std::none_of(gains.begin(), gains.end(),
+                     [](double x) { return x > 0.0; })) {
       result.converged_early = true;
       result.weight_trajectory.push_back(result.matching.weight(wg));
       break;
     }
-    Subgraph sub = induced_subgraph(g, {}, keep_edge);
-    std::vector<double> sub_weights(sub.graph.num_edges());
-    for (EdgeId e = 0; e < sub.graph.num_edges(); ++e) {
-      sub_weights[e] = gains[sub.edge_to_parent[e]];
-    }
-    WeightedGraph gprime =
-        make_weighted(std::move(sub.graph), std::move(sub_weights));
 
     // Line 4: M' <- delta-MWM(G').
     const Matching m_prime = black_box(
-        gprime, splitmix64(opts.seed ^ (iter * 0xa0761d6478bd642fULL)),
+        g, gains, splitmix64(opts.seed ^ (iter * 0xa0761d6478bd642fULL)),
         &result.stats);
+    if (m_prime.num_nodes() != g.num_nodes()) {
+      throw std::invalid_argument(
+          "weighted_mwm: black box returned a matching over " +
+          std::to_string(m_prime.num_nodes()) + " nodes, expected " +
+          std::to_string(g.num_nodes()));
+    }
+    const std::vector<EdgeId> picked = m_prime.edge_ids(g);
+    for (const EdgeId e : picked) {
+      if (!(gains[e] > 0.0)) {
+        std::ostringstream msg;
+        msg << std::setprecision(17) << "weighted_mwm: black box matched edge "
+            << e << " with gain w_M = " << gains[e]
+            << ", which is not in G' (w_M > 0)";
+        throw std::invalid_argument(msg.str());
+      }
+    }
 
     // Line 5: M <- M ⊕ ∪ wrap(e). Applying the wraps takes O(1) rounds
     // (each M' edge's endpoints flip locally and notify their old
     // mates); account one round plus one O(log n)-bit message per
     // dropped edge endpoint.
-    std::vector<EdgeId> parent_edges;
-    parent_edges.reserve(m_prime.size());
-    for (EdgeId e : m_prime.edge_ids(gprime.graph)) {
-      parent_edges.push_back(sub.edge_to_parent[e]);
-    }
-    apply_wraps(g, result.matching, parent_edges);
+    apply_wraps(g, result.matching, picked);
     NetStats apply;
     apply.rounds = 1;
     std::uint64_t id_bits = 1;
     while ((std::uint64_t{1} << id_bits) < g.num_nodes() + 1) ++id_bits;
-    for (std::size_t i = 0; i < 2 * parent_edges.size(); ++i) {
+    for (std::size_t i = 0; i < 2 * picked.size(); ++i) {
       apply.note_message(id_bits);
     }
     result.stats.merge(apply);

@@ -3,7 +3,8 @@
 //   1. computes the derived gain weights w_M (one exchange round);
 //   2. runs the black box on G' = (V, E, w_M) restricted to edges with
 //      positive gain (a max-weight matching never benefits from
-//      non-positive edges), obtaining M';
+//      non-positive edges), obtaining M'; G' is a view of G (the gains
+//      mark which edges exist), not a copy;
 //   3. flips M <- M ⊕ ∪_{e in M'} wrap(e) (Lemma 4.1 guarantees the
 //      result is a matching with w >= w(M) + w_M(M')).
 // After ceil(3/(2 delta) ln(2/eps)) iterations, Lemma 4.3 gives
@@ -13,6 +14,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "graph/matching.hpp"
@@ -21,16 +23,21 @@
 
 namespace lps {
 
-/// A delta-MWM black box: returns a matching of the given weighted
-/// graph; merges its round/bit accounting into *stats when non-null.
+/// A delta-MWM black box on G′ = (V, E, w_M), handed over as a view: g
+/// and the gain per edge, where edges with w_M <= 0 are absent. Returns
+/// a matching over g's nodes using only positive-gain edges
+/// (weighted_mwm rejects any other edge); merges its round/bit
+/// accounting into *stats when non-null.
 using MwmBlackBox = std::function<Matching(
-    const WeightedGraph& wg, std::uint64_t seed, NetStats* stats)>;
+    const Graph& g, std::span<const double> gains, std::uint64_t seed,
+    NetStats* stats)>;
 
 /// The default black box: class_mwm (distributed, constant delta).
 MwmBlackBox class_mwm_black_box(ThreadPool* pool = nullptr,
                                 unsigned shards = 0);
 
-/// A sequential greedy black box (delta = 1/2, zero rounds): used by
+/// A sequential greedy black box (delta = 1/2, zero rounds): greedy_mwm
+/// on G′ (heaviest positive-gain edge first, ties by edge id). Used by
 /// tests to validate the reduction independently of black-box quality.
 MwmBlackBox greedy_black_box();
 

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "api/runner.hpp"
@@ -193,6 +194,46 @@ TEST(EngineFaults, DelayOnlyPlanLosesNoProgress) {
   const DistMatchingResult res = israeli_itai(g, opts);
   EXPECT_TRUE(is_valid_matching(g, res.matching.edge_ids(g)));
   EXPECT_GT(res.matching.size(), 0u);
+}
+
+TEST(EngineFaults, LongDelayExecutionsMatchPinnedFingerprints) {
+  // Messages held back five rounds or more leave stale free-flags across
+  // phases: a free node that saw no candidate at stage 0 can still be
+  // proposed to, and then the coin it drew at its last stage 0 decides.
+  // So under message faults the schedule steps at the next stage 0 every
+  // free node that received mail at stage 1 or 2, and these executions
+  // are pinned: waking only the nodes that saw a candidate moves every
+  // one of them.
+  struct Pin {
+    const char* plan;
+    std::uint64_t seed;
+    std::uint64_t rounds;
+    std::uint64_t messages;
+    std::uint64_t total_bits;
+    std::size_t matching_size;
+    std::uint32_t resyncs;
+  };
+  constexpr Pin kPins[] = {
+      {"b:delay=9,delay_p=0.5", 3, 636, 5112, 40896, 122, 8},
+      {"c:delay=6,delay_p=0.8", 1, 636, 9075, 72600, 120, 8},
+      {"c:delay=6,delay_p=0.8", 2, 636, 9780, 78240, 118, 8},
+      {"e:drop=0.3,delay=5,delay_p=0.5", 1, 636, 13623, 108984, 102, 8},
+  };
+  Rng rng(1000);
+  const Graph g = erdos_renyi(300, 3.0 / 300.0, rng);
+  for (const Pin& pin : kPins) {
+    const std::string what =
+        std::string(pin.plan) + " seed " + std::to_string(pin.seed);
+    IsraeliItaiOptions opts;
+    opts.seed = pin.seed;
+    opts.faults = pin.plan;
+    const DistMatchingResult res = israeli_itai(g, opts);
+    EXPECT_EQ(res.stats.rounds, pin.rounds) << what;
+    EXPECT_EQ(res.stats.messages, pin.messages) << what;
+    EXPECT_EQ(res.stats.total_bits, pin.total_bits) << what;
+    EXPECT_EQ(res.matching.size(), pin.matching_size) << what;
+    EXPECT_EQ(res.resyncs, pin.resyncs) << what;
+  }
 }
 
 TEST(EngineFaults, MisClientsStayIndependentUnderChaos) {

@@ -65,8 +65,8 @@ TEST(Robustness, HostileBlackBoxStillYieldsValidMatching) {
   const WeightedGraph wg = make_weighted(std::move(g), std::move(w));
   WeightedMwmOptions opts;
   opts.eps = 0.1;
-  opts.black_box = [](const WeightedGraph& sub, std::uint64_t,
-                      NetStats*) { return Matching(sub.graph.num_nodes()); };
+  opts.black_box = [](const Graph& g, std::span<const double>, std::uint64_t,
+                      NetStats*) { return Matching(g.num_nodes()); };
   const WeightedMwmResult res = weighted_mwm(wg, opts);
   EXPECT_EQ(res.matching.size(), 0u);
   EXPECT_TRUE(is_valid_matching(wg.graph, res.matching.edge_ids(wg.graph)));
@@ -82,12 +82,14 @@ TEST(Robustness, AdversarialBlackBoxCannotCorruptTheMatching) {
   const WeightedGraph wg = make_weighted(std::move(g), std::move(w));
   WeightedMwmOptions opts;
   opts.eps = 0.1;
-  opts.black_box = [](const WeightedGraph& sub, std::uint64_t seed,
-                      NetStats*) {
-    Matching m(sub.graph.num_nodes());
-    if (sub.graph.num_edges() > 0) {
-      m.add(sub.graph, static_cast<EdgeId>(seed % sub.graph.num_edges()));
+  opts.black_box = [](const Graph& g, std::span<const double> gains,
+                      std::uint64_t seed, NetStats*) {
+    std::vector<EdgeId> positive;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (gains[e] > 0.0) positive.push_back(e);
     }
+    Matching m(g.num_nodes());
+    if (!positive.empty()) m.add(g, positive[seed % positive.size()]);
     return m;
   };
   const WeightedMwmResult res = weighted_mwm(wg, opts);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <sstream>
@@ -347,29 +348,34 @@ void expect_active_set_matches_step_all(const Graph& g,
   }
 }
 
-TEST(SyncNetwork, ActiveSetMatchesStepAllOnIsraeliItai) {
-  // The migrated israeli_itai keeps every node alive that could act
-  // spontaneously, so active-set scheduling must reproduce the
-  // step-everything execution. A masked run also steps only its mask's
-  // endpoints in round 0, which must not change the execution either.
+// The israeli_itai cases the active-set, pin and stepping tests share: an
+// unmasked run, then three masked ones (random 10%, one edge, and one
+// weight class of a power-of-two weighted instance, as class_mwm runs
+// it — with these weights a class is one weight value).
+struct IiCase {
+  std::string what;
+  Graph g;
+  IsraeliItaiOptions opts;
+};
+
+std::vector<IiCase> israeli_itai_cases() {
+  std::vector<IiCase> cases;
   Rng rng(21);
   const Graph g = erdos_renyi(400, 8.0 / 400, rng);
   IsraeliItaiOptions opts;
   opts.seed = 5;
-  expect_active_set_matches_step_all(g, opts, "unmasked");
+  cases.push_back({"unmasked", g, opts});
 
   opts.active_edges.assign(g.num_edges(), 0);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     opts.active_edges[e] = rng.below(10) == 0 ? 1 : 0;
   }
-  expect_active_set_matches_step_all(g, opts, "random 10% mask");
+  cases.push_back({"random 10% mask", g, opts});
 
   opts.active_edges.assign(g.num_edges(), 0);
   opts.active_edges[g.num_edges() / 2] = 1;
-  expect_active_set_matches_step_all(g, opts, "one-edge mask");
+  cases.push_back({"one-edge mask", g, opts});
 
-  // One weight class of a power-of-two weighted instance, as class_mwm
-  // runs it (with these weights a class is one weight value).
   const Graph h = erdos_renyi(1000, 4.0 / 1000, rng);
   const std::vector<double> w = power_of_two_weights(h.num_edges(), 10, rng);
   opts.active_edges.assign(h.num_edges(), 0);
@@ -380,9 +386,108 @@ TEST(SyncNetwork, ActiveSetMatchesStepAllOnIsraeliItai) {
       ++in_class;
     }
   }
-  ASSERT_GT(in_class, 50u);
-  ASSERT_LT(in_class, h.num_edges() / 2);
-  expect_active_set_matches_step_all(h, opts, "pow2 weight class");
+  EXPECT_GT(in_class, 50u);
+  EXPECT_LT(in_class, h.num_edges() / 2);
+  cases.push_back({"pow2 weight class", h, opts});
+  return cases;
+}
+
+TEST(SyncNetwork, ActiveSetMatchesStepAllOnIsraeliItai) {
+  // The migrated israeli_itai keeps every node alive that could act
+  // spontaneously, so active-set scheduling must reproduce the
+  // step-everything execution. A masked run also steps only its mask's
+  // endpoints in round 0, which must not change the execution either.
+  for (const IiCase& c : israeli_itai_cases()) {
+    expect_active_set_matches_step_all(c.g, c.opts, c.what);
+  }
+}
+
+// An israeli_itai run with the tracer on, and its parsed trace.
+struct TracedRun {
+  DistMatchingResult result;
+  telemetry::TraceDoc doc;
+};
+
+TracedRun traced_israeli_itai(const Graph& g, const IsraeliItaiOptions& opts) {
+  telemetry::Tracer& tracer = telemetry::Tracer::global();
+  tracer.reset();
+  tracer.set_recording(true);
+  TracedRun run{israeli_itai(g, opts), {}};
+  tracer.set_recording(false);
+  std::ostringstream os;
+  tracer.write_chrome_trace(os);
+  tracer.reset();
+  std::string error;
+  EXPECT_TRUE(telemetry::load_chrome_trace(os.str(), run.doc, &error))
+      << error;
+  return run;
+}
+
+TEST(SyncNetwork, MaskedIsraeliItaiReproducesPinnedSendCounts) {
+  // A masked run counts its announcements over inactive edges in closed
+  // form instead of sending them. The pins are what the same runs charge
+  // with every announcement sent through the engine: the closed form must
+  // reproduce them, while the engine delivers fewer messages than
+  // NetStats reports.
+  struct Pin {
+    std::uint64_t rounds;
+    std::uint64_t messages;
+    std::uint64_t total_bits;
+    std::uint64_t max_message_bits;
+    std::size_t matching_size;
+  };
+  const std::map<std::string, Pin> pins = {
+      {"random 10% mask", {30, 1671, 13368, 8, 87}},
+      {"one-edge mask", {15, 13, 104, 8, 1}},
+      {"pow2 weight class", {27, 1568, 12544, 8, 134}},
+  };
+  std::size_t checked = 0;
+  for (const IiCase& c : israeli_itai_cases()) {
+    const auto pin = pins.find(c.what);
+    if (pin == pins.end()) continue;
+    ++checked;
+    const TracedRun run = traced_israeli_itai(c.g, c.opts);
+    const NetStats& s = run.result.stats;
+    EXPECT_EQ(s.rounds, pin->second.rounds) << c.what;
+    EXPECT_EQ(s.messages, pin->second.messages) << c.what;
+    EXPECT_EQ(s.total_bits, pin->second.total_bits) << c.what;
+    EXPECT_EQ(s.max_message_bits, pin->second.max_message_bits) << c.what;
+    EXPECT_EQ(run.result.matching.size(), pin->second.matching_size)
+        << c.what;
+    double delivered = 0.0;
+    for (const telemetry::TraceSpan& span : run.doc.spans) {
+      if (span.name == "engine.round") delivered += span.args.at("delivered");
+    }
+    EXPECT_LT(delivered, static_cast<double>(s.messages)) << c.what;
+  }
+  EXPECT_EQ(checked, pins.size());
+}
+
+TEST(SyncNetwork, IsraeliItaiStagesOneAndTwoStepOnlyReceivers) {
+  // Stages 1 and 2 step only nodes with mail, so a round never steps
+  // more nodes than it delivers messages; only stage 0 wakes the free
+  // nodes that saw a candidate.
+  for (const IiCase& c : israeli_itai_cases()) {
+    const TracedRun run = traced_israeli_itai(c.g, c.opts);
+    std::map<double, double> delivered;
+    std::map<double, double> stepped;
+    for (const telemetry::TraceSpan& span : run.doc.spans) {
+      if (span.name == "engine.round") {
+        delivered[span.args.at("round")] = span.args.at("delivered");
+      } else if (span.name == "engine.step") {
+        stepped[span.args.at("round")] = span.args.at("stepped");
+      }
+    }
+    ASSERT_EQ(stepped.size(), run.result.stats.rounds) << c.what;
+    std::size_t checked = 0;
+    for (const auto& [round, count] : stepped) {
+      if (static_cast<std::uint64_t>(round) % 3 == 0) continue;
+      ++checked;
+      EXPECT_LE(count, delivered.at(round))
+          << c.what << " round " << round;
+    }
+    EXPECT_GT(checked, 0u) << c.what;
+  }
 }
 
 TEST(SyncNetwork, MaskedIsraeliItaiStepsOnlyMaskEndpointsInRoundZero) {

@@ -3,15 +3,19 @@
 // Algorithm 5 (Theorem 4.5).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <span>
 #include <string>
 
 #include "core/class_mwm.hpp"
 #include "core/gain.hpp"
+#include "core/israeli_itai.hpp"
 #include "core/weighted_mwm.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/thread_pool.hpp"
 #include "seq/exact_small.hpp"
 #include "seq/greedy.hpp"
 #include "tests/helpers.hpp"
@@ -258,6 +262,140 @@ TEST(ClassMwm, RejectsClassSpanBeyondLimit) {
   EXPECT_EQ(res.matching.size(), 1u);
 }
 
+// G′ as Algorithm 5 once handed it to the black box: the positive-weight
+// edges of g copied out with induced_subgraph (node ids unchanged, edge
+// ids renumbered in order).
+struct PositiveCopy {
+  Subgraph sub;
+  WeightedGraph wg;
+};
+
+PositiveCopy positive_copy(const Graph& g, const std::vector<double>& w) {
+  std::vector<char> keep(g.num_edges(), 0);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) keep[e] = w[e] > 0.0 ? 1 : 0;
+  PositiveCopy c{induced_subgraph(g, {}, keep), {}};
+  std::vector<double> cw;
+  for (const EdgeId e : c.sub.edge_to_parent) cw.push_back(w[e]);
+  c.wg = make_weighted(c.sub.graph, std::move(cw));
+  return c;
+}
+
+/// A matching of the copy, as ascending edge ids of g.
+std::vector<EdgeId> to_parent(const PositiveCopy& c,
+                              const std::vector<EdgeId>& ids) {
+  std::vector<EdgeId> out;
+  for (const EdgeId e : ids) out.push_back(c.sub.edge_to_parent[e]);
+  return out;
+}
+
+std::vector<EdgeId> to_parent(const PositiveCopy& c, const Matching& m) {
+  return to_parent(c, m.edge_ids(c.sub.graph));
+}
+
+/// Uniform weights in [1, 100] with about a quarter zeroed and a quarter
+/// negated: G′ keeps about half the edges.
+std::vector<double> weights_with_absent_edges(EdgeId m, Rng& rng) {
+  std::vector<double> w = uniform_weights(m, 1.0, 100.0, rng);
+  for (double& x : w) {
+    const std::uint64_t r = rng.below(4);
+    if (r == 0) x = 0.0;
+    if (r == 1) x = -x;
+  }
+  return w;
+}
+
+void expect_same_stats(const NetStats& a, const NetStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.rounds, b.rounds) << what;
+  EXPECT_EQ(a.messages, b.messages) << what;
+  EXPECT_EQ(a.total_bits, b.total_bits) << what;
+  EXPECT_EQ(a.max_message_bits, b.max_message_bits) << what;
+}
+
+TEST(ClassMwm, ViewMatchesClassMwmOnTheInducedCopy) {
+  // class_mwm on a view of G, where zero and negative weights mean
+  // "absent", must be class_mwm on the induced copy of the positive
+  // edges, mapped back: same matching, NetStats, class count and
+  // convergence at every shard and thread setting, with and without a
+  // phase cap.
+  Rng rng(41);
+  const Graph g = erdos_renyi(800, 6.0 / 800, rng);
+  const std::vector<double> w = weights_with_absent_edges(g.num_edges(), rng);
+  const PositiveCopy copy = positive_copy(g, w);
+  ASSERT_GT(copy.sub.graph.num_edges(), g.num_edges() / 3);
+  ASSERT_LT(copy.sub.graph.num_edges(), 2 * g.num_edges() / 3);
+  ThreadPool pool(4);
+  for (const unsigned shards : {1u, 0u}) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      for (const std::uint64_t max_phases : {0u, 2u}) {
+        ClassMwmOptions opts;
+        opts.seed = 9;
+        opts.max_phases_per_class = max_phases;
+        opts.pool = p;
+        opts.shards = shards;
+        const std::string what =
+            "shards=" + std::to_string(shards) +
+            (p != nullptr ? " threads=4" : " no pool") +
+            " max_phases=" + std::to_string(max_phases);
+        const ClassMwmResult view = class_mwm(g, w, opts);
+        const ClassMwmResult ref = class_mwm(copy.wg, opts);
+        EXPECT_EQ(view.matching.edge_ids(g), to_parent(copy, ref.matching))
+            << what;
+        expect_same_stats(view.stats, ref.stats, what);
+        EXPECT_EQ(view.num_classes, ref.num_classes) << what;
+        EXPECT_EQ(view.converged, ref.converged) << what;
+      }
+    }
+  }
+}
+
+TEST(ClassMwm, ReusedClassRunsMatchMaskedRunsOnTheCopy) {
+  // One IsraeliItaiClassRuns runs class after class on one network and
+  // one node state, clearing what each run wrote. In any order, and when
+  // a class runs again, each run must equal a fresh masked israeli_itai
+  // on the induced copy of G′.
+  Rng rng(43);
+  const Graph g = erdos_renyi(600, 8.0 / 600, rng);
+  constexpr std::uint32_t kClasses = 4;
+  constexpr std::uint32_t kAbsent = kClasses;  // not in G′: no run names it
+  std::vector<std::uint32_t> edge_class(g.num_edges());
+  std::vector<double> w(g.num_edges(), 0.0);
+  std::vector<NodeId> degree(g.num_nodes(), 0);
+  std::vector<std::vector<EdgeId>> edges(kClasses);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    edge_class[e] = static_cast<std::uint32_t>(rng.below(kClasses + 1));
+    if (edge_class[e] == kAbsent) continue;
+    w[e] = 1.0;
+    edges[edge_class[e]].push_back(e);
+    ++degree[g.edge(e).u];
+    ++degree[g.edge(e).v];
+  }
+  const PositiveCopy copy = positive_copy(g, w);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    IsraeliItaiClassRuns runs(g, edge_class, degree, p);
+    for (const std::uint32_t c : {2u, 0u, 3u, 1u, 0u, 2u}) {
+      const std::string what = "class " + std::to_string(c) +
+                               (p != nullptr ? " threads=4" : " no pool");
+      const IsraeliItaiClassRuns::Run run = runs.run(c, edges[c], 100 + c);
+      IsraeliItaiOptions o;
+      o.seed = 100 + c;
+      o.pool = p;
+      o.active_edges.assign(copy.sub.graph.num_edges(), 0);
+      for (EdgeId e = 0; e < copy.sub.graph.num_edges(); ++e) {
+        o.active_edges[e] = edge_class[copy.sub.edge_to_parent[e]] == c;
+      }
+      const DistMatchingResult ref = israeli_itai(copy.sub.graph, o);
+      ASSERT_GT(ref.matching.size(), 0u) << what;
+      EXPECT_EQ(run.matching, to_parent(copy, ref.matching)) << what;
+      expect_same_stats(run.stats, ref.stats, what);
+      EXPECT_EQ(run.converged, ref.converged) << what;
+    }
+    // A run names its class's edges and nothing else.
+    EXPECT_THROW(runs.run(0, edges[1], 1), std::invalid_argument);
+  }
+}
+
 // -------------------------------------------- Algorithm 5 / Thm 4.5 ---
 
 class WeightedMwmSweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -362,6 +500,50 @@ TEST(WeightedMwm, IterationBudgetSaturates) {
             std::numeric_limits<std::uint64_t>::max());
   EXPECT_EQ(weighted_mwm_iteration_budget(1e-300, 0.1),
             std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(WeightedMwm, GreedyBoxOnTheViewMatchesGreedyOnTheCopy) {
+  // Ties (weights rounded to multiples of 10) exercise the by-id tie
+  // break, which must agree because the copy numbers edges in order.
+  Rng rng(47);
+  const Graph g = erdos_renyi(300, 6.0 / 300, rng);
+  std::vector<double> w = weights_with_absent_edges(g.num_edges(), rng);
+  for (double& x : w) x = 10.0 * std::round(x / 10.0);
+  const PositiveCopy copy = positive_copy(g, w);
+  const Matching view = greedy_black_box()(g, w, 1, nullptr);
+  EXPECT_EQ(view.edge_ids(g), to_parent(copy, greedy_mwm(copy.wg)));
+}
+
+TEST(WeightedMwm, RejectsBlackBoxEdgesWithoutPositiveGain) {
+  // Through the view a black box can name any edge of G. One with
+  // w_M <= 0 is not in G′, and weighted_mwm must reject it by edge and
+  // gain. On the path 0-1-2-3-4 with weights 1, 10, 1, 5, matching edge 1
+  // leaves edge 0 at gain 1 - 10 = -9, edge 1 (matched) at 0, and edge 3
+  // at 5, so the second iteration still calls the box.
+  const WeightedGraph wg = make_weighted(path_graph(5), {1.0, 10.0, 1.0, 5.0});
+  for (const EdgeId second : {EdgeId{0}, EdgeId{1}}) {
+    int calls = 0;
+    WeightedMwmOptions opts;
+    opts.max_iterations = 2;
+    opts.black_box = [&calls, second](const Graph& g, std::span<const double>,
+                                      std::uint64_t, NetStats*) {
+      Matching m(g.num_nodes());
+      m.add(g, calls++ == 0 ? EdgeId{1} : second);
+      return m;
+    };
+    const std::string gain = second == 0 ? "-9" : "0";
+    try {
+      weighted_mwm(wg, opts);
+      ADD_FAILURE() << "edge " << second << " with gain " << gain
+                    << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      const std::string named =
+          "edge " + std::to_string(second) + " with gain w_M = " + gain + ",";
+      EXPECT_NE(msg.find(named), std::string::npos) << msg;
+    }
+    EXPECT_EQ(calls, 2);
+  }
 }
 
 }  // namespace
