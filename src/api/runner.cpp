@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -99,25 +100,29 @@ Instance make_instance(const std::string& spec, std::uint64_t seed) {
   if (family == "tree") {
     return finish(args, random_tree(node_arg("n"), rng), rng);
   }
+  // grid and complete_bipartite build the graph before the side column:
+  // the generator rejects a node count past the NodeId range before
+  // anything is allocated.
   if (family == "grid") {
     const NodeId rows = node_arg("rows");
     const NodeId cols = node_arg("cols");
+    Graph g = grid_graph(rows, cols);
     // The parity 2-coloring is known by construction; attaching it
     // spares every bipartite-only solver the BFS.
-    std::vector<std::uint8_t> side(static_cast<std::size_t>(rows) * cols);
+    std::vector<std::uint8_t> side(g.num_nodes());
     for (NodeId r = 0; r < rows; ++r) {
       for (NodeId c = 0; c < cols; ++c) {
         side[static_cast<std::size_t>(r) * cols + c] = (r + c) % 2;
       }
     }
-    return finish(args, grid_graph(rows, cols), rng, std::move(side));
+    return finish(args, std::move(g), rng, std::move(side));
   }
   if (family == "complete_bipartite") {
     const NodeId a = node_arg("a");
-    const NodeId b = node_arg("b");
-    std::vector<std::uint8_t> side(a + b, 0);
+    Graph g = complete_bipartite(a, node_arg("b"));
+    std::vector<std::uint8_t> side(g.num_nodes(), 0);
     std::fill(side.begin() + a, side.end(), std::uint8_t{1});
-    return finish(args, complete_bipartite(a, b), rng, std::move(side));
+    return finish(args, std::move(g), rng, std::move(side));
   }
   const auto density_arg = [&](NodeId denominator) {
     if (args.has("p") && args.has("deg")) {
@@ -154,8 +159,13 @@ Instance make_instance(const std::string& spec, std::uint64_t seed) {
     return finish(args, random_regular(n, d, rng), rng);
   }
   if (family == "tight_chain") {
-    TightChain tc = tight_bipartite_chain(
-        static_cast<int>(args.require_int("k")), node_arg("copies"));
+    const std::int64_t k = args.require_int("k");
+    if (k < 1 || k > std::numeric_limits<int>::max()) {
+      throw std::invalid_argument("generator 'tight_chain': key 'k' out of "
+                                  "range: " + std::to_string(k));
+    }
+    TightChain tc =
+        tight_bipartite_chain(static_cast<int>(k), node_arg("copies"));
     return finish(args, std::move(tc.graph), rng, std::move(tc.side));
   }
   if (family == "greedy_trap") {

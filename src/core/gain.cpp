@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "runtime/simd.hpp"
-
 namespace lps {
 
 std::vector<double> gain_weights(const WeightedGraph& wg, const Matching& m,
@@ -27,8 +25,18 @@ std::vector<double> gain_weights(const WeightedGraph& wg, const Matching& m,
     mate_w[v] = wg.weight(m.matched_edge(v));
     announcements += g.degree(v);
   }
-  simd::sub2_gather_f64(wg.weights.data(), mate_w.data(), s.edge_u.data(),
-                        s.edge_v.data(), gains.data(), g.num_edges());
+  // Raw pointers and the edge count in locals: with vector::operator[]
+  // in the body and num_edges() in the condition GCC does not vectorize
+  // the loop; in this form it emits gathers under -march=native.
+  const double* w = wg.weights.data();
+  const double* mw = mate_w.data();
+  const NodeId* eu = s.edge_u.data();
+  const NodeId* ev = s.edge_v.data();
+  double* out = gains.data();
+  const std::size_t num_edges = g.num_edges();
+  for (std::size_t e = 0; e < num_edges; ++e) {
+    out[e] = w[e] - mw[eu[e]] - mw[ev[e]];
+  }
   // Matched edges carry zero gain by definition.
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const EdgeId e = m.matched_edge(v);

@@ -1,7 +1,6 @@
 #include "core/hoepman_mwm.hpp"
 
 #include "runtime/engine.hpp"
-#include "runtime/simd.hpp"
 
 namespace lps {
 
@@ -30,8 +29,8 @@ HoepmanResult hoepman_mwm(const WeightedGraph& wg,
   // Per-arc state at CSR arc positions (offsets[v] + i for v's i-th
   // incidence) — the layout the engine's inbox slots index, so a kDrop
   // arrival clears its flag without scanning the row. The incident-edge
-  // weight rides in a parallel column so retargeting is a masked argmax
-  // over one contiguous slice.
+  // weight rides in a parallel column so retargeting reads one
+  // contiguous slice.
   const GraphStore& store = g.store();
   const std::vector<std::uint64_t>& adj_offset = store.offsets;
   std::vector<std::uint8_t> edge_alive(adj_offset[n], 1);
@@ -62,15 +61,21 @@ HoepmanResult hoepman_mwm(const WeightedGraph& wg,
     }
     if (matched_edge[v] != kInvalidEdge) return;
 
-    // 2. Retarget to the heaviest alive edge: masked argmax over this
-    // node's arc slice under the strict total order (weight desc, edge
-    // id asc) — the deterministic comparator the scalar loop used.
+    // 2. Retarget to the heaviest alive edge of this node's arc slice,
+    // ranked by weight descending, then edge id ascending: a strict
+    // total order, so ties between equal weights are deterministic.
     const std::uint64_t base = adj_offset[v];
-    const std::size_t best_slot = simd::argmax_masked_f64(
-        inc_weight.data() + base, store.adj_edge.data() + base,
-        edge_alive.data() + base, nbrs.size());
-    const EdgeId best =
-        best_slot == simd::npos ? kInvalidEdge : nbrs[best_slot].edge;
+    EdgeId best = kInvalidEdge;
+    double best_w = 0.0;
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (edge_alive[base + i] == 0) continue;
+      const double w = inc_weight[base + i];
+      const EdgeId e = nbrs[i].edge;
+      if (best == kInvalidEdge || w > best_w || (w == best_w && e < best)) {
+        best = e;
+        best_w = w;
+      }
+    }
     target[v] = best;
     if (best == kInvalidEdge) return;  // no candidates left: halt
 

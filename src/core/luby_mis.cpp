@@ -5,7 +5,6 @@
 
 #include "faults/injector.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/simd.hpp"
 
 namespace lps {
 
@@ -31,13 +30,10 @@ using MisNet = SyncNetwork<MisMessage, MisBits>;
 
 enum class NodeState : std::uint8_t { kLive, kIn, kOut };
 
-/// Convergence test, a dense byte scan: any node still kLive? The state
-/// column is a contiguous u8 array, so this is one simd sweep with the
-/// early-exit granularity picked by simd::block_bytes().
+/// Convergence test: any node still kLive?
 bool any_live_node(const std::vector<NodeState>& state) {
-  return simd::any_eq_u8(reinterpret_cast<const std::uint8_t*>(state.data()),
-                         state.size(),
-                         static_cast<std::uint8_t>(NodeState::kLive));
+  return std::find(state.begin(), state.end(), NodeState::kLive) !=
+         state.end();
 }
 
 /// Shared MIS reconciliation under message faults (luby + abi). Message

@@ -3,9 +3,44 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 namespace lps {
+
+namespace {
+
+/// Node and edge counts a generator forms as sums or products of its
+/// parameters, checked before anything is allocated: ids are u32 and
+/// kInvalidNode / kInvalidEdge are reserved, so a count past that range
+/// would wrap.
+NodeId node_count(const char* generator, std::uint64_t n) {
+  if (n > kInvalidNode - 1) {
+    throw std::invalid_argument(std::string(generator) + ": " +
+                                std::to_string(n) +
+                                " nodes exceed the NodeId range");
+  }
+  return static_cast<NodeId>(n);
+}
+
+void check_edge_count(const char* generator, std::uint64_t m) {
+  if (m > kInvalidEdge - 1) {
+    throw std::invalid_argument(std::string(generator) + ": " +
+                                std::to_string(m) +
+                                " edges exceed the EdgeId range");
+  }
+}
+
+/// A NaN density fails both the p <= 0 and the p >= 1 test of
+/// sample_pairs, so it reaches the geometric walk, whose NaN skips never
+/// end it.
+void check_density(const char* generator, double p) {
+  if (std::isnan(p)) {
+    throw std::invalid_argument(std::string(generator) + ": p is NaN");
+  }
+}
+
+}  // namespace
 
 Graph path_graph(NodeId n) {
   std::vector<Edge> edges;
@@ -22,6 +57,8 @@ Graph cycle_graph(NodeId n) {
 }
 
 Graph complete_graph(NodeId n) {
+  check_edge_count("complete_graph",
+                   static_cast<std::uint64_t>(n) * (n - 1) / 2);
   std::vector<Edge> edges;
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) edges.push_back({u, v});
@@ -36,6 +73,13 @@ Graph star_graph(NodeId n) {
 }
 
 Graph grid_graph(NodeId rows, NodeId cols) {
+  const NodeId n =
+      node_count("grid_graph", static_cast<std::uint64_t>(rows) * cols);
+  if (n != 0) {
+    check_edge_count("grid_graph",
+                     static_cast<std::uint64_t>(rows) * (cols - 1) +
+                         static_cast<std::uint64_t>(rows - 1) * cols);
+  }
   std::vector<Edge> edges;
   auto id = [cols](NodeId r, NodeId c) { return r * cols + c; };
   for (NodeId r = 0; r < rows; ++r) {
@@ -44,7 +88,7 @@ Graph grid_graph(NodeId rows, NodeId cols) {
       if (r + 1 < rows) edges.push_back({id(r, c), id(r + 1, c)});
     }
   }
-  return Graph(rows * cols, std::move(edges));
+  return Graph(n, std::move(edges));
 }
 
 Graph binary_tree(NodeId n) {
@@ -54,11 +98,14 @@ Graph binary_tree(NodeId n) {
 }
 
 Graph complete_bipartite(NodeId a, NodeId b) {
+  const NodeId n =
+      node_count("complete_bipartite", static_cast<std::uint64_t>(a) + b);
+  check_edge_count("complete_bipartite", static_cast<std::uint64_t>(a) * b);
   std::vector<Edge> edges;
   for (NodeId x = 0; x < a; ++x) {
     for (NodeId y = 0; y < b; ++y) edges.push_back({x, a + y});
   }
-  return Graph(a + b, std::move(edges));
+  return Graph(n, std::move(edges));
 }
 
 namespace {
@@ -85,9 +132,11 @@ void sample_pairs(std::uint64_t total, double p, Rng& rng, Emit emit) {
 }  // namespace
 
 Graph erdos_renyi(NodeId n, double p, Rng& rng) {
+  check_density("erdos_renyi", p);
   std::vector<Edge> edges;
   const std::uint64_t total =
       static_cast<std::uint64_t>(n) * (n - 1) / 2;
+  if (p >= 1.0) check_edge_count("erdos_renyi", total);
   sample_pairs(total, p, rng, [&](std::uint64_t idx) {
     // Decode linear index to (u,v), u < v, row-major over the triangle.
     const NodeId u = static_cast<NodeId>(
@@ -112,6 +161,12 @@ Graph erdos_renyi(NodeId n, double p, Rng& rng) {
 }
 
 BipartiteGraph random_bipartite(NodeId nx, NodeId ny, double p, Rng& rng) {
+  check_density("random_bipartite", p);
+  const NodeId n =
+      node_count("random_bipartite", static_cast<std::uint64_t>(nx) + ny);
+  if (p >= 1.0) {
+    check_edge_count("random_bipartite", static_cast<std::uint64_t>(nx) * ny);
+  }
   BipartiteGraph out;
   out.nx = nx;
   out.ny = ny;
@@ -122,15 +177,18 @@ BipartiteGraph random_bipartite(NodeId nx, NodeId ny, double p, Rng& rng) {
                  const NodeId y = static_cast<NodeId>(idx % ny);
                  edges.push_back({x, nx + y});
                });
-  out.graph = Graph(nx + ny, std::move(edges));
-  out.side.assign(nx + ny, 0);
-  for (NodeId v = nx; v < nx + ny; ++v) out.side[v] = 1;
+  out.graph = Graph(n, std::move(edges));
+  out.side.assign(n, 0);
+  for (NodeId v = nx; v < n; ++v) out.side[v] = 1;
   return out;
 }
 
 BipartiteGraph random_bipartite_regular_left(NodeId nx, NodeId ny, NodeId d,
                                              Rng& rng) {
   if (d > ny) throw std::invalid_argument("regular_left: d > ny");
+  const NodeId n =
+      node_count("regular_left", static_cast<std::uint64_t>(nx) + ny);
+  check_edge_count("regular_left", static_cast<std::uint64_t>(nx) * d);
   BipartiteGraph out;
   out.nx = nx;
   out.ny = ny;
@@ -146,9 +204,9 @@ BipartiteGraph random_bipartite_regular_left(NodeId nx, NodeId ny, NodeId d,
       edges.push_back({x, nx + pool[i]});
     }
   }
-  out.graph = Graph(nx + ny, std::move(edges));
-  out.side.assign(nx + ny, 0);
-  for (NodeId v = nx; v < nx + ny; ++v) out.side[v] = 1;
+  out.graph = Graph(n, std::move(edges));
+  out.side.assign(n, 0);
+  for (NodeId v = nx; v < n; ++v) out.side[v] = 1;
   return out;
 }
 
@@ -184,6 +242,7 @@ Graph random_regular(NodeId n, NodeId d, Rng& rng) {
     throw std::invalid_argument("random_regular: n*d must be even");
   }
   if (d >= n) throw std::invalid_argument("random_regular: d must be < n");
+  check_edge_count("random_regular", static_cast<std::uint64_t>(n) * d / 2);
   constexpr int kMaxAttempts = 2000;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     std::vector<NodeId> stubs;
@@ -219,7 +278,10 @@ TightChain tight_bipartite_chain(int k, NodeId copies) {
   // order; matched edges are the even-indexed ones within the copy
   // (0-indexed positions 1, 3, ..., 2k-1), i.e. every second edge
   // starting from the second — endpoints stay free.
-  const NodeId stride = static_cast<NodeId>(2 * k + 2);
+  const std::uint64_t wide_stride = 2 * static_cast<std::uint64_t>(k) + 2;
+  const NodeId n = node_count("tight_bipartite_chain", copies * wide_stride);
+  check_edge_count("tight_bipartite_chain", copies * (wide_stride - 1));
+  const NodeId stride = static_cast<NodeId>(wide_stride);
   std::vector<Edge> edges;
   std::vector<EdgeId> matched;
   for (NodeId c = 0; c < copies; ++c) {
@@ -230,9 +292,9 @@ TightChain tight_bipartite_chain(int k, NodeId copies) {
       if (i % 2 == 1) matched.push_back(id);
     }
   }
-  TightChain out{Graph(copies * stride, std::move(edges)), {}, std::move(matched)};
-  out.side.assign(copies * stride, 0);
-  for (NodeId v = 0; v < copies * stride; ++v) {
+  TightChain out{Graph(n, std::move(edges)), {}, std::move(matched)};
+  out.side.assign(n, 0);
+  for (NodeId v = 0; v < n; ++v) {
     out.side[v] = static_cast<std::uint8_t>(v % 2);
   }
   return out;

@@ -20,6 +20,9 @@ GraphStore GraphStore::build(NodeId n, std::vector<Edge> edges,
   GraphStore s;
   s.n = n;
   const std::size_t m = edges.size();
+  if (m > kInvalidEdge - 1) {
+    throw std::invalid_argument("Graph: edge count exceeds the EdgeId range");
+  }
   s.edge_u.resize(m);
   s.edge_v.resize(m);
   s.edge_weight = std::move(weights);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "graph/generators.hpp"
 
@@ -42,6 +43,11 @@ std::vector<double> power_of_two_weights(EdgeId m, int levels, Rng& rng) {
 }
 
 WeightedGraph greedy_trap_path(NodeId gadgets, double eps) {
+  if (gadgets > (kInvalidNode - 1) / 4) {
+    throw std::invalid_argument("greedy_trap_path: " +
+                                std::to_string(gadgets) +
+                                " gadgets exceed the NodeId range");
+  }
   std::vector<Edge> edges;
   std::vector<double> weights;
   for (NodeId i = 0; i < gadgets; ++i) {

@@ -29,14 +29,6 @@ int read_cache_level(const std::string& path) {
   return in ? level : -1;
 }
 
-/// Parse a plain integer file (coherency_line_size); 0 on failure.
-std::size_t read_cache_uint(const std::string& path) {
-  std::ifstream in(path);
-  std::size_t value = 0;
-  in >> value;
-  return in ? value : 0;
-}
-
 /// First word of the cache "type" file ("Data", "Instruction",
 /// "Unified"); empty on failure.
 std::string read_cache_type(const std::string& path) {
@@ -63,8 +55,6 @@ CacheInfo detect_cache_at(const std::string& cache_dir) {
       const std::string type = read_cache_type(dir + "/type");
       if (type == "Instruction") continue;
       info.l1d_bytes = size;
-      const std::size_t line = read_cache_uint(dir + "/coherency_line_size");
-      if (line != 0) info.line_bytes = line;
     }
     if (level == 2) info.l2_bytes = size;
     if (level == 3) info.l3_bytes = size;

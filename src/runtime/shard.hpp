@@ -23,7 +23,6 @@ namespace lps {
 /// unavailable (non-Linux, sandboxes).
 struct CacheInfo {
   std::size_t l1d_bytes = 32u << 10;  // fallback: 32 KiB
-  std::size_t line_bytes = 64;        // fallback: 64 B
   std::size_t l2_bytes = 1u << 20;    // fallback: 1 MiB
   std::size_t l3_bytes = 8u << 20;    // fallback: 8 MiB
 };

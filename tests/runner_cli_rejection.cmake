@@ -82,6 +82,36 @@ expect_reject(--generator er:n=64,deg=3 --solver general_mcm --config k=32
 # int.
 expect_reject(--generator er:n=64,deg=3,w=uniform --solver class_mwm
               --config class_base=1.0000000001 --oracle none)
+# Generator sizes past the u32 id range are rejected where the count is
+# formed, before anything is allocated: a node count a + b or rows * cols
+# that wraps NodeId, and an edge count past EdgeId. A wrapped count would
+# size a buffer too small for the writes that follow, and an unchecked
+# one would exhaust memory.
+expect_reject(--generator complete_bipartite:a=3000000000,b=3000000000
+              --solver greedy_mcm --oracle none)
+expect_reject(--generator grid:rows=65536,cols=65536 --solver greedy_mcm
+              --oracle none)
+expect_reject(--generator bipartite:nx=3000000000,ny=3000000000,deg=0
+              --solver greedy_mcm --oracle none)
+expect_reject(--generator bipartite_regular:nx=3000000000,ny=3000000000,d=0
+              --solver greedy_mcm --oracle none)
+expect_reject(--generator tight_chain:k=3,copies=1000000000
+              --solver greedy_mcm --oracle none)
+expect_reject(--generator complete:n=100000 --solver greedy_mcm
+              --oracle none)
+expect_reject(--generator er:n=100000,p=1 --solver greedy_mcm --oracle none)
+expect_reject(--generator greedy_trap:gadgets=1073741824 --solver greedy_mcm
+              --oracle none)
+# tight_chain's k is range-checked, never narrowed to int (2^32 + 3 is
+# not k = 3).
+expect_reject(--generator tight_chain:k=4294967299,copies=1
+              --solver greedy_mcm --oracle none)
+# A NaN density gets past both the empty (p <= 0) and the complete
+# (p >= 1) guard, and its geometric skips never end the sampling walk.
+expect_reject(--generator er:n=100,p=nan --solver greedy_mcm --oracle none)
+expect_reject(--generator er:n=100,deg=nan --solver greedy_mcm --oracle none)
+expect_reject(--generator bipartite:nx=10,ny=10,p=nan --solver greedy_mcm
+              --oracle none)
 # Fault specs: unknown preset, out-of-range probability, unknown key,
 # and budget violation (drop + delay_p + dup > 1).
 expect_reject(--generator path:n=8 --solver israeli_itai --faults nosuchpreset)

@@ -52,13 +52,23 @@ TEST(Hoepman, EqualsGreedyOnDistinctWeights) {
 }
 
 TEST(Hoepman, HandlesEqualWeightsViaIdTieBreak) {
+  // Ties are broken by edge id, so edges are ranked by the strict order
+  // (weight desc, id asc) that greedy_mwm sorts by, and the locally
+  // heaviest edges under a strict order are exactly greedy's picks:
+  // with ties, Hoepman must still return greedy's matching edge for
+  // edge. Two weightings: all weights equal, and three integer levels.
   Rng rng(7);
-  Graph g = erdos_renyi(50, 0.12, rng);
-  std::vector<double> w(g.num_edges(), 2.0);  // all ties
-  const WeightedGraph wg = make_weighted(std::move(g), std::move(w));
-  const HoepmanResult res = hoepman_mwm(wg);
-  EXPECT_TRUE(res.converged);
-  EXPECT_TRUE(is_maximal_matching(wg.graph, res.matching));
+  for (int t = 0; t < 40; ++t) {
+    Graph g = erdos_renyi(200, 0.03, rng);
+    const EdgeId m = g.num_edges();
+    std::vector<double> w = t % 2 == 0 ? std::vector<double>(m, 2.0)
+                                       : integer_weights(m, 3, rng);
+    const WeightedGraph wg = make_weighted(std::move(g), std::move(w));
+    const HoepmanResult res = hoepman_mwm(wg);
+    EXPECT_TRUE(res.converged) << "trial " << t;
+    EXPECT_TRUE(is_maximal_matching(wg.graph, res.matching)) << "trial " << t;
+    EXPECT_EQ(res.matching, greedy_mwm(wg)) << "trial " << t;
+  }
 }
 
 class HoepmanSweep : public ::testing::TestWithParam<std::uint64_t> {};

@@ -20,6 +20,7 @@
 #include "lca/oracle.hpp"
 #include "runtime/shard.hpp"
 #include "runtime/thread_pool.hpp"
+#include "util/rng.hpp"
 
 namespace lps {
 namespace {
@@ -64,7 +65,10 @@ TEST(Sharding, ShardsAndThreadsComposeBitIdentically) {
 // change that alters every plan alike would pass them. These
 // fingerprints pin the executions themselves (instance seed 7, solver
 // seed 11, default shards, no pool); a change that is meant to be
-// execution-neutral must leave every one of them untouched.
+// execution-neutral must leave every one of them untouched. The
+// matching itself is pinned by an order-independent hash of its edge
+// ids (the wrapping sum of splitmix64(e)) and, on weighted instances,
+// by its exact weight.
 struct PinnedExecution {
   const char* solver;
   std::uint64_t rounds;
@@ -72,17 +76,22 @@ struct PinnedExecution {
   std::uint64_t total_bits;
   std::uint64_t max_message_bits;
   std::size_t matching_size;
+  std::uint64_t edge_hash;
+  double weight;  // 0 on unweighted instances
 };
 
 constexpr PinnedExecution kPinned[] = {
-    {"israeli_itai", 36, 16959, 135672, 8, 1694},
-    {"bipartite_mcm", 48, 9891, 152819, 77, 854},
-    {"general_mcm", 2760, 1801129, 2019940, 77, 893},
-    {"generic_mcm", 76, 83976, 9785435, 644, 875},
-    {"hoepman_mwm", 9, 11199, 22398, 2, 818},
-    {"class_mwm", 56, 30660, 271884, 12, 775},
-    {"weighted_mwm", 161, 68895, 2588092, 64, 863},
-    {"pipelined_max", 125, 4095, 32760, 8, 0},
+    {"israeli_itai", 36, 16959, 135672, 8, 1694, 0xe897751c54eb0195, 0.0},
+    {"bipartite_mcm", 48, 9891, 152819, 77, 854, 0x8c224d06ec6e341d, 0.0},
+    {"general_mcm", 2760, 1801129, 2019940, 77, 893, 0x6cf83c19c93556be,
+     0.0},
+    {"generic_mcm", 76, 83976, 9785435, 644, 875, 0xae8e42463c1a2893, 0.0},
+    {"hoepman_mwm", 9, 11199, 22398, 2, 818, 0x20670b7e1b105a3c,
+     60987.13688928014},
+    {"class_mwm", 56, 30660, 271884, 12, 775, 0xa00cf45ea0f50ad7, 9006.0},
+    {"weighted_mwm", 161, 68895, 2588092, 64, 863, 0xc185192753f9eb8c,
+     62413.380134112987},
+    {"pipelined_max", 125, 4095, 32760, 8, 0, 0x0, 0.0},
 };
 
 TEST(Sharding, ExecutionsMatchPinnedFingerprints) {
@@ -91,12 +100,21 @@ TEST(Sharding, ExecutionsMatchPinnedFingerprints) {
     const ShardCase& c = kCases[i];
     const PinnedExecution& pin = kPinned[i];
     ASSERT_EQ(std::string(c.solver), pin.solver);
+    const Instance inst = api::make_instance(c.generator, /*seed=*/7);
     const SolveResult r = solve_with(c, /*shards=*/0, nullptr);
     EXPECT_EQ(r.stats.rounds, pin.rounds) << c.solver;
     EXPECT_EQ(r.stats.messages, pin.messages) << c.solver;
     EXPECT_EQ(r.stats.total_bits, pin.total_bits) << c.solver;
     EXPECT_EQ(r.stats.max_message_bits, pin.max_message_bits) << c.solver;
     EXPECT_EQ(r.matching.size(), pin.matching_size) << c.solver;
+    std::uint64_t edge_hash = 0;
+    for (EdgeId e : r.matching.edge_ids(inst.graph())) {
+      edge_hash += splitmix64(e);
+    }
+    EXPECT_EQ(edge_hash, pin.edge_hash) << c.solver;
+    const double weight =
+        inst.has_weights() ? r.matching.weight(inst.weighted_graph()) : 0.0;
+    EXPECT_EQ(weight, pin.weight) << c.solver;
   }
 }
 
@@ -166,11 +184,9 @@ TEST(ShardPlan, WidthAndCoverage) {
 
 TEST(CacheDetect, FallbackWhenSysfsAbsent) {
   // No sysfs (containers, non-Linux): every field keeps its conservative
-  // default — 32 KiB L1d with 64-byte lines is the floor the SIMD block
-  // sizing assumes.
+  // default.
   const CacheInfo info = detect_cache_at("/nonexistent/lps-cache-test");
   EXPECT_EQ(info.l1d_bytes, std::size_t{32} << 10);
-  EXPECT_EQ(info.line_bytes, std::size_t{64});
   EXPECT_EQ(info.l2_bytes, std::size_t{1} << 20);
   EXPECT_EQ(info.l3_bytes, std::size_t{8} << 20);
 }
@@ -189,12 +205,10 @@ TEST(CacheDetect, ReadsSyntheticSysfs) {
   write("index0", "level", "1");
   write("index0", "type", "Instruction");
   write("index0", "size", "64K");
-  write("index0", "coherency_line_size", "128");
-  // index1: L1 Data 48K, 64-byte lines.
+  // index1: L1 Data 48K.
   write("index1", "level", "1");
   write("index1", "type", "Data");
   write("index1", "size", "48K");
-  write("index1", "coherency_line_size", "64");
   // index2/index3: L2/L3.
   write("index2", "level", "2");
   write("index2", "type", "Unified");
@@ -205,7 +219,6 @@ TEST(CacheDetect, ReadsSyntheticSysfs) {
 
   const CacheInfo info = detect_cache_at(root.string());
   EXPECT_EQ(info.l1d_bytes, std::size_t{48} << 10);
-  EXPECT_EQ(info.line_bytes, std::size_t{64});
   EXPECT_EQ(info.l2_bytes, std::size_t{2048} << 10);
   EXPECT_EQ(info.l3_bytes, std::size_t{16} << 20);
   fs::remove_all(root);

@@ -143,6 +143,36 @@ TEST(Gain, DistributedExchangeRoundIsAccounted) {
   }
 }
 
+TEST(Gain, EqualsTheBranchingFormBitExactly) {
+  // Figure 2's gain term by term: w(e), minus w(M(u)) if u is matched,
+  // minus w(M(v)) if v is matched, in that order; 0 on matched edges.
+  // gain_weights subtracts a literal +0.0 for a free endpoint instead of
+  // branching, which is exact, so the two must agree bit for bit.
+  Rng rng(23);
+  for (int t = 0; t < 8; ++t) {
+    Graph g = erdos_renyi(400, 5.0 / 400, rng);
+    auto w = uniform_weights(g.num_edges(), 0.5, 100.0, rng);
+    const WeightedGraph wg = make_weighted(std::move(g), std::move(w));
+    const Graph& graph = wg.graph;
+    Matching m = greedy_mwm(wg);
+    const std::vector<EdgeId> ids = m.edge_ids(graph);
+    for (std::size_t i = 0; i < ids.size(); i += 3) m.remove(graph, ids[i]);
+    const std::vector<double> gains = gain_weights(wg, m);
+    ASSERT_EQ(gains.size(), graph.num_edges());
+    for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+      if (m.contains(graph, e)) {
+        EXPECT_EQ(gains[e], 0.0) << "matched edge " << e;
+        continue;
+      }
+      const Edge& ed = graph.edge(e);
+      double expected = wg.weight(e);
+      if (!m.is_free(ed.u)) expected -= wg.weight(m.matched_edge(ed.u));
+      if (!m.is_free(ed.v)) expected -= wg.weight(m.matched_edge(ed.v));
+      EXPECT_EQ(gains[e], expected) << "trial " << t << ", edge " << e;
+    }
+  }
+}
+
 class Lemma41Sweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(Lemma41Sweep, WrapApplicationBeatsGainSum) {
