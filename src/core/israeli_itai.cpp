@@ -1,7 +1,6 @@
 #include "core/israeli_itai.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -47,7 +46,8 @@ class IsraeliItaiProtocol {
         coin_(g.num_nodes(), 0),
         sees_candidate_(g.num_nodes(), 0),
         neighbor_free_(offsets_[g.num_nodes()], 1),
-        net_(g, seed, Bits{}) {
+        net_(g, seed, Bits{}),
+        rev_slot_(g.store().rev_slot()) {
     net_.set_thread_pool(pool);
     net_.set_shards(shards);
   }
@@ -76,7 +76,6 @@ class IsraeliItaiProtocol {
   /// Restart the network for a new run with `seed`.
   void restart(std::uint64_t seed) {
     net_.reset(seed);
-    unsent_.store(0, std::memory_order_relaxed);
     wake_.clear();
   }
 
@@ -143,14 +142,8 @@ class IsraeliItaiProtocol {
           const NodeId w = nbrs[i].to;
           neighbor_free_[offsets_[v] + i] =
               matched_edge_[w] == kInvalidEdge ? 1 : 0;
-          // w's slot for v: v is free again (undoes a kMatched announce).
-          const auto wnbrs = g_.neighbors(w);
-          for (std::size_t j = 0; j < wnbrs.size(); ++j) {
-            if (wnbrs[j].to == v) {
-              neighbor_free_[offsets_[w] + j] = 1;
-              break;
-            }
-          }
+          // w's flag for v: v is free again (undoes a kMatched announce).
+          neighbor_free_[mirror(offsets_[v] + i)] = 1;
           net_.activate(w);
         }
       }
@@ -162,17 +155,8 @@ class IsraeliItaiProtocol {
     return resyncs;
   }
 
-  /// The run's cost: the engine's, plus the announcements counted
-  /// instead of sent (kBits each).
-  NetStats stats() const {
-    NetStats s = net_.stats();
-    NetStats unsent;
-    unsent.messages = unsent_.load(std::memory_order_relaxed);
-    unsent.total_bits = unsent.messages * kBits;
-    unsent.max_message_bits = unsent.messages > 0 ? kBits : 0;
-    s.merge(unsent);
-    return s;
-  }
+  /// The run's cost, every announcement included, sent or charged.
+  const NetStats& stats() const { return net_.stats(); }
 
   /// True iff both endpoints of e claim it. Fault-free executions always
   /// agree (the handshake is the agreement); under an exhausted resync
@@ -201,8 +185,9 @@ class IsraeliItaiProtocol {
       const NodeId v = s.edge_v[e];
       matched_edge_[u] = kInvalidEdge;
       matched_edge_[v] = kInvalidEdge;
-      neighbor_free_[arc(u, v)] = 1;
-      neighbor_free_[arc(v, u)] = 1;
+      const std::uint64_t a = arc(u, v);
+      neighbor_free_[a] = 1;
+      neighbor_free_[mirror(a)] = 1;
     }
   }
 
@@ -213,6 +198,12 @@ class IsraeliItaiProtocol {
 
   NodeId degree(NodeId v) const {
     return degree_.empty() ? g_.degree(v) : degree_[v];
+  }
+
+  /// The mirror of arc a = v -> w: w's arc to v, where w's flag for v
+  /// sits.
+  std::uint64_t mirror(std::uint64_t a) const {
+    return offsets_[g_.store().adj_to[a]] + rev_slot_[a];
   }
 
   /// The position of `to` in from's row (rows are sorted by neighbor).
@@ -236,14 +227,15 @@ class IsraeliItaiProtocol {
     }
   }
 
-  /// One phase. Stage 0 steps the receivers and the nodes woken for it;
-  /// stages 1 and 2 step only receivers. Afterwards wake_ holds the free
-  /// nodes that saw a candidate at stage 0 (plus, under message faults,
-  /// the free stage-1 and stage-2 receivers), activated before the next
-  /// stage 0. Returns whether some free node saw a candidate: a phase in
-  /// which none did can never make progress again, because flags only
-  /// turn off on true announcements (stale flags can only cost extra
-  /// phases, never end the run early).
+  /// One phase. Stage 0 steps the nodes woken for it (and, under message
+  /// faults, announcement receivers); stages 1 and 2 step only
+  /// receivers. Afterwards wake_ holds the free nodes that saw a
+  /// candidate at stage 0 (plus, under message faults, the free stage-1
+  /// and stage-2 receivers), activated before the next stage 0. Returns
+  /// whether some free node saw a candidate: a phase in which none did
+  /// can never make progress again, because flags only turn off on true
+  /// announcements (stale flags can only cost extra phases, never end
+  /// the run early).
   bool run_phase() {
     for (const NodeId v : wake_) {
       if (matched_edge_[v] == kInvalidEdge) net_.activate(v);
@@ -272,8 +264,9 @@ class IsraeliItaiProtocol {
     const std::uint64_t row = offsets_[v];
     const auto nbrs = g_.neighbors(v);
 
-    // Announcements can arrive at any stage; process them first. The
-    // inbox slot IS the arc position, so the flag update is direct.
+    // Under message faults announcements arrive as messages, at any
+    // stage; process them first. The inbox slot IS the arc position, so
+    // the flag update is direct.
     for (const auto& in : ctx.inbox()) {
       if (in.payload->type == Type::kMatched) neighbor_free_[row + in.slot] = 0;
     }
@@ -337,20 +330,27 @@ class IsraeliItaiProtocol {
     }
   }
 
-  /// v matched on `edge`: announce it over every other edge v has in G′.
-  /// Sent over active edges; over the rest only the flag at the far end
-  /// would change, and no step reads a flag of an inactive edge, so
-  /// those are counted, not sent.
+  /// v matched on `edge`: announce it over every other edge v has in G′,
+  /// each announcement charged as one message. Over an inactive edge it
+  /// would set a flag no step reads, so it is only charged. Over an
+  /// active edge it is sent under message faults; fault-free v clears
+  /// the far flag itself. That is bit-identical to sending: flags are
+  /// read only at stage 0, before which the message would have been
+  /// applied, and each flag has one writer (the node it names), so the
+  /// store races with nothing.
   void announce(Net::Ctx& ctx, NodeId v, EdgeId edge) {
     std::uint64_t sent = 0;
-    for (const Incidence inc : g_.neighbors(v)) {
-      if (inc.edge != edge && active(inc.edge)) {
-        ctx.send(inc.edge, Message{Type::kMatched});
+    const auto nbrs = g_.neighbors(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (nbrs[i].edge == edge || !active(nbrs[i].edge)) continue;
+      if (faulty_) {
+        ctx.send(nbrs[i].edge, Message{Type::kMatched});
         ++sent;
+      } else {
+        neighbor_free_[mirror(offsets_[v] + i)] = 0;
       }
     }
-    const std::uint64_t counted = degree(v) - 1 - sent;
-    if (counted != 0) unsent_.fetch_add(counted, std::memory_order_relaxed);
+    ctx.charge(degree(v) - 1 - sent, Message{Type::kMatched});
   }
 
   const Graph g_;
@@ -369,13 +369,15 @@ class IsraeliItaiProtocol {
   std::vector<std::uint8_t> sees_candidate_;
   // Free flag per arc, laid out at CSR arc positions (offsets[v] + i for
   // v's i-th incidence) — the same indexing the engine's inbox slots
-  // use, so an announcement updates its flag without scanning the row.
+  // use. w's flag for v is cleared by v's announcement: fault-free v
+  // stores it through the reverse-arc table, under message faults w
+  // stores it at delivery. Only w's stage-0 scan reads it.
   std::vector<std::uint8_t> neighbor_free_;
 
   Net net_;
+  const std::vector<std::uint32_t>& rev_slot_;  // the store's reverse arcs
   bool faulty_ = false;
   std::vector<NodeId> wake_;  // woken for the next stage 0
-  std::atomic<std::uint64_t> unsent_{0};  // announcements counted, not sent
 };
 
 }  // namespace detail

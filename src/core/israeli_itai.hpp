@@ -18,6 +18,16 @@
 // proposes to exactly one node, so it can receive at most one accept and
 // never accepts itself).
 //
+// Announcements (DESIGN.md §9): an announcement only clears the far
+// end's liveness flag for its sender, and only the stage-0 candidate
+// scan reads flags. Fault-free, a node that matches therefore makes those
+// stores itself, one per edge through the store's reverse-arc table, and
+// charges the announcements to the engine (SyncNetwork::Ctx::charge)
+// instead of sending them: sent at stage 1 or 2, they would be applied
+// before the next stage 0 anyway, so the execution and NetStats are bit
+// for bit those of sending them. Under message faults they stay
+// messages, because the injector acts on messages.
+//
 // Schedule (DESIGN.md §9): stages 1 and 2 step only message receivers;
 // after stage 0 the phase driver re-activates for the next stage 0 every
 // free node that saw a candidate. Fault-free nothing else can act: a
@@ -46,12 +56,13 @@ struct IsraeliItaiOptions {
   /// Restrict the run to a logical subgraph. Empty = all edges active.
   /// Only active edges carry proposals and accepts and count as
   /// candidates. A node that matches still announces to every neighbor
-  /// in g, but an announcement over an inactive edge sets a flag nothing
-  /// reads, so it is counted in closed form (one 8-bit message each, in
-  /// NetStats) instead of sent. A masked run's round 0 steps only the
-  /// endpoints of active edges. Fault-free, both leave the execution bit
-  /// for bit as if every announcement were sent and every node stepped.
-  /// (Under message faults the unsent announcements no longer meet the
+  /// in g, one 8-bit message each in NetStats, but an announcement over
+  /// an inactive edge sets a flag nothing reads, so it is charged and
+  /// neither sent nor applied (over an active edge, see the header). A
+  /// masked run's round 0 steps only the endpoints of active edges.
+  /// Fault-free, both leave the execution bit for bit as if every
+  /// announcement were sent and every node stepped. (Under message
+  /// faults the announcements over inactive edges no longer meet the
   /// injector or shuffle an inbox, so a masked faulty run can differ.)
   std::vector<char> active_edges;
   /// Start from this matching instead of the empty one (its endpoints
@@ -114,8 +125,8 @@ class IsraeliItaiProtocol;
 /// run(c, edges, seed) is bit for bit the masked israeli_itai(G′) run
 /// with that seed and active_edges = class c: node ids are g's, and G′'s
 /// incidence order is g's filtered, so the same draws pick the same
-/// edges, and announcements over G′ edges outside the class are counted
-/// as that run counts them. A run steps and touches only the class's
+/// edges, and announcements over G′ edges outside the class are charged
+/// as that run charges them. A run steps and touches only the class's
 /// endpoints and their flags for class edges, and clears them when it
 /// ends, so its cost follows the class, not the graph.
 class IsraeliItaiClassRuns {

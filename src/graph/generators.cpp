@@ -31,6 +31,22 @@ void check_edge_count(const char* generator, std::uint64_t m) {
   }
 }
 
+/// A density-p sample of `total` pairs: its edge count is `total` at
+/// p >= 1 and expected p * total below that. An expectation past EdgeId
+/// is refused before sampling, which would otherwise collect billions of
+/// edges before the graph could refuse them.
+void check_sampled_edges(const char* generator, std::uint64_t total,
+                         double p) {
+  if (p >= 1.0) return check_edge_count(generator, total);
+  const double expected = p * static_cast<double>(total);
+  if (expected > static_cast<double>(kInvalidEdge - 1)) {
+    throw std::invalid_argument(
+        std::string(generator) + ": an expected " +
+        std::to_string(static_cast<std::uint64_t>(expected)) +
+        " edges exceed the EdgeId range");
+  }
+}
+
 /// A NaN density fails both the p <= 0 and the p >= 1 test of
 /// sample_pairs, so it reaches the geometric walk, whose NaN skips never
 /// end it.
@@ -136,7 +152,7 @@ Graph erdos_renyi(NodeId n, double p, Rng& rng) {
   std::vector<Edge> edges;
   const std::uint64_t total =
       static_cast<std::uint64_t>(n) * (n - 1) / 2;
-  if (p >= 1.0) check_edge_count("erdos_renyi", total);
+  check_sampled_edges("erdos_renyi", total, p);
   sample_pairs(total, p, rng, [&](std::uint64_t idx) {
     // Decode linear index to (u,v), u < v, row-major over the triangle.
     const NodeId u = static_cast<NodeId>(
@@ -164,9 +180,8 @@ BipartiteGraph random_bipartite(NodeId nx, NodeId ny, double p, Rng& rng) {
   check_density("random_bipartite", p);
   const NodeId n =
       node_count("random_bipartite", static_cast<std::uint64_t>(nx) + ny);
-  if (p >= 1.0) {
-    check_edge_count("random_bipartite", static_cast<std::uint64_t>(nx) * ny);
-  }
+  check_sampled_edges("random_bipartite", static_cast<std::uint64_t>(nx) * ny,
+                      p);
   BipartiteGraph out;
   out.nx = nx;
   out.ny = ny;

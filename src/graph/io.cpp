@@ -1,5 +1,6 @@
 #include "graph/io.hpp"
 
+#include <algorithm>
 #include <iomanip>
 #include <istream>
 #include <limits>
@@ -45,14 +46,32 @@ ParsedGraph read_edge_list(std::istream& is) {
   if (!(hs >> n >> m)) {
     throw std::invalid_argument("read_edge_list: bad header");
   }
+  // Counts and ids are read as u64 and range-checked before they are
+  // narrowed, so an out-of-range value is refused instead of wrapping.
+  if (n > kInvalidNode - 1) {
+    throw std::invalid_argument("read_edge_list: " + std::to_string(n) +
+                                " nodes exceed the NodeId range");
+  }
+  if (m > kInvalidEdge - 1) {
+    throw std::invalid_argument("read_edge_list: " + std::to_string(m) +
+                                " edges exceed the EdgeId range");
+  }
   const bool weighted = static_cast<bool>(hs >> flag) && flag == "w";
   std::vector<Edge> edges;
   std::vector<double> weights;
-  edges.reserve(m);
+  // The header is a claim, not an allocation budget: the list grows with
+  // the edges actually read.
+  edges.reserve(std::min<std::uint64_t>(m, std::uint64_t{1} << 20));
   for (std::uint64_t i = 0; i < m; ++i) {
     std::uint64_t u = 0, v = 0;
     if (!(is >> u >> v)) {
       throw std::invalid_argument("read_edge_list: truncated edge list");
+    }
+    if (u >= n || v >= n) {
+      throw std::invalid_argument(
+          "read_edge_list: edge " + std::to_string(i) + " (" +
+          std::to_string(u) + ", " + std::to_string(v) +
+          ") names a vertex outside [0, " + std::to_string(n) + ")");
     }
     edges.push_back({static_cast<NodeId>(u), static_cast<NodeId>(v)});
     if (weighted) {

@@ -14,6 +14,12 @@
 //  * Every message is metered in bits via a caller-supplied measure, so
 //    LOCAL-vs-CONGEST claims (O(|V|+|E|) vs O(log n) bits) become
 //    measurable quantities in `stats()`.
+//  * A message a protocol applies itself instead of sending
+//    (Ctx::charge) is metered all the same, in the round it is sent:
+//    stats() cannot tell it from a delivered one. It is never delivered,
+//    so a protocol may charge only a message whose effect nothing reads
+//    before the round it would have arrived in (Israeli–Itai's
+//    announcements, DESIGN.md §9).
 //  * Per-(node, round) RNG substreams: the execution is a deterministic
 //    function of the seed, independent of node iteration order — which
 //    also makes thread-pool execution AND any shard count bit-identical
@@ -229,6 +235,14 @@ class SyncNetwork {
     /// Send a copy of msg to every neighbor (one row walk, no per-edge
     /// arc lookup).
     void send_all(const M& msg) { net_->enqueue_all(id_, msg, *worker_); }
+
+    /// Meter `count` copies of msg as sent this round without queueing
+    /// them, for messages whose effect the protocol applies itself. They
+    /// count in stats() exactly like sent ones, but are never delivered
+    /// and never keep run(stop_when_silent) going.
+    void charge(std::uint64_t count, const M& msg) {
+      worker_->stats.note_messages(count, net_->meter_(msg));
+    }
 
     /// Stay in the next round's active set even without incoming
     /// messages. Call it whenever this node might act spontaneously next
@@ -510,9 +524,11 @@ class SyncNetwork {
     // One stat merge per round (per-worker slots; no mutex anywhere).
     std::uint64_t sent = 0;
     std::uint64_t bits = 0;
+    std::uint64_t queued = 0;
     for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
       PerWorker& w = workers_[wi];
       sent += w.stats.messages;
+      queued += w.send_to.size();
       bits += w.stats.total_bits;
       stats_.max_message_bits =
           std::max(stats_.max_message_bits, w.stats.max_message_bits);
@@ -524,9 +540,10 @@ class SyncNetwork {
     }
     stats_.messages += sent;
     stats_.total_bits += bits;
-    // Held-back messages count as in flight: run(stop_when_silent) must
-    // not declare the network silent while deliveries are still due.
-    pending_ = sent + delayed_.size();
+    // Queued and held-back messages are in flight (charged ones never
+    // are): run(stop_when_silent) must not declare the network silent
+    // while deliveries are still due.
+    pending_ = queued + delayed_.size();
     delivered_total_ += delivered_last_round_;
     ++round_;
 

@@ -21,6 +21,14 @@ struct NetStats {
     max_message_bits = std::max(max_message_bits, bits);
   }
 
+  /// `count` messages of `bits` each.
+  void note_messages(std::uint64_t count, std::uint64_t bits) noexcept {
+    if (count == 0) return;
+    messages += count;
+    total_bits += count * bits;
+    max_message_bits = std::max(max_message_bits, bits);
+  }
+
   /// Combine counters (parallel workers, or algorithm phases).
   void merge(const NetStats& other) noexcept {
     rounds += other.rounds;

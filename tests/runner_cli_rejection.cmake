@@ -100,6 +100,11 @@ expect_reject(--generator tight_chain:k=3,copies=1000000000
 expect_reject(--generator complete:n=100000 --solver greedy_mcm
               --oracle none)
 expect_reject(--generator er:n=100000,p=1 --solver greedy_mcm --oracle none)
+# Below p = 1 the edge count is a sample, so its expectation is checked:
+# p * n(n-1)/2 = 1.8e10 here, and sampling it ran out of memory.
+expect_reject(--generator er:n=200000,p=0.9 --solver greedy_mcm --oracle none)
+expect_reject(--generator bipartite:nx=200000,ny=200000,p=0.9
+              --solver greedy_mcm --oracle none)
 expect_reject(--generator greedy_trap:gadgets=1073741824 --solver greedy_mcm
               --oracle none)
 # tight_chain's k is range-checked, never narrowed to int (2^32 + 3 is

@@ -447,6 +447,14 @@ TEST(Io, MalformedInputThrows) {
   EXPECT_THROW(read_edge_list(truncated), std::invalid_argument);
   std::stringstream missing_weight("2 1 w\n0 1\n");
   EXPECT_THROW(read_edge_list(missing_weight), std::invalid_argument);
+  // Counts and ids past the u32 id range are refused, never narrowed:
+  // n = 2^32 is not an empty graph, a vertex 2^32 is not vertex 0,
+  // n = 2^32 + 3 is not 3, and m = 2^64 - 1 is not a reservation.
+  for (const char* text : {"4294967296 0", "3 1\n4294967296 1",
+                           "4294967299 1\n0 1", "2 18446744073709551615"}) {
+    std::stringstream in(text);
+    EXPECT_THROW(read_edge_list(in), std::invalid_argument) << text;
+  }
 }
 
 }  // namespace

@@ -168,6 +168,58 @@ TEST(SyncNetwork, RunStopsWhenSilent) {
   EXPECT_GE(rounds, 3u);
 }
 
+TEST(SyncNetwork, ChargedMessagesAreMeteredNotDelivered) {
+  // Round 0: node v charges v % 3 messages of v % 5 + 6 bits, and every
+  // seventh node also sends one 8-bit message. Charged messages meter
+  // like sent ones at every thread and shard setting, but only the sent
+  // ones are delivered.
+  Rng rng(53);
+  const Graph g = erdos_renyi(4096, 4.0 / 4096, rng);
+  NetStats want;
+  std::uint64_t want_sent = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (NodeId i = 0; i < v % 3; ++i) want.note_message(v % 5 + 6);
+    if (v % 7 == 0 && g.degree(v) > 0) {
+      want.note_message(8);
+      ++want_sent;
+    }
+  }
+  auto meter = [](const IntMsg& m) {
+    return static_cast<std::uint64_t>(m.value);
+  };
+  auto step = [](SyncNetwork<IntMsg>::Ctx& ctx) {
+    if (ctx.round() != 0) return;
+    const NodeId v = ctx.id();
+    ctx.charge(v % 3, IntMsg{static_cast<int>(v % 5 + 6)});
+    const auto nbrs = ctx.graph().neighbors(v);
+    if (v % 7 == 0 && !nbrs.empty()) ctx.send(nbrs[0].edge, IntMsg{8});
+  };
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (const unsigned shards : {1u, 0u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   (p != nullptr ? " threads=4" : " no pool"));
+      SyncNetwork<IntMsg> net(g, 1, meter);
+      net.set_thread_pool(p);
+      net.set_shards(shards);
+      net.run_round(step);
+      EXPECT_EQ(net.stats().messages, want.messages);
+      EXPECT_EQ(net.stats().total_bits, want.total_bits);
+      EXPECT_EQ(net.stats().max_message_bits, 10u);
+      net.run_round(step);
+      EXPECT_EQ(net.last_round_deliveries(), want_sent);
+      EXPECT_EQ(net.stats().messages, want.messages);
+    }
+  }
+  // A round that only charged leaves nothing in flight.
+  SyncNetwork<IntMsg> net(g, 1, meter);
+  auto charge_only = [](SyncNetwork<IntMsg>::Ctx& ctx) {
+    if (ctx.round() == 0) ctx.charge(2, IntMsg{8});
+  };
+  EXPECT_EQ(net.run(100, /*stop_when_silent=*/true, charge_only), 1u);
+  EXPECT_EQ(net.stats().messages, 2u * g.num_nodes());
+}
+
 TEST(SyncNetwork, RngSubstreamsIndependentOfExecutionOrder) {
   // The per-(node, round) substream must not depend on which nodes ran
   // first; we capture draws across two runs and compare.
@@ -402,6 +454,23 @@ TEST(SyncNetwork, ActiveSetMatchesStepAllOnIsraeliItai) {
   }
 }
 
+/// Calls run() with the tracer on and returns the parsed trace.
+template <typename F>
+telemetry::TraceDoc traced(F&& run) {
+  telemetry::Tracer& tracer = telemetry::Tracer::global();
+  tracer.reset();
+  tracer.set_recording(true);
+  run();
+  tracer.set_recording(false);
+  std::ostringstream os;
+  tracer.write_chrome_trace(os);
+  tracer.reset();
+  telemetry::TraceDoc doc;
+  std::string error;
+  EXPECT_TRUE(telemetry::load_chrome_trace(os.str(), doc, &error)) << error;
+  return doc;
+}
+
 // An israeli_itai run with the tracer on, and its parsed trace.
 struct TracedRun {
   DistMatchingResult result;
@@ -409,26 +478,29 @@ struct TracedRun {
 };
 
 TracedRun traced_israeli_itai(const Graph& g, const IsraeliItaiOptions& opts) {
-  telemetry::Tracer& tracer = telemetry::Tracer::global();
-  tracer.reset();
-  tracer.set_recording(true);
-  TracedRun run{israeli_itai(g, opts), {}};
-  tracer.set_recording(false);
-  std::ostringstream os;
-  tracer.write_chrome_trace(os);
-  tracer.reset();
-  std::string error;
-  EXPECT_TRUE(telemetry::load_chrome_trace(os.str(), run.doc, &error))
-      << error;
+  TracedRun run;
+  run.doc = traced([&] { run.result = israeli_itai(g, opts); });
   return run;
 }
 
+/// Messages delivered in each engine round of a trace, by round.
+std::map<std::uint64_t, double> delivered_by_round(
+    const telemetry::TraceDoc& doc) {
+  std::map<std::uint64_t, double> delivered;
+  for (const telemetry::TraceSpan& span : doc.spans) {
+    if (span.name == "engine.round") {
+      delivered[static_cast<std::uint64_t>(span.args.at("round"))] =
+          span.args.at("delivered");
+    }
+  }
+  return delivered;
+}
+
 TEST(SyncNetwork, MaskedIsraeliItaiReproducesPinnedSendCounts) {
-  // A masked run counts its announcements over inactive edges in closed
-  // form instead of sending them. The pins are what the same runs charge
-  // with every announcement sent through the engine: the closed form must
-  // reproduce them, while the engine delivers fewer messages than
-  // NetStats reports.
+  // A masked run charges its announcements instead of sending them. The
+  // pins are what the same runs charge with every announcement sent
+  // through the engine: the charges must reproduce them, while the
+  // engine delivers fewer messages than NetStats reports.
   struct Pin {
     std::uint64_t rounds;
     std::uint64_t messages;
@@ -469,24 +541,126 @@ TEST(SyncNetwork, IsraeliItaiStagesOneAndTwoStepOnlyReceivers) {
   // nodes that saw a candidate.
   for (const IiCase& c : israeli_itai_cases()) {
     const TracedRun run = traced_israeli_itai(c.g, c.opts);
-    std::map<double, double> delivered;
-    std::map<double, double> stepped;
+    const std::map<std::uint64_t, double> delivered =
+        delivered_by_round(run.doc);
+    std::map<std::uint64_t, double> stepped;
     for (const telemetry::TraceSpan& span : run.doc.spans) {
-      if (span.name == "engine.round") {
-        delivered[span.args.at("round")] = span.args.at("delivered");
-      } else if (span.name == "engine.step") {
-        stepped[span.args.at("round")] = span.args.at("stepped");
+      if (span.name == "engine.step") {
+        stepped[static_cast<std::uint64_t>(span.args.at("round"))] =
+            span.args.at("stepped");
       }
     }
     ASSERT_EQ(stepped.size(), run.result.stats.rounds) << c.what;
     std::size_t checked = 0;
     for (const auto& [round, count] : stepped) {
-      if (static_cast<std::uint64_t>(round) % 3 == 0) continue;
+      if (round % 3 == 0) continue;
       ++checked;
       EXPECT_LE(count, delivered.at(round))
           << c.what << " round " << round;
     }
     EXPECT_GT(checked, 0u) << c.what;
+  }
+}
+
+// The israeli_itai cases fault-free and under two message-fault plans:
+// NetStats and the matched-edge hash (the wrapping sum of splitmix64(e)
+// over matched edge ids, as the sharding fingerprints take it), recorded
+// while every announcement still travelled as a message.
+struct IiFingerprint {
+  const char* what;
+  const char* faults;  // "" = fault-free
+  std::uint64_t rounds;
+  std::uint64_t messages;
+  std::uint64_t total_bits;
+  std::uint64_t max_message_bits;
+  std::uint64_t edge_hash;
+};
+
+constexpr IiFingerprint kIiPinned[] = {
+    {"unmasked", "", 24, 3179, 25432, 8, 0x006833455ee517bf},
+    {"unmasked", "drop10", 516, 5368, 42944, 8, 0xd6a1c96432096207},
+    {"unmasked", "dup5", 33, 3227, 25816, 8, 0x678e1d78459473e5},
+    {"random 10% mask", "", 30, 1671, 13368, 8, 0x00b2340e05a01004},
+    {"random 10% mask", "drop10", 468, 2456, 19648, 8, 0xc98f0b13727a1ea3},
+    {"random 10% mask", "dup5", 30, 1671, 13368, 8, 0x00b2340e05a01004},
+    {"one-edge mask", "", 15, 13, 104, 8, 0x9280b7dd012d5656},
+    {"one-edge mask", "drop10", 18, 14, 112, 8, 0x9280b7dd012d5656},
+    {"one-edge mask", "dup5", 15, 13, 104, 8, 0x9280b7dd012d5656},
+    {"pow2 weight class", "", 27, 1568, 12544, 8, 0x3acc79d3b9d3ade1},
+    {"pow2 weight class", "drop10", 528, 3567, 28536, 8, 0xca6d0cfa1e805787},
+    {"pow2 weight class", "dup5", 27, 1568, 12544, 8, 0x3acc79d3b9d3ade1},
+};
+
+void expect_fingerprint(const std::string& what, const std::string& faults,
+                        const NetStats& s, const std::vector<EdgeId>& ids) {
+  const IiFingerprint* pin = nullptr;
+  for (const IiFingerprint& p : kIiPinned) {
+    if (what == p.what && faults == p.faults) pin = &p;
+  }
+  ASSERT_NE(pin, nullptr) << what << " " << faults;
+  std::uint64_t edge_hash = 0;
+  for (const EdgeId e : ids) edge_hash += splitmix64(e);
+  EXPECT_EQ(s.rounds, pin->rounds);
+  EXPECT_EQ(s.messages, pin->messages);
+  EXPECT_EQ(s.total_bits, pin->total_bits);
+  EXPECT_EQ(s.max_message_bits, pin->max_message_bits);
+  EXPECT_EQ(edge_hash, pin->edge_hash);
+}
+
+TEST(SyncNetwork, IsraeliItaiAppliesAnnouncementsInPlaceOnlyFaultFree) {
+  // Fault-free, a node that matches clears its neighbors' flags itself:
+  // stage 2 sends nothing else, so no stage-0 round after round 0
+  // delivers a message, while NetStats still counts every announcement.
+  // Under message faults announcements stay messages the injector acts
+  // on, so stage-0 rounds deliver them. The weight-class case also runs
+  // as an IsraeliItaiClassRuns run. Both at 1 and at 4 threads.
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const std::string threads = p != nullptr ? " threads=4" : " no pool";
+    for (const IiCase& c : israeli_itai_cases()) {
+      for (const std::string faults : {"", "drop10", "dup5"}) {
+        SCOPED_TRACE(c.what + " faults=" + faults + threads);
+        IsraeliItaiOptions opts = c.opts;
+        opts.pool = p;
+        opts.faults = faults;
+        const TracedRun run = traced_israeli_itai(c.g, opts);
+        expect_fingerprint(c.what, faults, run.result.stats,
+                           run.result.matching.edge_ids(c.g));
+        double stage0 = 0.0;
+        for (const auto& [round, count] : delivered_by_round(run.doc)) {
+          if (round % 3 != 0 || round == 0) continue;
+          if (faults.empty()) {
+            EXPECT_EQ(count, 0.0) << "round " << round;
+          }
+          stage0 += count;
+        }
+        // The one active edge of the one-edge mask carries no
+        // announcement, faulty or not.
+        if (!faults.empty() && c.what != "one-edge mask") {
+          EXPECT_GT(stage0, 0.0);
+        }
+      }
+      if (c.what != "pow2 weight class") continue;
+      SCOPED_TRACE(c.what + " as a class run" + threads);
+      std::vector<std::uint32_t> edge_class(c.g.num_edges());
+      std::vector<EdgeId> edges;
+      for (EdgeId e = 0; e < c.g.num_edges(); ++e) {
+        edge_class[e] = c.opts.active_edges[e] ? 0 : 1;
+        if (c.opts.active_edges[e]) edges.push_back(e);
+      }
+      std::vector<NodeId> degree(c.g.num_nodes());
+      for (NodeId v = 0; v < c.g.num_nodes(); ++v) degree[v] = c.g.degree(v);
+      IsraeliItaiClassRuns runs(c.g, edge_class, degree, p);
+      IsraeliItaiClassRuns::Run run;
+      const telemetry::TraceDoc doc =
+          traced([&] { run = runs.run(0, edges, c.opts.seed); });
+      expect_fingerprint(c.what, "", run.stats, run.matching);
+      for (const auto& [round, count] : delivered_by_round(doc)) {
+        if (round % 3 == 0 && round != 0) {
+          EXPECT_EQ(count, 0.0) << "round " << round;
+        }
+      }
+    }
   }
 }
 
@@ -498,20 +672,10 @@ TEST(SyncNetwork, MaskedIsraeliItaiStepsOnlyMaskEndpointsInRoundZero) {
   IsraeliItaiOptions opts;
   opts.active_edges.assign(g.num_edges(), 0);
   opts.active_edges[g.num_edges() / 3] = 1;
-  telemetry::Tracer& tracer = telemetry::Tracer::global();
-  tracer.reset();
-  tracer.set_recording(true);
-  const DistMatchingResult r = israeli_itai(g, opts);
-  tracer.set_recording(false);
-  std::ostringstream os;
-  tracer.write_chrome_trace(os);
-  tracer.reset();
-  EXPECT_EQ(r.matching.size(), 1u);
-  telemetry::TraceDoc doc;
-  std::string error;
-  ASSERT_TRUE(telemetry::load_chrome_trace(os.str(), doc, &error)) << error;
+  const TracedRun run = traced_israeli_itai(g, opts);
+  EXPECT_EQ(run.result.matching.size(), 1u);
   int round0_steps = 0;
-  for (const telemetry::TraceSpan& span : doc.spans) {
+  for (const telemetry::TraceSpan& span : run.doc.spans) {
     if (span.name != "engine.step" || span.args.at("round") != 0.0) continue;
     ++round0_steps;
     EXPECT_EQ(span.args.at("stepped"), 2.0);
