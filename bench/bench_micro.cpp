@@ -10,19 +10,11 @@
 //                         committing to the repo root so future PRs can
 //                         diff). Also measures tracing overhead at
 //                         n=2^20 deg 4 into a "telemetry_overhead"
-//                         block. Top-level keys containing "baseline" in
-//                         an existing PATH are preserved verbatim.
+//                         block.
 //   --shards=K            force K engine shards for the sweep modes
 //                         (0 = auto-size to the detected L2; default).
 //   --shard-sweep         n=2^20 avg_deg=4, shard counts 1..128 and
 //                         auto: the locality curve behind DESIGN.md §11.
-//   --perf-gate[=PATH]    re-run the small/mid sweep rows and compare
-//                         rounds/sec against the checked-in PATH
-//                         (default BENCH_engine.json); exit 1 on a >20%
-//                         regression, printing each regressed row's
-//                         per-phase telemetry breakdown. Set
-//                         LPS_BENCH_GATE_SKIP=1 to record-but-ignore
-//                         (documented override for noisy CI hosts).
 //   --smoke               tiny sweep + engine sanity asserts, exit 0/1;
 //                         the CI bench smoke job runs this in Release.
 //   --trace=PATH          record a Chrome/Perfetto trace of whichever
@@ -32,12 +24,11 @@
 //                         fully observed (metrics, trace recording and a
 //                         silent Monitor sampling progress); exit 1 when
 //                         the observed run is >5% slower
-//                         (LPS_BENCH_GATE_SKIP honored).
+//                         (LPS_BENCH_GATE_SKIP=1 reports but exits 0,
+//                         the override for noisy CI hosts).
 //
-// Every sweep row (including --smoke) also appends two "bench" records
-// to the run ledger (bench/ledger.jsonl; LPS_LEDGER overrides/disables)
-// — rounds_per_sec and ns_per_msg, the schema-v3 metric pair — so
-// tools/perf_diff can trend both across invocations.
+// These are engine numbers for one host. Comparing two commits is
+// tools/ab.py's job: a paired perfbench A/B on one host.
 //
 // The sweep/gate implementations live in bench/engine_sweep.cpp: the
 // engine hot loops measured there need a small TU for clean codegen
@@ -216,8 +207,6 @@ int main(int argc, char** argv) {
   std::string engine_json;
   bool engine_sweep = false;
   bool shard_sweep = false;
-  bool perf_gate = false;
-  std::string gate_path = "BENCH_engine.json";
   unsigned shards = 0;
   std::string trace_path;
   bool trace_overhead = false;
@@ -235,11 +224,6 @@ int main(int argc, char** argv) {
       shards = static_cast<unsigned>(std::strtoul(argv[i] + 9, nullptr, 10));
     } else if (std::strcmp(argv[i], "--shard-sweep") == 0) {
       shard_sweep = true;
-    } else if (std::strcmp(argv[i], "--perf-gate") == 0) {
-      perf_gate = true;
-    } else if (std::strncmp(argv[i], "--perf-gate=", 12) == 0) {
-      perf_gate = true;
-      gate_path = argv[i] + 12;
     } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
       trace_path = argv[i] + 8;
     } else if (std::strcmp(argv[i], "--trace-overhead") == 0) {
@@ -254,12 +238,12 @@ int main(int argc, char** argv) {
     // Manages its own tracer state; --trace would skew the measurement.
     return lps::run_trace_overhead(trace_overhead_exp);
   }
-  const bool custom = smoke || perf_gate || shard_sweep || engine_sweep;
+  const bool custom = smoke || shard_sweep || engine_sweep;
   const bool tracing = !trace_path.empty();
   if (tracing && !custom) {
     std::fprintf(stderr,
                  "bench_micro: --trace needs a sweep mode (--smoke, "
-                 "--engine-json, --shard-sweep or --perf-gate)\n");
+                 "--engine-json or --shard-sweep)\n");
     return 2;
   }
   lps::telemetry::Tracer& tracer = lps::telemetry::Tracer::global();
@@ -273,8 +257,6 @@ int main(int argc, char** argv) {
     rc = lps::run_smoke_checks();
     if (rc == 0) rc = lps::run_engine_sweep("", /*smoke=*/true, shards);
     if (rc == 0) std::printf("bench_micro --smoke: OK\n");
-  } else if (perf_gate) {
-    rc = lps::run_perf_gate(gate_path);
   } else if (shard_sweep) {
     rc = lps::run_shard_sweep();
   } else if (engine_sweep) {

@@ -3,23 +3,19 @@
 // codegen — see the header comment for the measured why.
 #include "bench/engine_sweep.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "bench/bench_common.hpp"
 #include "core/israeli_itai.hpp"
 #include "graph/generators.hpp"
 #include "runtime/shard.hpp"
 #include "telemetry/monitor.hpp"
 #include "telemetry/telemetry.hpp"
-#include "telemetry/trace_reader.hpp"
 #include "util/rng.hpp"
 
 namespace lps {
@@ -51,12 +47,14 @@ struct EngineRunResult {
   double ns_per_message() const { return 1e9 * elapsed / messages; }
 };
 
-/// Time the EngineStep workload on an already-built graph: fresh
-/// engine, 3 warmup rounds, then rounds until min_seconds elapse
-/// (>= 10 rounds).
-EngineRunResult measure_engine_rounds_on(const Graph& g, NodeId n,
-                                         double avg_deg, double min_seconds,
-                                         unsigned shards_req) {
+/// Time the EngineStep workload on erdos_renyi(n, avg_deg/n, seed 15):
+/// fresh graph and engine, 3 warmup rounds, then rounds until
+/// min_seconds elapse (>= 10 rounds).
+EngineRunResult measure_engine_rounds(NodeId n, double avg_deg,
+                                      double min_seconds,
+                                      unsigned shards_req) {
+  Rng rng(15);
+  const Graph g = erdos_renyi(n, avg_deg / n, rng);
   EngineNet net(g, 1, {});
   net.set_shards(shards_req);
   for (int r = 0; r < 3; ++r) net.run_round(EngineStep{});
@@ -73,16 +71,6 @@ EngineRunResult measure_engine_rounds_on(const Graph& g, NodeId n,
   }
   return {n,      avg_deg,       g.num_edges(), net.shards(),
           rounds, net.stats().messages - msgs0, elapsed};
-}
-
-/// Convenience wrapper: generate erdos_renyi(n, avg_deg/n, seed 15) and
-/// measure on it.
-EngineRunResult measure_engine_rounds(NodeId n, double avg_deg,
-                                      double min_seconds,
-                                      unsigned shards_req) {
-  Rng rng(15);
-  const Graph g = erdos_renyi(n, avg_deg / n, rng);
-  return measure_engine_rounds_on(g, n, avg_deg, min_seconds, shards_req);
 }
 
 void print_engine_row(const EngineRunResult& r) {
@@ -144,121 +132,6 @@ TraceOverheadResult measure_trace_overhead(NodeId n, double avg_deg,
   return out;
 }
 
-/// Re-measure one gate row with metrics on and print where the round
-/// time goes — the first clue when a gate row regresses. Per-round
-/// means from EngineMetrics deltas; p2/sort/shard sums are totals
-/// across shards, matching the runner's telemetry block.
-void print_phase_breakdown(NodeId n, double avg_deg) {
-  const bool prev = telemetry::enabled();
-  telemetry::set_enabled(true);
-  telemetry::EngineMetrics& em = telemetry::EngineMetrics::get();
-  const std::uint64_t rounds0 = em.rounds.value();
-  telemetry::HistogramSnapshot round = em.round_ns.snapshot();
-  telemetry::HistogramSnapshot p1 = em.exchange_p1_ns.snapshot();
-  telemetry::HistogramSnapshot p2 = em.exchange_p2_ns.snapshot();
-  telemetry::HistogramSnapshot sort = em.inbox_sort_ns.snapshot();
-  telemetry::HistogramSnapshot step = em.step_ns.snapshot();
-  measure_engine_rounds(n, avg_deg, /*min_seconds=*/0.2, /*shards=*/0);
-  const std::uint64_t rounds = em.rounds.value() - rounds0;
-  telemetry::set_enabled(prev);
-  if (rounds == 0) return;
-  const auto per_round = [rounds](telemetry::Histogram& h,
-                                  const telemetry::HistogramSnapshot& before) {
-    telemetry::HistogramSnapshot s = h.snapshot();
-    s -= before;
-    return static_cast<double>(s.sum) / static_cast<double>(rounds);
-  };
-  std::printf(
-      "  phase/round: exchange_p1=%.0fns exchange_p2=%.0fns "
-      "inbox_sort=%.0fns step=%.0fns round=%.0fns\n",
-      per_round(em.exchange_p1_ns, p1), per_round(em.exchange_p2_ns, p2),
-      per_round(em.inbox_sort_ns, sort), per_round(em.step_ns, step),
-      per_round(em.round_ns, round));
-}
-
-/// Top-level `"key": value` blocks of `text` whose key contains
-/// "baseline", returned verbatim (value brace/bracket-matched). This is
-/// what keeps hand-annotated baseline blocks alive across --engine-json
-/// regenerations.
-std::vector<std::pair<std::string, std::string>> baseline_blocks(
-    const std::string& text) {
-  std::vector<std::pair<std::string, std::string>> out;
-  int depth = 0;
-  bool in_string = false;
-  std::string key;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      } else {
-        key += c;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-      key.clear();
-      continue;
-    }
-    if (c == '{' || c == '[') {
-      ++depth;
-      continue;
-    }
-    if (c == '}' || c == ']') {
-      --depth;
-      continue;
-    }
-    if (c == ':' && depth == 1 && key.find("baseline") != std::string::npos) {
-      // Capture the value: skip whitespace, then match braces/brackets
-      // (baseline values are objects; scalars end at , or }).
-      std::size_t j = i + 1;
-      while (j < text.size() && (text[j] == ' ' || text[j] == '\n')) ++j;
-      std::size_t start = j;
-      int vdepth = 0;
-      bool vstring = false;
-      for (; j < text.size(); ++j) {
-        const char vc = text[j];
-        if (vstring) {
-          if (vc == '\\') {
-            ++j;
-          } else if (vc == '"') {
-            vstring = false;
-          }
-          continue;
-        }
-        if (vc == '"') {
-          vstring = true;
-        } else if (vc == '{' || vc == '[') {
-          ++vdepth;
-        } else if (vc == '}' || vc == ']') {
-          if (vdepth == 0) break;  // enclosing object closed (scalar value)
-          --vdepth;
-          if (vdepth == 0) {
-            ++j;
-            break;
-          }
-        } else if ((vc == ',') && vdepth == 0) {
-          break;
-        }
-      }
-      out.emplace_back(key, text.substr(start, j - start));
-      i = j - 1;
-    }
-  }
-  return out;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 }  // namespace
 
 namespace bench_detail {
@@ -279,13 +152,13 @@ int run_engine_sweep(const std::string& json_path, bool smoke,
   std::vector<EngineRunResult> results;
   for (const auto& [n, avg_deg] : configs) {
     // Best-of-5 per row, graph and engine rebuilt fresh each rep, same
-    // discipline as the perf gate and the overhead probes: peak
-    // throughput is the noise-stable quantity on a host with
-    // DRAM-bandwidth jitter; a single 0.5s window can read 1.5-2x slow
-    // when a burst lands on it. The rebuild matters as much as the
-    // repeat — the graph is deterministic (seed 15) so the bits are
-    // identical, but a fresh allocation rerolls page placement, and one
-    // badly-placed CSR block would otherwise tax all five reps.
+    // discipline as the overhead probes: peak throughput is the
+    // noise-stable quantity on a host with DRAM-bandwidth jitter; a
+    // single 0.5s window can read 1.5-2x slow when a burst lands on it.
+    // The rebuild matters as much as the repeat — the graph is
+    // deterministic (seed 15) so the bits are identical, but a fresh
+    // allocation rerolls page placement, and one badly-placed CSR block
+    // would otherwise tax all five reps.
     EngineRunResult r{};
     for (int rep = 0; rep < 5; ++rep) {
       const EngineRunResult one =
@@ -297,17 +170,6 @@ int run_engine_sweep(const std::string& json_path, bool smoke,
       return 1;
     }
     print_engine_row(r);
-    // Ledger rows keyed to join against the BENCH_engine.json baseline
-    // (perf_diff pins per config+metric): rounds/sec as the throughput
-    // series, ns/msg as the per-message-cost series — the schema v3
-    // pair every sweep row trends.
-    const std::string cfg =
-        "engine:n=" + std::to_string(r.n) + ",deg=" +
-        std::to_string(static_cast<unsigned>(r.avg_deg));
-    bench::ledger_append(cfg, "rounds_per_sec", r.rounds_per_sec(),
-                         /*higher_is_better=*/true);
-    bench::ledger_append(cfg, "ns_per_msg", r.ns_per_message(),
-                         /*higher_is_better=*/false);
     results.push_back(r);
   }
   if (json_path.empty()) return 0;
@@ -328,11 +190,6 @@ int run_engine_sweep(const std::string& json_path, bool smoke,
     std::printf("tracing overhead: %.2f%% rounds/sec (%zu events)\n",
                 100.0 * overhead.overhead_frac(), overhead.events);
   }
-  // Preserve hand-annotated baseline blocks from the previous file: a
-  // regeneration must not erase the history the perf gate and the PR
-  // notes diff against.
-  const std::vector<std::pair<std::string, std::string>> keep =
-      baseline_blocks(read_file(json_path));
   std::ofstream out(json_path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
@@ -377,12 +234,8 @@ int run_engine_sweep(const std::string& json_path, bool smoke,
         overhead.events);
     out << buf;
   }
-  for (const auto& [key, value] : keep) {
-    out << ",\n  \"" << key << "\": " << value;
-  }
   out << "\n}\n";
-  std::printf("wrote %s (%zu baseline block%s preserved)\n",
-              json_path.c_str(), keep.size(), keep.size() == 1 ? "" : "s");
+  std::printf("wrote %s\n", json_path.c_str());
   return 0;
 }
 
@@ -398,98 +251,11 @@ int run_shard_sweep() {
   return 0;
 }
 
-/// CI perf-regression gate: re-measure the sweep rows with n <= 2^17
-/// (the big rows are too slow for CI) and fail when rounds/sec drops
-/// more than 20% below the checked-in baseline file. Each row takes
-/// the best of three repeats — peak throughput is the stable quantity
-/// under scheduler noise; a real regression lowers all three. The
-/// documented override for noisy hosts: LPS_BENCH_GATE_SKIP=1 reports
-/// but exits 0.
-int run_perf_gate(const std::string& baseline_path) {
-  const std::string text = read_file(baseline_path);
-  if (text.empty()) {
-    std::fprintf(stderr, "perf gate: cannot read %s\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  telemetry::JsonValue doc;
-  std::string error;
-  if (!telemetry::parse_json(text, doc, &error)) {
-    std::fprintf(stderr, "perf gate: %s: %s\n", baseline_path.c_str(),
-                 error.c_str());
-    return 1;
-  }
-  const telemetry::JsonValue* rows = doc.find("results");
-  if (rows == nullptr || !rows->is_array() || rows->array.empty()) {
-    std::fprintf(stderr, "perf gate: no results in %s\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  bool failed = false;
-  std::size_t compared = 0;
-  for (const telemetry::JsonValue& row : rows->array) {
-    const telemetry::JsonValue* n = row.find("n");
-    const telemetry::JsonValue* deg = row.find("avg_deg");
-    const telemetry::JsonValue* rps = row.find("rounds_per_sec");
-    if (n == nullptr || deg == nullptr || rps == nullptr || !n->is_number() ||
-        !deg->is_number() || !rps->is_number() || rps->number <= 0.0) {
-      continue;
-    }
-    const double bn = n->number;
-    const double bdeg = deg->number;
-    const double brps = rps->number;
-    if (bn > static_cast<double>(1u << 17)) continue;  // CI time budget
-    Rng rng(15);
-    const Graph g =
-        erdos_renyi(static_cast<NodeId>(bn), bdeg / bn, rng);
-    double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-      const EngineRunResult r = measure_engine_rounds_on(
-          g, static_cast<NodeId>(bn), bdeg, /*min_seconds=*/0.2,
-          /*shards=*/0);
-      best = std::max(best, r.rounds_per_sec());
-    }
-    ++compared;
-    const double ratio = best / brps;
-    std::printf(
-        "perf gate n=%-8.0f avg_deg=%-4.0f baseline=%-10.1f now=%-10.1f "
-        "ratio=%.2f%s\n",
-        bn, bdeg, brps, best, ratio,
-        ratio < 0.8 ? "  << REGRESSION" : "");
-    if (ratio < 0.8) {
-      failed = true;
-      print_phase_breakdown(static_cast<NodeId>(bn), bdeg);
-    }
-  }
-  if (compared == 0) {
-    std::fprintf(stderr, "perf gate: no comparable rows in %s\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  if (failed) {
-    const char* skip = std::getenv("LPS_BENCH_GATE_SKIP");
-    if (skip != nullptr && skip[0] == '1') {
-      std::printf(
-          "perf gate: regression detected but LPS_BENCH_GATE_SKIP=1 — "
-          "ignoring\n");
-      return 0;
-    }
-    std::fprintf(stderr,
-                 "perf gate: rounds/sec regressed >20%% vs %s (set "
-                 "LPS_BENCH_GATE_SKIP=1 to override on noisy hosts)\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  std::printf("perf gate: OK (%zu rows within 20%% of %s)\n", compared,
-              baseline_path.c_str());
-  return 0;
-}
-
 /// CI observability-overhead gate (--trace-overhead): the telemetry
 /// contract says a fully observed engine run (metrics, trace recording
-/// and a silent Monitor all on) stays within 5% of bare rounds/sec. Same
-/// best-of-3 discipline and LPS_BENCH_GATE_SKIP override as the perf
-/// gate.
+/// and a silent Monitor all on) stays within 5% of bare rounds/sec.
+/// Best of 3 on each side; LPS_BENCH_GATE_SKIP=1 reports an over-budget
+/// run but exits 0 (the documented override for noisy hosts).
 int run_trace_overhead(unsigned nexp) {
   const NodeId n = NodeId{1} << nexp;
   const TraceOverheadResult r = measure_trace_overhead(n, 4.0, 0.3, 3);

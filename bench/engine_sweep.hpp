@@ -1,6 +1,6 @@
-// Engine round-throughput sweep, perf/overhead gates and smoke checks
-// behind bench_micro's custom CLI modes (--engine-json, --perf-gate,
-// --shard-sweep, --trace-overhead, --smoke).
+// Engine round-throughput sweep, overhead gate and smoke checks behind
+// bench_micro's custom CLI modes (--engine-json, --shard-sweep,
+// --trace-overhead, --smoke).
 //
 // This lives in its own translation unit on purpose: the engine's
 // run_round<EngineStep> instantiation is the measured hot loop, and
@@ -38,7 +38,6 @@ void engine_round(EngineNet& net);
 int run_engine_sweep(const std::string& json_path, bool smoke,
                      unsigned shards_req);
 int run_shard_sweep();
-int run_perf_gate(const std::string& baseline_path);
 int run_trace_overhead(unsigned nexp);
 int run_smoke_checks();
 

@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "api/json.hpp"
-#include "api/ledger.hpp"
 #include "api/provenance.hpp"
 #include "api/registry.hpp"
 #include "dynamic/matcher.hpp"
@@ -772,9 +771,6 @@ RunResult run_one(const RunSpec& spec) {
   out.prov_build_type = prov.build_type;
   out.prov_threads = prov.threads;
   out.prov_timestamp_utc = prov.timestamp_utc;
-  // Cross-run memory: one best-effort JSONL record per run (spec.ledger
-  // / LPS_LEDGER control the destination; see api/ledger.hpp).
-  append_run_ledger(out, resolve_ledger_path(spec.ledger));
   return out;
 }
 

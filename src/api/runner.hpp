@@ -114,10 +114,6 @@ struct RunSpec {
   /// After the stall dump, abort the process with
   /// telemetry::kWatchdogExitCode instead of latching and continuing.
   bool stall_abort = false;
-  /// Run-ledger destination: "" = default resolution (LPS_LEDGER env,
-  /// else bench/ledger.jsonl), "off"/"0" = no append, anything else =
-  /// explicit path. Appends are best-effort and never fail the run.
-  std::string ledger;
 };
 
 /// The per-run telemetry digest attached to RunResult (and the JSON

@@ -6,8 +6,7 @@
 namespace lps {
 
 std::vector<double> gain_weights(const WeightedGraph& wg, const Matching& m,
-                                 NetStats* stats, ThreadPool* /*pool*/,
-                                 unsigned /*shards*/) {
+                                 NetStats* stats, ThreadPool* /*pool*/) {
   const Graph& g = wg.graph;
   std::vector<double> gains(g.num_edges(), 0.0);
 

@@ -20,11 +20,11 @@ namespace lps {
 /// edge weight to its neighbors (each endpoint then computes w_M
 /// locally) is merged into it in closed form: 2 rounds (announce,
 /// deliver), sum of deg(v) over matched v messages of 64 bits each.
-/// `pool` and `shards` are unused; they remain for source compatibility.
+/// `pool` is unused; it stays because perfbench/solver_bench.cpp passes
+/// it positionally.
 std::vector<double> gain_weights(const WeightedGraph& wg, const Matching& m,
                                  NetStats* stats = nullptr,
-                                 ThreadPool* pool = nullptr,
-                                 unsigned shards = 0);
+                                 ThreadPool* pool = nullptr);
 
 /// wrap(e) w.r.t. m: e plus the matched edges at its endpoints.
 /// Requires e unmatched (checked).

@@ -1,6 +1,8 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <iomanip>
 #include <istream>
 #include <limits>
@@ -8,8 +10,19 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace lps {
+namespace {
+
+// True iff all of `t` parses as one T.
+template <class T>
+bool parse_whole(const std::string& t, T& out) {
+  const auto [end, ec] = std::from_chars(t.data(), t.data() + t.size(), out);
+  return ec == std::errc{} && end == t.data() + t.size();
+}
+
+}  // namespace
 
 void write_edge_list(std::ostream& os, const Graph& g) {
   os << g.num_nodes() << ' ' << g.num_edges() << '\n';
@@ -40,12 +53,24 @@ ParsedGraph read_edge_list(std::istream& is) {
   if (!std::getline(is, header)) {
     throw std::invalid_argument("read_edge_list: empty input");
   }
+  // The header is exactly `n m` or `n m w`: a flag other than `w` would
+  // otherwise read as unweighted and drop every weight.
   std::istringstream hs(header);
-  std::uint64_t n = 0, m = 0;
-  std::string flag;
-  if (!(hs >> n >> m)) {
-    throw std::invalid_argument("read_edge_list: bad header");
+  std::vector<std::string> tokens;
+  for (std::string t; hs >> t;) tokens.push_back(t);
+  const auto bad_token = [](const std::string& t) {
+    return std::invalid_argument("read_edge_list: unexpected header token '" +
+                                 t + "' (the header is `n m` or `n m w`)");
+  };
+  if (tokens.size() < 2) {
+    throw std::invalid_argument(
+        "read_edge_list: bad header (the header is `n m` or `n m w`)");
   }
+  if (tokens.size() > 3) throw bad_token(tokens[3]);
+  if (tokens.size() == 3 && tokens[2] != "w") throw bad_token(tokens[2]);
+  std::uint64_t n = 0, m = 0;
+  if (!parse_whole(tokens[0], n)) throw bad_token(tokens[0]);
+  if (!parse_whole(tokens[1], m)) throw bad_token(tokens[1]);
   // Counts and ids are read as u64 and range-checked before they are
   // narrowed, so an out-of-range value is refused instead of wrapping.
   if (n > kInvalidNode - 1) {
@@ -56,7 +81,7 @@ ParsedGraph read_edge_list(std::istream& is) {
     throw std::invalid_argument("read_edge_list: " + std::to_string(m) +
                                 " edges exceed the EdgeId range");
   }
-  const bool weighted = static_cast<bool>(hs >> flag) && flag == "w";
+  const bool weighted = tokens.size() == 3;
   std::vector<Edge> edges;
   std::vector<double> weights;
   // The header is a claim, not an allocation budget: the list grows with
@@ -75,12 +100,27 @@ ParsedGraph read_edge_list(std::istream& is) {
     }
     edges.push_back({static_cast<NodeId>(u), static_cast<NodeId>(v)});
     if (weighted) {
+      // Read as a token, so NaN, infinities and out-of-range literals
+      // are named for what they are rather than reported as missing.
+      std::string t;
+      if (!(is >> t)) {
+        throw std::invalid_argument("read_edge_list: edge " +
+                                    std::to_string(i) + " has no weight");
+      }
       double w = 0;
-      if (!(is >> w)) {
-        throw std::invalid_argument("read_edge_list: missing weight");
+      if (!parse_whole(t, w) || !std::isfinite(w)) {
+        throw std::invalid_argument("read_edge_list: edge " +
+                                    std::to_string(i) + "'s weight '" + t +
+                                    "' is not a finite number");
       }
       weights.push_back(w);
     }
+  }
+  std::string extra;
+  if (is >> extra) {
+    throw std::invalid_argument("read_edge_list: unexpected token '" + extra +
+                                "' after the header's " + std::to_string(m) +
+                                " edges");
   }
   ParsedGraph out{Graph(static_cast<NodeId>(n), std::move(edges)),
                   std::nullopt};

@@ -18,7 +18,9 @@ struct ParsedGraph {
   std::optional<std::vector<double>> weights;
 };
 
-/// Throws std::invalid_argument on malformed input.
+/// Throws std::invalid_argument on malformed input: a header other than
+/// exactly `n m` or `n m w`, a count or id out of range, a weight that
+/// is not a finite number, or any token after the m-th edge.
 ParsedGraph read_edge_list(std::istream& is);
 
 }  // namespace lps

@@ -23,7 +23,7 @@ file(MAKE_DIRECTORY "${workdir}")
 function(run_level level err_out)
   execute_process(
     COMMAND "${RUNNER}" --generator path:n=8 --solver greedy_mcm
-            --oracle none --ledger off --json-dir "${workdir}/${level}"
+            --oracle none --json-dir "${workdir}/${level}"
             --log-level ${level}
     RESULT_VARIABLE code
     OUTPUT_VARIABLE out

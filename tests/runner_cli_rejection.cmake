@@ -138,14 +138,16 @@ expect_reject(--generator path:n=8 --solver greedy_mcm
               --dynamic nosuchmaintainer
               --dynamic-stream churn:n=64,m0=64,updates=16)
 
-# Unknown flags: a typo and the retired event-log flag both fail
-# instead of running to exit 0 with nothing written.
-set(retired events)
+# Unknown flags: a typo and the retired event-log and run-ledger flags
+# all fail instead of running to exit 0 with nothing written.
 expect_reject(--generator path:n=8 --solver greedy_mcm --trcae t.json)
-expect_reject(--generator path:n=8 --solver greedy_mcm --${retired} x)
-if(NOT last_err STREQUAL "runner: invalid spec: unknown flag '--${retired}'\n")
-  message(SEND_ERROR "unexpected unknown-flag diagnostic: ${last_err}")
-endif()
+foreach(retired events ledger)
+  expect_reject(--generator path:n=8 --solver greedy_mcm --${retired} off)
+  if(NOT last_err STREQUAL
+     "runner: invalid spec: unknown flag '--${retired}'\n")
+    message(SEND_ERROR "unexpected unknown-flag diagnostic: ${last_err}")
+  endif()
+endforeach()
 
 # And the contract's other half: well-formed specs still run.
 expect_accept(--generator path:n=8 --solver greedy_mcm --oracle none

@@ -8,6 +8,7 @@
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "dynamic/dynamic_graph.hpp"
 #include "graph/generators.hpp"
@@ -447,6 +448,36 @@ TEST(Io, MalformedInputThrows) {
   EXPECT_THROW(read_edge_list(truncated), std::invalid_argument);
   std::stringstream missing_weight("2 1 w\n0 1\n");
   EXPECT_THROW(read_edge_list(missing_weight), std::invalid_argument);
+  // Malformed input throws a diagnostic that names what is wrong.
+  const auto expect_refused = [](const std::string& text,
+                                 const std::string& what) {
+    std::stringstream in(text);
+    try {
+      read_edge_list(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  // The header is exactly `n m` or `n m w`; a `W` flag must not read as
+  // unweighted and drop the weights.
+  expect_refused("2 1 W\n0 1 5.0\n", "'W'");
+  expect_refused("2 1 w extra\n0 1 5.0\n", "'extra'");
+  expect_refused("2 x\n", "'x'");
+  expect_refused("-2 1\n0 1\n", "'-2'");
+  // Anything but whitespace after the m-th edge is refused.
+  expect_refused("2 1\n0 1 7 8 9\n", "'7'");
+  expect_refused("2 1 w\n0 1 5.0 6\n", "'6'");
+  expect_refused("3 1\n0 1\n1 2\n", "'1'");
+  std::stringstream trailing_space("2 1\n0 1\n \n\t\n");
+  EXPECT_EQ(read_edge_list(trailing_space).graph.num_edges(), 1u);
+  // A weight that is not a finite number is named as such, with its
+  // edge.
+  for (const std::string w : {"nan", "inf", "-inf", "1e999", "abc"}) {
+    expect_refused("3 2 w\n0 1 2.5\n1 2 " + w + "\n",
+                   "edge 1's weight '" + w + "' is not a finite number");
+  }
   // Counts and ids past the u32 id range are refused, never narrowed:
   // n = 2^32 is not an empty graph, a vertex 2^32 is not vertex 0,
   // n = 2^32 + 3 is not 3, and m = 2^64 - 1 is not a reservation.

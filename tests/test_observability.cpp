@@ -1,9 +1,9 @@
 // The observability contracts (DESIGN.md §14): the closed event
 // vocabulary and its Chrome-trace instant shape, empty-histogram
 // percentiles, per-run JSON omission of unmeasured percentile blocks,
-// write_json collision ordinals, run-ledger appends, the stall
-// watchdog's dump + distinct exit code (including a dump racing other
-// threads' trace emission), and crash/revive pairing in a run's trace.
+// write_json collision ordinals, the stall watchdog's dump + distinct
+// exit code (including a dump racing other threads' trace emission),
+// and crash/revive pairing in a run's trace.
 // The bit-identity of engine clients with tracing and a Monitor on
 // lives in test_telemetry.
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -20,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "api/ledger.hpp"
 #include "api/runner.hpp"
 #include "graph/generators.hpp"
 #include "runtime/engine.hpp"
@@ -40,16 +38,6 @@ std::filesystem::path fresh_dir(const std::string& tag) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
-}
-
-std::vector<std::string> read_lines(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) lines.push_back(line);
-  }
-  return lines;
 }
 
 /// The `cat:"event"` instants of a loaded trace, in document order.
@@ -169,7 +157,6 @@ TEST(RunJson, OmitsPercentileBlocksWithoutRounds) {
   spec.generator = "path:n=8";
   spec.solver = "greedy_mcm";
   spec.oracle = "none";
-  spec.ledger = "off";
   const api::RunResult r = api::run_one(spec);
   ASSERT_TRUE(r.telemetry.enabled);
   EXPECT_EQ(r.telemetry.rounds, 0u);
@@ -192,7 +179,6 @@ TEST(WriteJson, CollidingSpecsGetOrdinalSuffixes) {
   spec.generator = "path:n=8";
   spec.solver = "greedy_mcm";
   spec.oracle = "none";
-  spec.ledger = "off";
   const api::RunResult r = api::run_one(spec);
   const std::filesystem::path dir = fresh_dir("write_json");
   const std::string p1 = api::write_json(r, dir.string());
@@ -205,42 +191,6 @@ TEST(WriteJson, CollidingSpecsGetOrdinalSuffixes) {
   EXPECT_TRUE(std::filesystem::exists(p3));
   EXPECT_NE(p2.find("__r2.json"), std::string::npos) << p2;
   EXPECT_NE(p3.find("__r3.json"), std::string::npos) << p3;
-}
-
-TEST(Ledger, RunOneAppendsOneRecordPerRun) {
-  const std::filesystem::path dir = fresh_dir("ledger");
-  const std::filesystem::path ledger = dir / "ledger.jsonl";
-  api::RunSpec spec;
-  spec.generator = "path:n=8";
-  spec.solver = "greedy_mcm";
-  spec.oracle = "none";
-  spec.ledger = ledger.string();
-  api::run_one(spec);
-  api::run_one(spec);
-  const std::vector<std::string> lines = read_lines(ledger);
-  ASSERT_EQ(lines.size(), 2u);
-  for (const std::string& line : lines) {
-    tel::JsonValue v;
-    std::string error;
-    ASSERT_TRUE(tel::parse_json(line, v, &error)) << error;
-    const tel::JsonValue* kind = v.find("kind");
-    ASSERT_NE(kind, nullptr);
-    EXPECT_EQ(kind->string, "run");
-    const tel::JsonValue* config = v.find("config");
-    ASSERT_NE(config, nullptr);
-    EXPECT_NE(config->string.find("greedy_mcm"), std::string::npos);
-    EXPECT_NE(v.find("metric"), nullptr);
-    EXPECT_NE(v.find("value"), nullptr);
-    EXPECT_NE(v.find("higher_is_better"), nullptr);
-    EXPECT_NE(v.find("git_sha"), nullptr);
-  }
-}
-
-TEST(Ledger, PathResolutionHonorsDisableTokens) {
-  EXPECT_EQ(api::resolve_ledger_path("off"), "");
-  EXPECT_EQ(api::resolve_ledger_path("0"), "");
-  EXPECT_EQ(api::resolve_ledger_path("x/y.jsonl"), "x/y.jsonl");
-  EXPECT_FALSE(api::append_ledger_line("", "{}"));  // disabled = no-op
 }
 
 TEST(Monitor, WatchdogDumpsStateAndCountersThenLatches) {
@@ -376,7 +326,6 @@ TEST(FaultEvents, EveryCrashHasAMatchingRevive) {
   spec.dynamic_checkpoints = 0;
   spec.faults = "flap1";
   spec.trace = (dir / "trace.json").string();
-  spec.ledger = "off";
   const api::RunResult r = api::run_one(spec);
   ASSERT_EQ(r.trace_path, spec.trace);
   ASSERT_GT(r.fault_crashed, 0u);

@@ -1,12 +1,16 @@
 // Failure-injection and robustness tests: wrong-sized masks, degenerate
 // inputs, hostile black boxes, exception propagation through the
-// runtime, and fuzzed Matching mutation sequences checked against a
-// reference implementation.
+// runtime, fuzzed Matching mutation sequences checked against a
+// reference implementation, and metamorphic vertex relabeling.
 #include <gtest/gtest.h>
 
-#include <set>
-
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "core/bipartite_counting.hpp"
 #include "core/bipartite_mcm.hpp"
@@ -18,6 +22,10 @@
 #include "graph/weights.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/thread_pool.hpp"
+#include "seq/blossom.hpp"
+#include "seq/exact_small.hpp"
+#include "seq/hopcroft_karp.hpp"
+#include "seq/hungarian.hpp"
 #include "util/rng.hpp"
 
 namespace lps {
@@ -304,6 +312,111 @@ TEST_P(SeedRobustness, AlgorithmsNeverProduceInvalidOutput) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedRobustness,
                          ::testing::Values(0u, 1u, 0xffffffffffffffffULL,
                                            0x8000000000000000ULL, 12345u));
+
+// ------------------------------------------- metamorphic relabeling -----
+// Relabeling the vertices by a permutation pi does not change the graph:
+// edge i of piG is pi applied to edge i of G, so weights carry over by
+// edge id. Exact solvers must report the same optimum on piG, and the
+// randomized ones must keep their guarantees there.
+
+std::vector<NodeId> seeded_permutation(NodeId n, std::uint64_t seed) {
+  std::vector<NodeId> pi(n);
+  std::iota(pi.begin(), pi.end(), NodeId{0});
+  Rng rng(seed);
+  for (NodeId i = n; i > 1; --i) std::swap(pi[i - 1], pi[rng.below(i)]);
+  return pi;
+}
+
+Graph relabel(const Graph& g, const std::vector<NodeId>& pi) {
+  std::vector<Edge> edges;
+  edges.reserve(g.num_edges());
+  for (const Edge& e : g.edges()) edges.push_back({pi[e.u], pi[e.v]});
+  return Graph(g.num_nodes(), std::move(edges));
+}
+
+std::vector<std::uint8_t> relabel_sides(const std::vector<std::uint8_t>& side,
+                                        const std::vector<NodeId>& pi) {
+  std::vector<std::uint8_t> out(side.size());
+  for (NodeId v = 0; v < side.size(); ++v) out[pi[v]] = side[v];
+  return out;
+}
+
+/// The instances: seeded ER(200, deg 4), bipartite 100+100 (deg 4) with
+/// its sides, and n=24 graphs small enough for the exhaustive oracles.
+struct RelabelCase {
+  Graph g;
+  std::vector<std::uint8_t> side;  // empty: not bipartite
+};
+
+std::vector<RelabelCase> relabel_cases() {
+  std::vector<RelabelCase> out;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    out.push_back({erdos_renyi(200, 4.0 / 200, rng), {}});
+    BipartiteGraph bg = random_bipartite(100, 100, 4.0 / 100, rng);
+    out.push_back({std::move(bg.graph), std::move(bg.side)});
+    out.push_back({erdos_renyi(24, 0.15, rng), {}});
+  }
+  return out;
+}
+
+TEST(Metamorphic, RelabelingKeepsExactOptima) {
+  std::uint64_t perm_seed = 100;
+  for (const RelabelCase& c : relabel_cases()) {
+    const NodeId n = c.g.num_nodes();
+    const std::vector<NodeId> pi = seeded_permutation(n, ++perm_seed);
+    const Graph pg = relabel(c.g, pi);
+    Rng wrng(perm_seed);
+    const std::vector<double> w =
+        uniform_weights(c.g.num_edges(), 1.0, 100.0, wrng);
+    const WeightedGraph wg = make_weighted(Graph(c.g), w);
+    const WeightedGraph pwg = make_weighted(Graph(pg), w);
+    const auto same_weight = [](double a, double b) {
+      return std::abs(a - b) <= 1e-9 * std::max(std::abs(a), 1.0);
+    };
+    EXPECT_EQ(blossom_mcm(pg).size(), blossom_mcm(c.g).size()) << n;
+    if (!c.side.empty()) {
+      const std::vector<std::uint8_t> pside = relabel_sides(c.side, pi);
+      EXPECT_EQ(hopcroft_karp(pg, pside).size(),
+                hopcroft_karp(c.g, c.side).size());
+      const double opt = hungarian_mwm(wg, c.side).weight(wg);
+      const double popt = hungarian_mwm(pwg, pside).weight(pwg);
+      EXPECT_TRUE(same_weight(popt, opt)) << popt << " vs " << opt;
+    }
+    if (n <= 24) {
+      EXPECT_EQ(exact_mcm_small(pg).size(), exact_mcm_small(c.g).size());
+      const double opt = exact_mwm_small(wg).weight(wg);
+      const double popt = exact_mwm_small(pwg).weight(pwg);
+      EXPECT_TRUE(same_weight(popt, opt)) << popt << " vs " << opt;
+    }
+  }
+}
+
+TEST(Metamorphic, RandomizedSolversKeepGuaranteesUnderRelabeling) {
+  std::uint64_t perm_seed = 200;
+  for (const RelabelCase& c : relabel_cases()) {
+    const std::vector<NodeId> pi =
+        seeded_permutation(c.g.num_nodes(), ++perm_seed);
+    const Graph pg = relabel(c.g, pi);
+    IsraeliItaiOptions io;
+    io.seed = perm_seed;
+    const Matching ii = israeli_itai(pg, io).matching;
+    EXPECT_TRUE(is_valid_matching(pg, ii.edge_ids(pg)));
+    EXPECT_TRUE(is_maximal_matching(pg, ii));
+    if (c.side.empty()) continue;
+    BipartiteMcmOptions bo;
+    bo.k = 3;
+    bo.seed = perm_seed;
+    const BipartiteMcmResult r =
+        bipartite_mcm(pg, relabel_sides(c.side, pi), bo);
+    EXPECT_TRUE(is_valid_matching(pg, r.matching.edge_ids(pg)));
+    if (r.converged) {
+      // Theorem 3.8 at k=3: |M| >= (1 - 1/(k+1)) |M*| = 3/4 |M*|.
+      EXPECT_GE(4 * r.matching.size(),
+                3 * hopcroft_karp(c.g, c.side).size());
+    }
+  }
+}
 
 }  // namespace
 }  // namespace lps

@@ -34,7 +34,7 @@ endfunction()
 # A real trace from a real run.
 execute_process(
   COMMAND "${RUNNER}" --generator er:n=64,deg=3 --solver israeli_itai
-          --oracle none --ledger off --log-level quiet
+          --oracle none --log-level quiet
           --trace "${workdir}/run.trace.json"
   RESULT_VARIABLE code
   OUTPUT_QUIET

@@ -65,8 +65,6 @@ void usage() {
       "  --stall-timeout-ms N watchdog: dump state when no round\n"
       "                       completes for N ms (0 = off)\n"
       "  --stall-abort        exit 86 after the watchdog dump\n"
-      "  --ledger PATH|off    run-ledger destination (default\n"
-      "                       bench/ledger.jsonl; LPS_LEDGER env overrides)\n"
       "  --log-level L        quiet | info | debug (stderr verbosity;\n"
       "                       stdout always carries only the JSON record)\n"
       "  --no-telemetry       skip metric collection (no telemetry block)\n"
@@ -127,7 +125,6 @@ int main(int argc, char** argv) {
   spec.stall_timeout_ms =
       static_cast<unsigned>(opts.get_int("stall-timeout-ms", 0));
   spec.stall_abort = opts.get_bool("stall-abort", false);
-  spec.ledger = opts.get("ledger", "");
   const std::string json_dir = opts.get("json-dir", "");
 
   if (debug) {
