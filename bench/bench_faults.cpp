@@ -57,6 +57,7 @@ int main(int argc, char** argv) {
   const bool emit_json = opts.get_bool("json", !smoke);
   const std::string json_path = opts.get("json-path", "BENCH_faults.json");
   const bench::TraceGuard trace(opts);
+  opts.exit_on_unread_flags();
 
   bench::print_header(
       "Fault injection: degradation and recovery per failure profile",

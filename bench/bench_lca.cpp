@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   const bool emit_json = opts.get_bool("json", true);
   const std::string json_dir = opts.get("json-dir", "bench/out");
   const bench::TraceGuard trace(opts);
+  opts.exit_on_unread_flags();
 
   bench::print_header(
       "LCA: oracle point queries vs the global solve",

@@ -11,8 +11,6 @@
 //                         diff). Also measures tracing overhead at
 //                         n=2^20 deg 4 into a "telemetry_overhead"
 //                         block.
-//   --shards=K            force K engine shards for the sweep modes
-//                         (0 = auto-size to the detected L2; default).
 //   --shard-sweep         n=2^20 avg_deg=4, shard counts 1..128 and
 //                         auto: the locality curve behind DESIGN.md §11.
 //   --smoke               tiny sweep + engine sanity asserts, exit 0/1;
@@ -40,6 +38,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "bench/engine_sweep.hpp"
 #include "core/bipartite_counting.hpp"
@@ -207,10 +206,10 @@ int main(int argc, char** argv) {
   std::string engine_json;
   bool engine_sweep = false;
   bool shard_sweep = false;
-  unsigned shards = 0;
   std::string trace_path;
   bool trace_overhead = false;
   unsigned trace_overhead_exp = 20;
+  std::vector<std::string> unused;  // a custom mode refuses these
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -220,8 +219,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--engine-json=", 14) == 0) {
       engine_sweep = true;
       engine_json = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = static_cast<unsigned>(std::strtoul(argv[i] + 9, nullptr, 10));
     } else if (std::strcmp(argv[i], "--shard-sweep") == 0) {
       shard_sweep = true;
     } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
@@ -232,15 +229,27 @@ int main(int argc, char** argv) {
       trace_overhead = true;
       trace_overhead_exp =
           static_cast<unsigned>(std::strtoul(argv[i] + 17, nullptr, 10));
+    } else {
+      unused.push_back(argv[i]);
     }
   }
+  const int modes = smoke + shard_sweep + engine_sweep + trace_overhead;
+  const bool tracing = !trace_path.empty();
+  // --trace-overhead manages its own tracer state; --trace would skew
+  // the measurement.
+  if (trace_overhead && tracing) unused.push_back("--trace=" + trace_path);
+  if (modes > 1 || (modes == 1 && !unused.empty())) {
+    const std::string why =
+        modes > 1 ? "pick one of --smoke, --shard-sweep, --engine-json and "
+                    "--trace-overhead"
+                  : "unused argument '" + unused.front() + "'";
+    std::fprintf(stderr, "bench_micro: %s\n", why.c_str());
+    return 2;
+  }
   if (trace_overhead) {
-    // Manages its own tracer state; --trace would skew the measurement.
     return lps::run_trace_overhead(trace_overhead_exp);
   }
-  const bool custom = smoke || shard_sweep || engine_sweep;
-  const bool tracing = !trace_path.empty();
-  if (tracing && !custom) {
+  if (tracing && modes == 0) {
     std::fprintf(stderr,
                  "bench_micro: --trace needs a sweep mode (--smoke, "
                  "--engine-json or --shard-sweep)\n");
@@ -255,12 +264,12 @@ int main(int argc, char** argv) {
   int rc = 0;
   if (smoke) {
     rc = lps::run_smoke_checks();
-    if (rc == 0) rc = lps::run_engine_sweep("", /*smoke=*/true, shards);
+    if (rc == 0) rc = lps::run_engine_sweep("", /*smoke=*/true);
     if (rc == 0) std::printf("bench_micro --smoke: OK\n");
   } else if (shard_sweep) {
     rc = lps::run_shard_sweep();
   } else if (engine_sweep) {
-    rc = lps::run_engine_sweep(engine_json, /*smoke=*/false, shards);
+    rc = lps::run_engine_sweep(engine_json, /*smoke=*/false);
   } else {
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -17,6 +17,7 @@ using namespace lps;
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
   const int trials = static_cast<int>(opts.get_int("trials", 3));
+  opts.exit_on_unread_flags();
 
   bench::print_header(
       "REMARK: (1-eps)-MWM via beta-augmentations (Hougardy–Vinkemeier "

@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   const std::size_t ports = static_cast<std::size_t>(opts.get_int("ports", 8));
   const std::uint64_t slots =
       static_cast<std::uint64_t>(opts.get_int("slots", 6000));
+  opts.exit_on_unread_flags();
 
   bench::print_header(
       "SWITCH: VOQ crossbar, schedulers under Bernoulli traffic",

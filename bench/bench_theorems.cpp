@@ -218,6 +218,7 @@ int main(int argc, char** argv) {
   const std::string filter = opts.get("filter", "");
   const bool emit_json = opts.get_bool("json", true);
   const std::string json_dir = opts.get("json-dir", "bench/out");
+  opts.exit_on_unread_flags();
 
   bool any_matched = false;
   for (const Experiment& exp : kExperiments) {

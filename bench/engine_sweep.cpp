@@ -138,8 +138,7 @@ namespace bench_detail {
 void engine_round(EngineNet& net) { net.run_round(EngineStep{}); }
 }  // namespace bench_detail
 
-int run_engine_sweep(const std::string& json_path, bool smoke,
-                     unsigned shards_req) {
+int run_engine_sweep(const std::string& json_path, bool smoke) {
   const double min_seconds = smoke ? 0.02 : 0.5;
   std::vector<std::pair<NodeId, double>> configs;
   if (smoke) {
@@ -162,7 +161,7 @@ int run_engine_sweep(const std::string& json_path, bool smoke,
     EngineRunResult r{};
     for (int rep = 0; rep < 5; ++rep) {
       const EngineRunResult one =
-          measure_engine_rounds(n, avg_deg, min_seconds, shards_req);
+          measure_engine_rounds(n, avg_deg, min_seconds, /*shards=*/0);
       if (rep == 0 || one.rounds_per_sec() > r.rounds_per_sec()) r = one;
     }
     if (r.messages == 0 || r.rounds == 0) {

@@ -35,8 +35,7 @@ namespace bench_detail {
 void engine_round(EngineNet& net);
 }  // namespace bench_detail
 
-int run_engine_sweep(const std::string& json_path, bool smoke,
-                     unsigned shards_req);
+int run_engine_sweep(const std::string& json_path, bool smoke);
 int run_shard_sweep();
 int run_trace_overhead(unsigned nexp);
 int run_smoke_checks();

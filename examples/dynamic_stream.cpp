@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   config.ports = static_cast<std::size_t>(opts.get_int("ports", 16));
   config.slots = static_cast<std::uint64_t>(opts.get_int("slots", 20000));
   config.load = opts.get_double("load", 0.85);
+  opts.exit_on_unread_flags();
   config.pattern = TrafficPattern::kUniform;
   config.seed = 7;
 

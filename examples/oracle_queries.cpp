@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   const long num_queries = opts.get_int("queries", 2000);
   const std::uint64_t seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
   const unsigned threads = static_cast<unsigned>(opts.get_int("threads", 0));
+  opts.exit_on_unread_flags();
 
   if (!lca::has_oracle(solver_name)) {
     std::fprintf(stderr, "oracle_queries: no LCA oracle for solver '%s'",

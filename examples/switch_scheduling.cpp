@@ -21,8 +21,10 @@ int main(int argc, char** argv) {
   cfg.slots = static_cast<std::uint64_t>(opts.get_int("slots", 20000));
   cfg.warmup = cfg.slots / 10;
   cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-
   const std::string pattern = opts.get("pattern", "uniform");
+  const std::string name = opts.get("scheduler", "distmcm");
+  opts.exit_on_unread_flags();
+
   if (pattern == "uniform") cfg.pattern = TrafficPattern::kUniform;
   else if (pattern == "diagonal") cfg.pattern = TrafficPattern::kDiagonal;
   else if (pattern == "logdiagonal") cfg.pattern = TrafficPattern::kLogDiagonal;
@@ -32,7 +34,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::string name = opts.get("scheduler", "distmcm");
   std::unique_ptr<Scheduler> scheduler;
   if (name == "pim") scheduler = std::make_unique<PimScheduler>(4, cfg.seed);
   else if (name == "islip") scheduler = std::make_unique<IslipScheduler>(4);

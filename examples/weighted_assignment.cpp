@@ -19,15 +19,16 @@ int main(int argc, char** argv) {
   const long jobs = opts.get_int("jobs", 64);
   const long workers = opts.get_int("workers", 64);
   const long degree = opts.get_int("degree", 6);
+  const double eps = opts.get_double("eps", 0.05);
+  const std::uint64_t seed =
+      static_cast<std::uint64_t>(opts.get_int("seed", 1));
+  opts.exit_on_unread_flags();
   if (jobs < 1 || workers < 1 || degree < 1) {
     std::fprintf(stderr,
                  "weighted_assignment: --jobs, --workers, and --degree "
                  "must all be at least 1\n");
     return 1;
   }
-  const double eps = opts.get_double("eps", 0.05);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 1));
 
   // Each job can run on `degree` random workers with a utility in
   // [1, 100] (say, expected revenue).

@@ -588,9 +588,6 @@ RunResult run_one(const RunSpec& spec) {
   SolverConfig config = SolverConfig::parse(spec.config);
   // A `seed=` entry in the config string wins over the RunSpec default.
   if (!config.seed_was_set()) config.seed(spec.solver_seed);
-  // Likewise `shards=`; 0 means auto in both places, so only a nonzero
-  // config entry can differ from the RunSpec default.
-  if (config.shards() == 0) config.shards(spec.shards);
   // Fault plan: parsed — and rejected — before any solve work, on the
   // same error path as generator and config typos, so the runner's
   // one-line-diagnostic contract holds for fault specs too.
@@ -836,7 +833,6 @@ std::string RunResult::to_json() const {
       .add("instance_seed", spec.instance_seed)
       .add("solver_seed", spec.solver_seed)
       .add("threads", static_cast<std::uint64_t>(spec.threads))
-      .add("shards", static_cast<std::uint64_t>(spec.shards))
       .add("oracle", spec.oracle)
       .add("feed_oracle", spec.feed_oracle)
       .add("n", static_cast<std::uint64_t>(n))
@@ -913,9 +909,6 @@ std::string write_json(const RunResult& result, const std::string& dir,
     if (!result.spec.config.empty()) stem += "__" + result.spec.config;
     if (result.spec.threads != 1) {
       stem += "__t" + std::to_string(result.spec.threads);
-    }
-    if (result.spec.shards != 0) {
-      stem += "__s" + std::to_string(result.spec.shards);
     }
     if (result.spec.oracle != "auto") stem += "__o-" + result.spec.oracle;
     if (result.spec.feed_oracle) stem += "__fed";

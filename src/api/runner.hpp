@@ -42,11 +42,6 @@ struct RunSpec {
   /// Default solver seed; a `seed=` entry in `config` takes precedence.
   std::uint64_t solver_seed = 1;
   unsigned threads = 1;           // 1 = inline; 0 = hardware concurrency
-  /// Round-engine shard count forwarded to the solver: 0 = auto (size
-  /// shards to the detected L2 cache), 1 = single shard, k = at most k.
-  /// A `shards=` entry in `config` takes precedence. Results are
-  /// bit-identical for any value; only locality changes.
-  unsigned shards = 0;
   /// "auto" picks the cheapest exact oracle for the instance shape and
   /// falls back to the certified 2x-greedy upper bound at scale;
   /// "none" skips the comparison; any registry name forces that solver.
@@ -108,8 +103,8 @@ struct RunSpec {
   /// line.
   unsigned monitor_ms = 0;
   /// Stall-watchdog deadline in ms: when no engine round completes for
-  /// this long, dump the progress state + per-shard/per-worker counters
-  /// to stderr. 0 disables the watchdog.
+  /// this long, dump the progress state and the engine's telemetry
+  /// counters to stderr. 0 disables the watchdog.
   unsigned stall_timeout_ms = 0;
   /// After the stall dump, abort the process with
   /// telemetry::kWatchdogExitCode instead of latching and continuing.

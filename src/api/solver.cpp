@@ -59,8 +59,6 @@ SolverConfig& SolverConfig::set(const std::string& key,
                                 const std::string& value) {
   if (key == "seed") {
     seed(static_cast<std::uint64_t>(parse_int_value(key, value)));
-  } else if (key == "shards") {
-    shards(static_cast<unsigned>(parse_int_value(key, value)));
   } else {
     values_[key] = value;
   }
@@ -104,11 +102,11 @@ std::string SolverConfig::to_string() const {
   }
   if (!out.empty()) out += ',';
   out += "seed=" + std::to_string(seed_);
-  if (shards_ != 0) out += ",shards=" + std::to_string(shards_);
   return out;
 }
 
-void MatchingSolver::validate_config(const SolverConfig& config) const {
+void MatchingSolver::validate(const Instance& instance,
+                              const SolverConfig& config) const {
   const std::vector<std::string> known = config_keys();
   for (const auto& [key, value] : config.entries()) {
     if (std::find(known.begin(), known.end(), key) == known.end()) {
@@ -116,11 +114,6 @@ void MatchingSolver::validate_config(const SolverConfig& config) const {
                                   "': unknown config key '" + key + "'");
     }
   }
-}
-
-void MatchingSolver::validate(const Instance& instance,
-                              const SolverConfig& config) const {
-  validate_config(config);
   const Capabilities caps = capabilities();
   if (caps.weighted && !instance.has_weights()) {
     throw std::invalid_argument("solver '" + name() +

@@ -79,21 +79,13 @@ class SolverConfig {
   SolverConfig() = default;
 
   /// Parse a `k1=v1,k2=v2` list (util/options kv grammar); the reserved
-  /// keys `seed` and `shards` set those knobs directly.
+  /// key `seed` sets that knob directly.
   static SolverConfig parse(const std::string& spec);
 
   SolverConfig& set(const std::string& key, const std::string& value);
   SolverConfig& seed(std::uint64_t s) noexcept {
     seed_ = s;
     seed_set_ = true;
-    return *this;
-  }
-  /// Shard count for the round engine: 0 = auto (size to the detected
-  /// L2 cache), 1 = single-shard, k = at most k shards. Universal like
-  /// seed/pool — every engine-backed solver forwards it to
-  /// SyncNetwork::set_shards; results are bit-identical for any value.
-  SolverConfig& shards(unsigned s) noexcept {
-    shards_ = s;
     return *this;
   }
   /// True once the seed was set explicitly (via seed(), set("seed",..),
@@ -112,7 +104,6 @@ class SolverConfig {
   bool get_bool(const std::string& key, bool fallback) const;
 
   std::uint64_t seed() const noexcept { return seed_; }
-  unsigned shards() const noexcept { return shards_; }
   ThreadPool* pool() const noexcept { return pool_; }
   const std::map<std::string, std::string>& entries() const noexcept {
     return values_;
@@ -125,7 +116,6 @@ class SolverConfig {
   std::map<std::string, std::string> values_;
   std::uint64_t seed_ = 1;
   bool seed_set_ = false;
-  unsigned shards_ = 0;  // 0 = auto-size to the L2 cache
   ThreadPool* pool_ = nullptr;
 };
 
@@ -169,12 +159,9 @@ class MatchingSolver {
   virtual double guarantee(const SolverConfig& config) const = 0;
 
   /// Throws std::invalid_argument on config keys this solver does not
-  /// understand. Called by solve(); also usable up front by harnesses
-  /// that do expensive work (oracle runs) before solving.
-  void validate_config(const SolverConfig& config) const;
-
-  /// validate_config plus the instance-shape checks (weights present
-  /// for weighted solvers). Everything solve() rejects, without running.
+  /// understand and on instance shapes it does not accept (weights
+  /// missing, or not bipartite): everything solve() rejects, without
+  /// running, for harnesses that do expensive work before solving.
   void validate(const Instance& instance, const SolverConfig& config) const;
 
   /// Validates config keys and instance shape (weights present for

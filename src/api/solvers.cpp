@@ -113,17 +113,11 @@ double config_eps(const SolverConfig& c, double fallback,
   return eps;
 }
 
-/// True when the config sets a truncating cap to a nonzero value: the
-/// run may stop short of the analysis' budget, so the solver's
-/// approximation guarantee no longer applies and guarantee() must
-/// report 0. Every cap documents 0 as "use the default budget", which
-/// does not truncate.
-bool truncated(const SolverConfig& c,
-               std::initializer_list<const char*> cap_keys) {
-  for (const char* key : cap_keys) {
-    if (c.get_int(key, 0) != 0) return true;
-  }
-  return false;
+/// True when the config sets the truncating cap `cap_key` (0 = the
+/// default budget) nonzero: the run may stop short of the analysis'
+/// budget, so guarantee() must report 0.
+bool truncated(const SolverConfig& c, const char* cap_key) {
+  return c.get_int(cap_key, 0) != 0;
 }
 
 void add(SolverRegistry& reg, std::string name, std::string description,
@@ -147,14 +141,13 @@ void register_core(SolverRegistry& reg) {
         // Under injected faults maximality is best-effort (resync may
         // exhaust its budget), so the 1/2 guarantee no longer applies.
         if (!c.get("faults", "").empty()) return 0.0;
-        return truncated(c, {"max_phases"}) ? 0.0 : 0.5;
+        return truncated(c, "max_phases") ? 0.0 : 0.5;
       },
       [](const Instance& inst, const SolverConfig& cfg) {
         IsraeliItaiOptions o;
         o.seed = cfg.seed();
         o.max_phases = static_cast<std::uint64_t>(cfg.get_int("max_phases", 0));
         o.pool = cfg.pool();
-        o.shards = cfg.shards();
         o.faults = cfg.get("faults", "");
         auto res = israeli_itai(inst.graph(), o);
         SolveResult out =
@@ -167,7 +160,7 @@ void register_core(SolverRegistry& reg) {
       "Algorithm 1 (Theorem 3.1): generic (1-eps)-MCM in the LOCAL "
       "model, O(eps^-3 log n) rounds w.h.p.",
       {.bipartite = true, .general = true, .distributed = true},
-      {"eps", "max_conflict_nodes", "use_abi_mis", "check_invariants"},
+      {"eps", "use_abi_mis", "check_invariants"},
       [](const SolverConfig& c) {
         const double eps = config_eps(c, 0.34, /*inclusive_one=*/true);
         const int k = static_cast<int>(std::ceil(1.0 / eps));
@@ -177,12 +170,9 @@ void register_core(SolverRegistry& reg) {
         GenericMcmOptions o;
         o.eps = config_eps(cfg, 0.34, /*inclusive_one=*/true);
         o.seed = cfg.seed();
-        o.max_conflict_nodes = static_cast<std::size_t>(
-            cfg.get_int("max_conflict_nodes", 4 << 20));
         o.use_abi_mis = cfg.get_bool("use_abi_mis", false);
         o.check_invariants = cfg.get_bool("check_invariants", false);
         o.pool = cfg.pool();
-        o.shards = cfg.shards();
         auto res = generic_mcm(inst.graph(), o);
         SolveResult out = make_result(std::move(res.matching), res.stats);
         out.metrics["phases"] = static_cast<double>(res.phases.size());
@@ -196,20 +186,14 @@ void register_core(SolverRegistry& reg) {
       "Section 3.2 CONGEST engine (Theorem 3.8): (1-1/(k+1))-MCM for "
       "bipartite graphs with O(log Delta)-bit messages",
       {.bipartite = true, .distributed = true},
-      {"k", "max_iterations_per_phase"},
-      [](const SolverConfig& c) {
-        if (truncated(c, {"max_iterations_per_phase"})) return 0.0;
-        return 1.0 - 1.0 / (config_k(c) + 1);
-      },
+      {"k"},
+      [](const SolverConfig& c) { return 1.0 - 1.0 / (config_k(c) + 1); },
       [](const Instance& inst, const SolverConfig& cfg) {
         const auto side = require_side(inst, "bipartite_mcm");
         BipartiteMcmOptions o;
         o.k = config_k(cfg);
         o.seed = cfg.seed();
-        o.max_iterations_per_phase = static_cast<std::uint64_t>(
-            cfg.get_int("max_iterations_per_phase", 0));
         o.pool = cfg.pool();
-        o.shards = cfg.shards();
         auto res = bipartite_mcm(inst.graph(), side, o);
         SolveResult out =
             make_result(std::move(res.matching), res.stats, res.converged);
@@ -230,14 +214,12 @@ void register_core(SolverRegistry& reg) {
       "repeated random bipartition",
       {.bipartite = true, .general = true, .distributed = true},
       {"k", "mode", "max_iterations", "empty_streak_stop",
-       "oracle_optimum_size", "max_aug_iterations"},
+       "oracle_optimum_size"},
       // empty_streak_stop is not listed: it tunes the adaptive
       // heuristic (default 2^{2k+1}) rather than capping the paper
       // budget, so it leaves the stated guarantee unchanged.
       [](const SolverConfig& c) {
-        if (truncated(c, {"max_iterations", "max_aug_iterations"})) {
-          return 0.0;
-        }
+        if (truncated(c, "max_iterations")) return 0.0;
         return 1.0 - 1.0 / config_k(c);
       },
       [](const Instance& inst, const SolverConfig& cfg) {
@@ -259,10 +241,7 @@ void register_core(SolverRegistry& reg) {
             static_cast<std::uint64_t>(cfg.get_int("empty_streak_stop", 0));
         o.oracle_optimum_size =
             static_cast<std::size_t>(cfg.get_int("oracle_optimum_size", 0));
-        o.max_aug_iterations =
-            static_cast<std::uint64_t>(cfg.get_int("max_aug_iterations", 0));
         o.pool = cfg.pool();
-        o.shards = cfg.shards();
         auto res = general_mcm(inst.graph(), o);
         // Converged = the adaptive exit fired or the full analysis
         // budget ran; an explicit max_iterations below the paper
@@ -282,16 +261,9 @@ void register_core(SolverRegistry& reg) {
       "reference [11])",
       {.bipartite = true, .general = true, .weighted = true,
        .distributed = true},
-      {"max_rounds"},
-      [](const SolverConfig& c) {
-        return truncated(c, {"max_rounds"}) ? 0.0 : 0.5;
-      },
+      {}, [](const SolverConfig&) { return 0.5; },
       [](const Instance& inst, const SolverConfig& cfg) {
-        HoepmanOptions o;
-        o.max_rounds = static_cast<std::uint64_t>(cfg.get_int("max_rounds", 0));
-        o.pool = cfg.pool();
-        o.shards = cfg.shards();
-        auto res = hoepman_mwm(inst.weighted_graph(), o);
+        auto res = hoepman_mwm(inst.weighted_graph(), {.pool = cfg.pool()});
         return make_result(std::move(res.matching), res.stats, res.converged);
       });
 
@@ -310,7 +282,6 @@ void register_core(SolverRegistry& reg) {
         o.max_phases_per_class = static_cast<std::uint64_t>(
             cfg.get_int("max_phases_per_class", 0));
         o.pool = cfg.pool();
-        o.shards = cfg.shards();
         auto res = class_mwm(inst.weighted_graph(), o);
         SolveResult out =
             make_result(std::move(res.matching), res.stats, res.converged);
@@ -326,7 +297,7 @@ void register_core(SolverRegistry& reg) {
       {"eps", "delta", "black_box", "max_iterations"},
       // eps >= 1/2 still runs but states no guarantee (0 by contract).
       [](const SolverConfig& c) {
-        if (truncated(c, {"max_iterations"})) return 0.0;
+        if (truncated(c, "max_iterations")) return 0.0;
         return std::max(0.0, 0.5 - config_eps(c, 0.1));
       },
       [](const Instance& inst, const SolverConfig& cfg) {
@@ -336,7 +307,7 @@ void register_core(SolverRegistry& reg) {
         o.seed = cfg.seed();
         const std::string box = cfg.get("black_box", "class");
         if (box == "class") {
-          o.black_box = class_mwm_black_box(cfg.pool(), cfg.shards());
+          o.black_box = class_mwm_black_box(cfg.pool());
         } else if (box == "greedy") {
           o.black_box = greedy_black_box();
         } else {
@@ -346,7 +317,6 @@ void register_core(SolverRegistry& reg) {
         o.max_iterations =
             static_cast<std::uint64_t>(cfg.get_int("max_iterations", 0));
         o.pool = cfg.pool();
-        o.shards = cfg.shards();
         auto res = weighted_mwm(inst.weighted_graph(), o);
         // Lemma 4.3's iteration budget; an explicit cap below it makes
         // the run truncated, not converged.
@@ -384,9 +354,7 @@ void register_core(SolverRegistry& reg) {
         for (NodeId v = 0; v < g.num_nodes(); ++v) {
           values[v] = BigCounter(g.degree(v));
         }
-        auto res =
-            pipelined_max(g, root, values, chunk_bits, cfg.pool(),
-                          cfg.shards());
+        auto res = pipelined_max(g, root, values, chunk_bits, cfg.pool());
         SolveResult out = make_result(Matching(g.num_nodes()), res.stats);
         out.metrics["maximum"] = res.maximum.to_double();
         out.metrics["tree_depth"] = static_cast<double>(res.tree_depth);

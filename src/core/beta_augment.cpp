@@ -158,8 +158,7 @@ LocalMwmResult local_mwm(const WeightedGraph& wg,
     // information available inside those balls — an augmentation of
     // length <= L is contained in the ball of any of its vertices).
     const BallViews views =
-        collect_balls(g, result.matching, 2 * walk_cap, opts.pool,
-                      opts.shards);
+        collect_balls(g, result.matching, 2 * walk_cap, opts.pool);
     result.stats.merge(views.stats);
 
     const std::vector<BetaAugmentation> augs = enumerate_beta_augmentations(

@@ -53,9 +53,6 @@ struct LocalMwmOptions {
   std::uint64_t max_phases = 0;  // 0 = auto (n + 16; each phase improves)
   std::size_t max_augmentations = 1u << 20;
   ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto, 1 = single shard); forwarded
-  /// to every SyncNetwork this solver runs. Bit-identical for any value.
-  unsigned shards = 0;
 };
 
 struct LocalMwmResult {

@@ -51,9 +51,9 @@ CountingResult count_augmenting_paths(const Graph& g,
                                       const std::vector<std::uint8_t>& side,
                                       const Matching& m, int max_len,
                                       const std::vector<char>& active_edges,
-                                      ThreadPool* pool, unsigned shards) {
+                                      ThreadPool* pool) {
   CountingResult out;
-  count_augmenting_paths(g, side, m, max_len, active_edges, out, pool, shards);
+  count_augmenting_paths(g, side, m, max_len, active_edges, out, pool);
   return out;
 }
 
@@ -61,22 +61,21 @@ void count_augmenting_paths(const Graph& g,
                             const std::vector<std::uint8_t>& side,
                             const Matching& m, int max_len,
                             const std::vector<char>& active_edges,
-                            CountingResult& out, ThreadPool* pool,
-                            unsigned shards) {
+                            CountingResult& out, ThreadPool* pool) {
   const MaskedSubgraph h(g, side, active_edges);
   // This entry point holds no list of free nodes across calls.
   std::vector<NodeId> free;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (side[v] == 0 && m.is_free(v)) free.push_back(v);
   }
-  count_augmenting_paths(g, h, m, max_len, free, out, pool, shards);
+  count_augmenting_paths(g, h, m, max_len, free, out, pool);
 }
 
 template <typename Subgraph>
 void count_augmenting_paths(const Graph& g, const Subgraph& h,
                             const Matching& m, int max_len,
                             std::vector<NodeId>& free, CountingResult& out,
-                            ThreadPool* pool, unsigned shards) {
+                            ThreadPool* pool) {
   const NodeId n = g.num_nodes();
   const GraphStore& s = g.store();
   if (max_len < 1 || max_len % 2 == 0) {
@@ -107,7 +106,6 @@ void count_augmenting_paths(const Graph& g, const Subgraph& h,
     net->reset(/*seed=*/0);
   }
   net->set_thread_pool(pool);
-  net->set_shards(shards);
 
   // The BFS is message-driven: round 0 steps only the sources (the free
   // X nodes, taken from `free`, which sheds the nodes matched since) and
@@ -212,10 +210,10 @@ void count_augmenting_paths(const Graph& g, const Subgraph& h,
 
 template void count_augmenting_paths<MaskedSubgraph>(
     const Graph&, const MaskedSubgraph&, const Matching&, int,
-    std::vector<NodeId>&, CountingResult&, ThreadPool*, unsigned);
+    std::vector<NodeId>&, CountingResult&, ThreadPool*);
 template void count_augmenting_paths<BichromaticSubgraph>(
     const Graph&, const BichromaticSubgraph&, const Matching&, int,
-    std::vector<NodeId>&, CountingResult&, ThreadPool*, unsigned);
+    std::vector<NodeId>&, CountingResult&, ThreadPool*);
 
 namespace {
 

@@ -166,8 +166,7 @@ CountingResult count_augmenting_paths(const Graph& g,
                                       const std::vector<std::uint8_t>& side,
                                       const Matching& m, int max_len,
                                       const std::vector<char>& active_edges,
-                                      ThreadPool* pool = nullptr,
-                                      unsigned shards = 0);
+                                      ThreadPool* pool = nullptr);
 
 /// The same pass into a caller-held result, for solves that run many
 /// passes. A result last used on `g` keeps its per-node columns and its
@@ -180,8 +179,7 @@ void count_augmenting_paths(const Graph& g,
                             const std::vector<std::uint8_t>& side,
                             const Matching& m, int max_len,
                             const std::vector<char>& active_edges,
-                            CountingResult& out, ThreadPool* pool = nullptr,
-                            unsigned shards = 0);
+                            CountingResult& out, ThreadPool* pool = nullptr);
 
 /// The pass both forms above run, over Ĝ given as masks or as Algorithm
 /// 4's on-demand view. `free` must list every free node of `m` on side X
@@ -193,7 +191,7 @@ template <typename Subgraph>
 void count_augmenting_paths(const Graph& g, const Subgraph& h,
                             const Matching& m, int max_len,
                             std::vector<NodeId>& free, CountingResult& out,
-                            ThreadPool* pool = nullptr, unsigned shards = 0);
+                            ThreadPool* pool = nullptr);
 
 /// Brute-force oracle: the number of augmenting paths of length exactly
 /// `len` w.r.t. m ending at free Y node `y`, restricted to active edges.

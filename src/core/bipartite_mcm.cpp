@@ -109,8 +109,7 @@ AugResult aug_loop(const Graph& g, const Subgraph& h, Matching& m,
 
   for (std::uint64_t iter = 0; iter < max_iterations; ++iter) {
     // --- Phase 1: Algorithm 3 counting. ---
-    count_augmenting_paths(g, h, m, l, free, scratch.counting, opts.pool,
-                           opts.shards);
+    count_augmenting_paths(g, h, m, l, free, scratch.counting, opts.pool);
     result.stats.merge(counting.stats);
     ++result.iterations;
 
@@ -133,7 +132,6 @@ AugResult aug_loop(const Graph& g, const Subgraph& h, Matching& m,
     }
     net->reset(splitmix64(opts.seed ^ (iter * 0x9e3779b97f4a7c15ULL)));
     net->set_thread_pool(opts.pool);
-    net->set_shards(opts.shards);
 
     // Active-set contract: depth-d nodes act spontaneously only at token
     // round l - d, so the driver loop below activates each depth cohort
@@ -332,9 +330,7 @@ BipartiteMcmResult bipartite_mcm(const Graph& g,
   for (int l = 1; l <= 2 * opts.k - 1; l += 2) {
     AugOptions aug_opts;
     aug_opts.seed = splitmix64(opts.seed ^ (0xb1ca00 + l));
-    aug_opts.max_iterations = opts.max_iterations_per_phase;
     aug_opts.pool = opts.pool;
-    aug_opts.shards = opts.shards;
     AugResult aug =
         bipartite_aug(g, side, result.matching, l, {}, aug_opts, scratch);
     result.stats.merge(aug.stats);

@@ -42,9 +42,6 @@ struct AugOptions {
   /// graph size bound n * Delta^{(l+1)/2}).
   std::uint64_t max_iterations = 0;
   ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto, 1 = single shard); forwarded
-  /// to every SyncNetwork this solver runs. Bit-identical for any value.
-  unsigned shards = 0;
 };
 
 struct AugResult {
@@ -109,11 +106,7 @@ AugResult bipartite_aug(const Graph& g, const BichromaticSubgraph& h,
 struct BipartiteMcmOptions {
   int k = 3;  // target ratio 1 - 1/(k+1); paper states 1 - 1/k via l=2k-1
   std::uint64_t seed = 1;
-  std::uint64_t max_iterations_per_phase = 0;
   ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto, 1 = single shard); forwarded
-  /// to every SyncNetwork this solver runs. Bit-identical for any value.
-  unsigned shards = 0;
 };
 
 struct BipartitePhaseInfo {

@@ -95,7 +95,7 @@ ClassMwmResult class_mwm(const Graph& g, std::span<const double> w,
   // round count of the simultaneous run is the max over classes). The
   // simulation runs them one after another on one network; class c's
   // matching is matched[matched_start[c], matched_start[c + 1]).
-  IsraeliItaiClassRuns runs(g, edge_class, degree, opts.pool, opts.shards);
+  IsraeliItaiClassRuns runs(g, edge_class, degree, opts.pool);
   std::vector<EdgeId> matched;
   std::vector<std::size_t> matched_start(num_classes + 1, 0);
   std::uint64_t parallel_rounds = 0;

@@ -36,9 +36,6 @@ struct ClassMwmOptions {
   double class_base = 2.0;  // geometric class growth factor (> 1)
   std::uint64_t max_phases_per_class = 0;  // Israeli–Itai cap; 0 = auto
   ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto, 1 = single shard); forwarded
-  /// to every SyncNetwork this solver runs. Bit-identical for any value.
-  unsigned shards = 0;
 };
 
 struct ClassMwmResult {

@@ -68,9 +68,7 @@ GeneralMcmResult general_mcm(const Graph& g, const GeneralMcmOptions& opts) {
     // Line 5-6: P <- Aug(Ĝ, M, 2k-1); M <- M ⊕ P. Side 0 = red.
     AugOptions aug_opts;
     aug_opts.seed = splitmix64(opts.seed ^ (iter * 0xc2b2ae3d27d4eb4fULL));
-    aug_opts.max_iterations = opts.max_aug_iterations;
     aug_opts.pool = opts.pool;
-    aug_opts.shards = opts.shards;
     AugResult aug =
         bipartite_aug(g, h, result.matching, l, free, aug_opts, scratch);
     result.stats.merge(aug.stats);

@@ -38,11 +38,7 @@ struct GeneralMcmOptions {
   /// Adaptive: optimum size for early exit once |M| >= (1-1/k)|M*|.
   std::size_t oracle_optimum_size = 0;
 
-  std::uint64_t max_aug_iterations = 0;
   ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto, 1 = single shard); forwarded
-  /// to every SyncNetwork this solver runs. Bit-identical for any value.
-  unsigned shards = 0;
 };
 
 struct GeneralMcmResult {

@@ -23,12 +23,13 @@ GenericMcmResult generic_mcm(const Graph& g, const GenericMcmOptions& opts) {
 
   for (int l = 1; l <= 2 * k - 1; l += 2) {
     // Step 4 (Algorithm 2): gather radius-2l views.
-    BallViews views = collect_balls(g, result.matching, 2 * l, opts.pool, opts.shards);
+    BallViews views = collect_balls(g, result.matching, 2 * l, opts.pool);
     result.stats.merge(views.stats);
 
-    // Conflict graph C_M(l) from the per-leader enumerations.
+    // Conflict graph C_M(l) from the per-leader enumerations; past 4 *
+    // 2^20 augmenting paths the phase aborts (the enumeration's guard).
     ConflictGraphResult cg = build_conflict_graph(
-        g, result.matching, views, l, opts.max_conflict_nodes);
+        g, result.matching, views, l, std::size_t{4} << 20);
 
     GenericPhaseInfo info;
     info.l = l;
@@ -41,7 +42,6 @@ GenericMcmResult generic_mcm(const Graph& g, const GenericMcmOptions& opts) {
       MisOptions mis_opts;
       mis_opts.seed = splitmix64(opts.seed ^ (0x9e37u + l));
       mis_opts.pool = opts.pool;
-      mis_opts.shards = opts.shards;
       MisResult mis = opts.use_abi_mis ? abi_mis(cg.conflict, mis_opts)
                                        : luby_mis(cg.conflict, mis_opts);
       if (!mis.converged) {

@@ -27,15 +27,10 @@ namespace lps {
 struct GenericMcmOptions {
   double eps = 0.34;  // k = ceil(1/eps); eps = 0.34 -> k = 3, l up to 5
   std::uint64_t seed = 1;
-  /// Abort if the number of enumerated augmenting paths exceeds this.
-  std::size_t max_conflict_nodes = 4u << 20;
   /// Step 5's MIS subroutine: Luby [20] (default) or Alon–Babai–Itai
   /// [1] — the two options the paper's Lemma 3.3 proof names.
   bool use_abi_mis = false;
   ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto, 1 = single shard); forwarded
-  /// to every SyncNetwork this solver runs. Bit-identical for any value.
-  unsigned shards = 0;
   /// If true, assert the Lemma 3.4 invariant after every phase using the
   /// exact bounded-path oracle (test mode; exponential in l).
   bool check_invariants = false;

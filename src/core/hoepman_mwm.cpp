@@ -42,7 +42,6 @@ HoepmanResult hoepman_mwm(const WeightedGraph& wg,
 
   HoepNet net(g, /*seed=*/0, HoepBits{});
   net.set_thread_pool(opts.pool);
-  net.set_shards(opts.shards);
 
   // Active-set contract: a free node pointing at a live target re-issues
   // its request every round, so it keeps itself alive; a node whose
@@ -107,8 +106,7 @@ HoepmanResult hoepman_mwm(const WeightedGraph& wg,
     ctx.keep_active();
   };
 
-  const std::uint64_t max_rounds =
-      opts.max_rounds != 0 ? opts.max_rounds : 4ull * n + 16;
+  const std::uint64_t max_rounds = 4ull * n + 16;
   HoepmanResult result;
   const std::uint64_t used = net.run(max_rounds, /*stop_when_silent=*/true,
                                      step);

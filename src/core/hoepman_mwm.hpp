@@ -24,17 +24,13 @@
 namespace lps {
 
 struct HoepmanOptions {
-  /// Round cap; 0 = 4n + 16.
-  std::uint64_t max_rounds = 0;
   ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto, 1 = single shard); forwarded
-  /// to every SyncNetwork this solver runs. Bit-identical for any value.
-  unsigned shards = 0;
 };
 
 struct HoepmanResult {
   Matching matching;
   NetStats stats;
+  /// False when the 4n + 16 round budget ran out mid-protocol.
   bool converged = false;
 };
 

@@ -36,7 +36,7 @@ class IsraeliItaiProtocol {
   /// g's degrees (announcements count over all of g).
   IsraeliItaiProtocol(const Graph& g, std::span<const std::uint32_t> edge_class,
                       std::span<const NodeId> degree, std::uint64_t seed,
-                      ThreadPool* pool, unsigned shards)
+                      ThreadPool* pool)
       : g_(g),
         offsets_(g.store().offsets),
         edge_class_(edge_class),
@@ -49,7 +49,6 @@ class IsraeliItaiProtocol {
         net_(g, seed, Bits{}),
         rev_slot_(g.store().rev_slot()) {
     net_.set_thread_pool(pool);
-    net_.set_shards(shards);
   }
 
   void step_all_nodes(bool on) { net_.step_all_nodes(on); }
@@ -112,12 +111,13 @@ class IsraeliItaiProtocol {
   /// refreshing the free-flags in both directions around the freed
   /// region, and waking exactly that neighborhood for a short burst of
   /// extra phases: local repair, not a restart. Faults stay live during
-  /// the burst, so sweep until agreement or the budget runs out. Returns
-  /// the sweeps that found a disagreement.
-  std::uint32_t resync(std::uint32_t max_resyncs) {
+  /// the burst, so sweep until agreement or 8 sweeps ran. Returns the
+  /// sweeps that found a disagreement.
+  std::uint32_t resync() {
+    constexpr std::uint32_t kSweeps = 8;
     const NodeId n = g_.num_nodes();
     std::uint32_t resyncs = 0;
-    for (std::uint32_t sweep = 0; sweep < max_resyncs; ++sweep) {
+    for (std::uint32_t sweep = 0; sweep < kSweeps; ++sweep) {
       std::vector<NodeId> perturbed;
       for (NodeId v = 0; v < n; ++v) {
         const EdgeId e = matched_edge_[v];
@@ -401,8 +401,7 @@ DistMatchingResult israeli_itai(const Graph& g,
       if (opts.active_edges[e]) active.push_back(e);
     }
   }
-  detail::IsraeliItaiProtocol ii(g, edge_class, {}, opts.seed, opts.pool,
-                                 opts.shards);
+  detail::IsraeliItaiProtocol ii(g, edge_class, {}, opts.seed, opts.pool);
   ii.step_all_nodes(opts.step_all_nodes);
   const std::unique_ptr<faults::MessageFaultInjector> injector =
       faults::make_message_injector(opts.faults, opts.seed);
@@ -414,7 +413,7 @@ DistMatchingResult israeli_itai(const Graph& g,
   out.converged = ii.run(opts.max_phases != 0
                              ? opts.max_phases
                              : israeli_itai_default_max_phases(n));
-  if (injector != nullptr) out.resyncs = ii.resync(opts.max_resyncs);
+  if (injector != nullptr) out.resyncs = ii.resync();
   out.stats = ii.stats();
   std::vector<EdgeId> ids;
   for (NodeId v = 0; v < n; ++v) {
@@ -427,13 +426,13 @@ DistMatchingResult israeli_itai(const Graph& g,
 
 IsraeliItaiClassRuns::IsraeliItaiClassRuns(
     const Graph& g, std::span<const std::uint32_t> edge_class,
-    std::span<const NodeId> degree, ThreadPool* pool, unsigned shards) {
+    std::span<const NodeId> degree, ThreadPool* pool) {
   if (edge_class.size() != g.num_edges() || degree.size() != g.num_nodes()) {
     throw std::invalid_argument(
         "IsraeliItaiClassRuns: one class per edge and one degree per node");
   }
   protocol_ = std::make_unique<detail::IsraeliItaiProtocol>(
-      g, edge_class, degree, /*seed=*/0, pool, shards);
+      g, edge_class, degree, /*seed=*/0, pool);
 }
 
 IsraeliItaiClassRuns::~IsraeliItaiClassRuns() = default;

@@ -69,9 +69,6 @@ struct IsraeliItaiOptions {
   /// count as already matched).
   std::optional<Matching> initial;
   ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto-size to the L2 cache, 1 =
-  /// single shard). Bit-identical results for any value.
-  unsigned shards = 0;
   /// Step every node every round instead of the active set (costs O(n)
   /// per round instead of O(free nodes + traffic)). Exposed for the
   /// equivalence test: fault-free the execution is the same bit for bit.
@@ -86,11 +83,10 @@ struct IsraeliItaiOptions {
   /// dropped accept leaves an acceptor matched to a proposer that never
   /// learned of it) by freeing the disagreeing vertices, re-opening
   /// exactly their neighborhoods, and running more phases — never by
-  /// restarting. The returned matching is valid under any fault rate;
-  /// maximality is best-effort once messages can be lost.
-  std::string faults;
-  /// Cap on resync sweeps (each sweep: reconcile + a burst of phases).
-  std::uint32_t max_resyncs = 8;
+  /// restarting, and at most 8 times. The returned matching is valid
+  /// under any fault rate; maximality is best-effort once messages can
+  /// be lost.
+  std::string faults{};
 };
 
 struct DistMatchingResult {
@@ -134,7 +130,7 @@ class IsraeliItaiClassRuns {
   IsraeliItaiClassRuns(const Graph& g,
                        std::span<const std::uint32_t> edge_class,
                        std::span<const NodeId> degree,
-                       ThreadPool* pool = nullptr, unsigned shards = 0);
+                       ThreadPool* pool = nullptr);
   ~IsraeliItaiClassRuns();
   IsraeliItaiClassRuns(const IsraeliItaiClassRuns&) = delete;
   IsraeliItaiClassRuns& operator=(const IsraeliItaiClassRuns&) = delete;

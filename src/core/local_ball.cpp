@@ -26,7 +26,7 @@ using GossipNet = SyncNetwork<GossipMessage, GossipBits>;
 }  // namespace
 
 BallViews collect_balls(const Graph& g, const Matching& m, int radius,
-                        ThreadPool* pool, unsigned shards) {
+                        ThreadPool* pool) {
   const NodeId n = g.num_nodes();
   std::uint64_t id_bits = 1;
   while ((std::uint64_t{1} << id_bits) < n) ++id_bits;
@@ -53,7 +53,6 @@ BallViews collect_balls(const Graph& g, const Matching& m, int radius,
 
   GossipNet net(g, /*seed=*/0, GossipBits{id_bits});
   net.set_thread_pool(pool);
-  net.set_shards(shards);
 
   // Purely message-driven after the round-0 seed flood (a node with no
   // arrivals has nothing fresh to forward), so the active-set default —

@@ -32,6 +32,6 @@ struct BallViews {
 };
 
 BallViews collect_balls(const Graph& g, const Matching& m, int radius,
-                        ThreadPool* pool = nullptr, unsigned shards = 0);
+                        ThreadPool* pool = nullptr);
 
 }  // namespace lps

@@ -43,16 +43,16 @@ bool any_live_node(const std::vector<NodeState>& state) {
 /// larger-id member of every adjacent kIn pair, then recompute kOut iff
 /// dominated by a surviving kIn — wakes the live region, and re-runs
 /// protocol phases via `run_burst`. Faults stay live during bursts, so
-/// sweeps repeat up to `max_resyncs`; a final enforcement pass makes
+/// sweeps repeat up to 8 times; a final enforcement pass makes
 /// independence unconditional even on an exhausted budget (maximality
 /// is then best-effort). Returns the number of corrective sweeps.
 template <typename Net, typename RunBurst>
 std::uint32_t mis_resync(const Graph& g, std::vector<NodeState>& state,
-                         Net& net, std::uint32_t max_resyncs,
-                         RunBurst&& run_burst) {
+                         Net& net, RunBurst&& run_burst) {
+  constexpr std::uint32_t kSweeps = 8;
   const NodeId n = g.num_nodes();
   std::uint32_t resyncs = 0;
-  for (std::uint32_t sweep = 0; sweep < max_resyncs; ++sweep) {
+  for (std::uint32_t sweep = 0; sweep < kSweeps; ++sweep) {
     bool changed = false;
     for (const Edge& e : g.edges()) {
       if (state[e.u] == NodeState::kIn && state[e.v] == NodeState::kIn) {
@@ -115,7 +115,6 @@ MisResult luby_mis(const Graph& g, const MisOptions& opts) {
 
   MisNet net(g, opts.seed, MisBits{});
   net.set_thread_pool(opts.pool);
-  net.set_shards(opts.shards);
   const std::unique_ptr<faults::MessageFaultInjector> injector =
       faults::make_message_injector(opts.faults, opts.seed);
   if (injector != nullptr) net.set_message_faults(injector.get());
@@ -172,7 +171,7 @@ MisResult luby_mis(const Graph& g, const MisOptions& opts) {
     }
   }
   if (injector != nullptr) {
-    out.resyncs = mis_resync(g, state, net, opts.max_resyncs, [&] {
+    out.resyncs = mis_resync(g, state, net, [&] {
       for (std::uint64_t phase = 0; phase < 8; ++phase) {
         net.run_round(step);
         net.run_round(step);
@@ -216,7 +215,6 @@ MisResult abi_mis(const Graph& g, const MisOptions& opts) {
 
   AbiNet net(g, opts.seed, AbiBits{});
   net.set_thread_pool(opts.pool);
-  net.set_shards(opts.shards);
   const std::unique_ptr<faults::MessageFaultInjector> injector =
       faults::make_message_injector(opts.faults, opts.seed);
   if (injector != nullptr) net.set_message_faults(injector.get());
@@ -296,7 +294,7 @@ MisResult abi_mis(const Graph& g, const MisOptions& opts) {
     // live_degree may be stale after reconciliation (dropped kDead
     // notices); it only biases marking probabilities and tie-breaks, so
     // the re-run stays correct, just possibly slower.
-    out.resyncs = mis_resync(g, state, net, opts.max_resyncs, [&] {
+    out.resyncs = mis_resync(g, state, net, [&] {
       for (std::uint64_t phase = 0; phase < 8; ++phase) {
         net.run_round(step);
         net.run_round(step);

@@ -26,20 +26,15 @@ struct MisOptions {
   /// Cap on phases; 0 picks 40 + 12*ceil(log2(n+1)).
   std::uint64_t max_phases = 0;
   ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto, 1 = single shard); forwarded
-  /// to every SyncNetwork this solver runs. Bit-identical for any value.
-  unsigned shards = 0;
   /// Fault-injection spec ("" = fault-free): preset name or explicit
   /// `name:key=value,...` plan (src/faults), applied at the engine's
   /// channel exchange. After the round budget a resync loop restores a
   /// consistent state (message loss can admit two adjacent winners, or
   /// eliminate a node whose eliminator was itself demoted), re-opens
-  /// the live region, and runs more phases. The returned set is
-  /// independent under any fault rate; maximality is best-effort once
-  /// messages can be lost.
-  std::string faults;
-  /// Cap on resync sweeps (each: reconcile + a burst of phases).
-  std::uint32_t max_resyncs = 8;
+  /// the live region, and runs more phases, at most 8 times. The
+  /// returned set is independent under any fault rate; maximality is
+  /// best-effort once messages can be lost.
+  std::string faults{};
 };
 
 struct MisResult {

@@ -25,7 +25,7 @@ using ChunkNet = SyncNetwork<ChunkMsg, ChunkBits>;
 PipelinedMaxResult pipelined_max(
     const Graph& g, NodeId root,
     const std::vector<std::optional<BigCounter>>& values, int chunk_bits,
-    ThreadPool* pool, unsigned shards) {
+    ThreadPool* pool) {
   const NodeId n = g.num_nodes();
   if (chunk_bits < 1 || chunk_bits > 32) {
     throw std::invalid_argument("pipelined_max: chunk_bits out of range");
@@ -101,7 +101,6 @@ PipelinedMaxResult pipelined_max(
 
   ChunkNet net(g, 0, ChunkBits{static_cast<std::uint64_t>(chunk_bits)});
   net.set_thread_pool(pool);
-  net.set_shards(shards);
 
   // Node at depth d emits chunk i at round (tree_depth - d) + i.
   //

@@ -40,7 +40,6 @@ struct PipelinedMaxResult {
 PipelinedMaxResult pipelined_max(const Graph& g, NodeId root,
                                  const std::vector<std::optional<BigCounter>>& values,
                                  int chunk_bits,
-                                 ThreadPool* pool = nullptr,
-                                 unsigned shards = 0);
+                                 ThreadPool* pool = nullptr);
 
 }  // namespace lps

@@ -15,13 +15,12 @@
 
 namespace lps {
 
-MwmBlackBox class_mwm_black_box(ThreadPool* pool, unsigned shards) {
-  return [pool, shards](const Graph& g, std::span<const double> gains,
-                        std::uint64_t seed, NetStats* stats) {
+MwmBlackBox class_mwm_black_box(ThreadPool* pool) {
+  return [pool](const Graph& g, std::span<const double> gains,
+                std::uint64_t seed, NetStats* stats) {
     ClassMwmOptions opts;
     opts.seed = seed;
     opts.pool = pool;
-    opts.shards = shards;
     ClassMwmResult res = class_mwm(g, gains, opts);
     if (stats != nullptr) stats->merge(res.stats);
     return std::move(res.matching);
@@ -64,8 +63,7 @@ WeightedMwmResult weighted_mwm(const WeightedGraph& wg,
   }
   const Graph& g = wg.graph;
   const MwmBlackBox black_box =
-      opts.black_box ? opts.black_box
-                     : class_mwm_black_box(opts.pool, opts.shards);
+      opts.black_box ? opts.black_box : class_mwm_black_box(opts.pool);
   const std::uint64_t iterations =
       opts.max_iterations != 0
           ? opts.max_iterations

@@ -33,8 +33,7 @@ using MwmBlackBox = std::function<Matching(
     NetStats* stats)>;
 
 /// The default black box: class_mwm (distributed, constant delta).
-MwmBlackBox class_mwm_black_box(ThreadPool* pool = nullptr,
-                                unsigned shards = 0);
+MwmBlackBox class_mwm_black_box(ThreadPool* pool = nullptr);
 
 /// A sequential greedy black box (delta = 1/2, zero rounds): greedy_mwm
 /// on G′ (heaviest positive-gain edge first, ties by edge id). Used by
@@ -48,9 +47,6 @@ struct WeightedMwmOptions {
   MwmBlackBox black_box;              // empty = class_mwm_black_box()
   std::uint64_t max_iterations = 0;   // 0 = ceil(3/(2 delta) ln(2/eps))
   ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto, 1 = single shard); forwarded
-  /// to every SyncNetwork this solver runs. Bit-identical for any value.
-  unsigned shards = 0;
 };
 
 struct WeightedMwmResult {

@@ -108,8 +108,6 @@ class DynamicMatcher {
   /// maintainers schedule periodic work here).
   virtual void after_update() {}
 
-  DynamicGraph& mutable_graph() noexcept { return g_; }
-
   /// Counted mutations (stats_.recourse tracks each flip).
   void match(EdgeId e);
   void unmatch(EdgeId e);

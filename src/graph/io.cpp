@@ -88,10 +88,21 @@ ParsedGraph read_edge_list(std::istream& is) {
   // the edges actually read.
   edges.reserve(std::min<std::uint64_t>(m, std::uint64_t{1} << 20));
   for (std::uint64_t i = 0; i < m; ++i) {
-    std::uint64_t u = 0, v = 0;
-    if (!(is >> u >> v)) {
-      throw std::invalid_argument("read_edge_list: truncated edge list");
+    // Ids are read as tokens and parsed whole, like the header: a sign,
+    // a hex prefix or a fraction is named, never wrapped or truncated.
+    std::uint64_t ids[2] = {0, 0};
+    for (std::uint64_t& id : ids) {
+      std::string t;
+      if (!(is >> t)) {
+        throw std::invalid_argument("read_edge_list: truncated edge list");
+      }
+      if (!parse_whole(t, id)) {
+        throw std::invalid_argument("read_edge_list: edge " +
+                                    std::to_string(i) + "'s endpoint '" + t +
+                                    "' is not a vertex id");
+      }
     }
+    const auto [u, v] = ids;
     if (u >= n || v >= n) {
       throw std::invalid_argument(
           "read_edge_list: edge " + std::to_string(i) + " (" +

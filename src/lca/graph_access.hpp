@@ -51,7 +51,6 @@ class GraphAccess {
   }
 
   std::uint64_t probes() const noexcept { return probes_; }
-  void reset_probes() noexcept { probes_ = 0; }
 
   /// The unmetered graph, for answer *construction* (not discovery):
   /// e.g. turning an already-evaluated matched edge id into a mate id.

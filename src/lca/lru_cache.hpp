@@ -22,7 +22,6 @@ class LruCache {
   /// capacity == 0 disables caching entirely (every get misses).
   explicit LruCache(std::size_t capacity) : capacity_(capacity) {}
 
-  std::size_t capacity() const noexcept { return capacity_; }
   std::size_t size() const noexcept { return index_.size(); }
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }

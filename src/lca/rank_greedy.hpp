@@ -37,13 +37,6 @@ inline std::uint64_t edge_rank(std::uint64_t seed, EdgeId e) noexcept {
   return Rng::substream(seed, kRankGreedySalt, std::uint64_t{e})();
 }
 
-/// Precedes in the greedy scan order.
-inline bool rank_less(std::uint64_t seed, EdgeId a, EdgeId b) noexcept {
-  const std::uint64_t ra = edge_rank(seed, a);
-  const std::uint64_t rb = edge_rank(seed, b);
-  return ra != rb ? ra < rb : a < b;
-}
-
 /// The global execution: greedy over edges sorted by (rank, id).
 Matching rank_greedy_matching(const Graph& g, std::uint64_t seed);
 

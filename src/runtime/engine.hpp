@@ -382,6 +382,7 @@ class SyncNetwork {
   /// default), 1 = the pre-shard single-partition layout, k = at most k
   /// contiguous shards. Any value produces bit-identical executions;
   /// callable between rounds, and free when the plan does not change.
+  /// Solvers keep the auto plan; only benches and engine tests call it.
   void set_shards(unsigned requested) {
     const ShardPlan plan = plan_shards(graph_.num_nodes(), requested);
     if (plan.shift == plan_.shift && plan.count == plan_.count) return;
@@ -393,7 +394,6 @@ class SyncNetwork {
 
   /// The number of vertex shards the mailbox and scheduler operate on.
   unsigned shards() const noexcept { return plan_.count; }
-  const ShardPlan& shard_plan() const noexcept { return plan_; }
 
   /// Opt out of active-set scheduling: step every node every round, the
   /// exact semantics of the original engine. For protocols whose

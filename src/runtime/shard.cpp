@@ -1,12 +1,16 @@
 #include "runtime/shard.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <string>
 
 namespace lps {
 
 namespace {
+
+/// What detect_cache() returns while a ScopedCacheOverride is alive.
+std::atomic<const CacheInfo*> cache_override{nullptr};
 
 /// Parse one /sys cache "size" file ("2048K", "32M", ...); 0 on failure.
 std::size_t read_cache_size(const std::string& path) {
@@ -63,9 +67,17 @@ CacheInfo detect_cache_at(const std::string& cache_dir) {
 }
 
 const CacheInfo& detect_cache() {
+  if (const CacheInfo* fake = cache_override.load()) return *fake;
   static const CacheInfo info =
       detect_cache_at("/sys/devices/system/cpu/cpu0/cache");
   return info;
+}
+
+ScopedCacheOverride::ScopedCacheOverride(const CacheInfo& fake)
+    : fake_(fake), previous_(cache_override.exchange(&fake_)) {}
+
+ScopedCacheOverride::~ScopedCacheOverride() {
+  cache_override.store(previous_);
 }
 
 ShardPlan plan_shards(NodeId n, unsigned requested,

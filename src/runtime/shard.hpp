@@ -27,8 +27,25 @@ struct CacheInfo {
   std::size_t l3_bytes = 8u << 20;    // fallback: 8 MiB
 };
 
-/// Reads /sys/devices/system/cpu/cpu0/cache once and caches the result.
+/// Reads /sys/devices/system/cpu/cpu0/cache once and caches the result,
+/// unless a ScopedCacheOverride is alive.
 const CacheInfo& detect_cache();
+
+/// Test seam: while one is alive, detect_cache() returns `fake`, so each
+/// auto plan made meanwhile (every SyncNetwork's, at construction) sizes
+/// shards to the faked L2, as detect_cache_at fakes sysfs. Tests set it
+/// between solves; production code never makes one. Overrides nest.
+class ScopedCacheOverride {
+ public:
+  explicit ScopedCacheOverride(const CacheInfo& fake);
+  ~ScopedCacheOverride();
+  ScopedCacheOverride(const ScopedCacheOverride&) = delete;
+  ScopedCacheOverride& operator=(const ScopedCacheOverride&) = delete;
+
+ private:
+  CacheInfo fake_;
+  const CacheInfo* previous_;
+};
 
 /// Uncached probe against an arbitrary sysfs-style cache directory
 /// (".../cache"; index<i> subdirs with level/type/size files). Exists so

@@ -61,9 +61,13 @@ class Parser {
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
       case '{':
-        return parse_object(out);
-      case '[':
-        return parse_array(out);
+      case '[': {
+        if (++depth_ > 256) return fail("nesting deeper than 256");
+        const bool ok =
+            text_[pos_] == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.kind = JsonValue::Kind::String;
         return parse_string(out.string);
@@ -250,6 +254,7 @@ class Parser {
   const std::string& text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open at pos_ (at most 256)
 };
 
 bool structural_fail(std::string* error, const std::string& msg) {
@@ -286,11 +291,15 @@ bool load_chrome_trace(const std::string& text, TraceDoc& out,
     if (name == nullptr || !name->is_string()) {
       return structural_fail(error, where + " missing name");
     }
+    // An absent tid is 0; any other tid must be an integer in [0, 2^32),
+    // since converting another number to u32 is undefined.
     const JsonValue* tid = e.find("tid");
-    const std::uint32_t tid_v =
-        (tid != nullptr && tid->is_number())
-            ? static_cast<std::uint32_t>(tid->number)
-            : 0;
+    const double t = tid == nullptr ? 0.0 : tid->is_number() ? tid->number : -1;
+    if (!(t >= 0.0 && t < 4294967296.0 && t == std::floor(t))) {
+      return structural_fail(error,
+                             where + " tid is not an integer in [0, 2^32)");
+    }
+    const auto tid_v = static_cast<std::uint32_t>(t);
     if (ph->string == "M") {
       if (name->string == "thread_name") {
         const JsonValue* args = e.find("args");

@@ -34,7 +34,8 @@ struct JsonValue {
 
 /// Parse a complete JSON document. Returns false (with a position +
 /// message in *error when non-null) on any syntax violation, including
-/// trailing garbage after the top-level value.
+/// trailing garbage after the top-level value, and on arrays and objects
+/// nested more than 256 deep (the parser recurses per level).
 bool parse_json(const std::string& text, JsonValue& out,
                 std::string* error = nullptr);
 

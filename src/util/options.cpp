@@ -1,6 +1,8 @@
 #include "util/options.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace lps {
@@ -128,10 +130,6 @@ Options::Options(int argc, char** argv) {
   }
 }
 
-bool Options::has(const std::string& key) const {
-  return values_.count(key) != 0;
-}
-
 const std::string* Options::lookup(const std::string& key) const {
   used_.insert(key);
   const auto it = values_.find(key);
@@ -165,6 +163,16 @@ void Options::check_all_used() const {
     if (used_.count(key) == 0) {
       throw std::invalid_argument("unknown flag '--" + key + "'");
     }
+  }
+}
+
+void Options::exit_on_unread_flags() const {
+  try {
+    check_all_used();
+  } catch (const std::invalid_argument& e) {
+    const std::string name = program_.substr(program_.find_last_of('/') + 1);
+    std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
+    std::exit(2);
   }
 }
 

@@ -57,7 +57,6 @@ class Options {
  public:
   Options(int argc, char** argv);
 
-  bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
@@ -65,12 +64,15 @@ class Options {
 
   /// Positional (non --key) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
-  const std::string& program() const { return program_; }
 
   /// Every --key given must have been read by a get*() call; throws
   /// std::invalid_argument("unknown flag '--key'") otherwise, so typos
   /// and retired flags fail loudly instead of being ignored.
   void check_all_used() const;
+
+  /// check_all_used() for a binary's main, once it has read all its
+  /// flags: prints `<program>: unknown flag '--key'` and exits 2.
+  void exit_on_unread_flags() const;
 
  private:
   /// The value given for `key` (nullptr when absent); records the key

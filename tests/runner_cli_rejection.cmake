@@ -149,6 +149,18 @@ foreach(retired events ledger)
   endif()
 endforeach()
 
+# The shard count is the engine's own (auto-sized to the L2 cache): the
+# retired --shards flag and `shards=` config key are refused.
+expect_reject(--generator path:n=8 --solver israeli_itai --shards 2)
+if(NOT last_err STREQUAL "runner: invalid spec: unknown flag '--shards'\n")
+  message(SEND_ERROR "unexpected --shards diagnostic: ${last_err}")
+endif()
+expect_reject(--generator path:n=8 --solver israeli_itai --config shards=4)
+if(NOT last_err STREQUAL
+   "runner: invalid spec: solver 'israeli_itai': unknown config key 'shards'\n")
+  message(SEND_ERROR "unexpected shards= diagnostic: ${last_err}")
+endif()
+
 # And the contract's other half: well-formed specs still run.
 expect_accept(--generator path:n=8 --solver greedy_mcm --oracle none
               --no-telemetry)

@@ -284,7 +284,8 @@ BigCounter power_of_two(int e) {
 
 TEST(BipartiteCounting, CountsSpillPastOneLimbOnTheLadder) {
   // Counts past 2^64 exercise the counter's heap path inside a real
-  // counting pass and a real Aug solve, across threads and shards.
+  // counting pass and a real Aug solve, across threads. (The ladder's
+  // 496 nodes fit one shard of the minimum 1024 vertices.)
   const SpillLadder ladder = make_spill_ladder();
   const Graph& g = ladder.graph;
   constexpr NodeId w = SpillLadder::kWidth;
@@ -294,48 +295,44 @@ TEST(BipartiteCounting, CountsSpillPastOneLimbOnTheLadder) {
   AugResult base_aug;
   bool have_base = false;
   for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool4}) {
-    for (const unsigned shards : {1u, 0u}) {  // one shard, then auto
-      SCOPED_TRACE(std::string(pool ? "threads=4" : "threads=1") +
-                   " shards=" + std::to_string(shards));
-      const CountingResult res = count_augmenting_paths(
-          g, ladder.side, ladder.matching, 61, {}, pool, shards);
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        const int d = static_cast<int>(v / w);
-        ASSERT_EQ(res.depth[v], static_cast<std::uint32_t>(d)) << "v=" << v;
-        ASSERT_EQ(res.total[v], power_of_two(3 * ((d + 1) / 2))) << "v=" << v;
-        EXPECT_EQ(res.is_path_endpoint(v), d == 61) << "v=" << v;
-      }
-      const BigCounter& endpoint_paths = res.total[61 * w];
-      EXPECT_EQ(endpoint_paths, power_of_two(93));
-      EXPECT_FALSE(endpoint_paths.fits_u64());
-      // The depth-60 forwarders send 2^90: 91 bits plus 2.
-      EXPECT_EQ(res.stats.max_message_bits, 93u);
-
-      Matching m = ladder.matching;
-      AugOptions opts;
-      opts.seed = 17;
-      opts.pool = pool;
-      opts.shards = shards;
-      const AugResult aug = bipartite_aug(g, ladder.side, m, 61, {}, opts);
-      EXPECT_TRUE(aug.converged);
-      EXPECT_EQ(m.size(), 248u);  // perfect
-      EXPECT_TRUE(is_valid_matching(g, m.edge_ids(g)));
-
-      if (!have_base) {
-        base_count = res;
-        base_matching = m;
-        base_aug = aug;
-        have_base = true;
-        continue;
-      }
-      EXPECT_EQ(res.counts, base_count.counts);
-      EXPECT_EQ(res.stats.messages, base_count.stats.messages);
-      EXPECT_EQ(res.stats.total_bits, base_count.stats.total_bits);
-      EXPECT_EQ(m, base_matching);
-      EXPECT_EQ(aug.iterations, base_aug.iterations);
-      EXPECT_EQ(aug.paths_applied, base_aug.paths_applied);
-      EXPECT_EQ(aug.stats.total_bits, base_aug.stats.total_bits);
+    SCOPED_TRACE(pool ? "threads=4" : "threads=1");
+    const CountingResult res = count_augmenting_paths(
+        g, ladder.side, ladder.matching, 61, {}, pool);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const int d = static_cast<int>(v / w);
+      ASSERT_EQ(res.depth[v], static_cast<std::uint32_t>(d)) << "v=" << v;
+      ASSERT_EQ(res.total[v], power_of_two(3 * ((d + 1) / 2))) << "v=" << v;
+      EXPECT_EQ(res.is_path_endpoint(v), d == 61) << "v=" << v;
     }
+    const BigCounter& endpoint_paths = res.total[61 * w];
+    EXPECT_EQ(endpoint_paths, power_of_two(93));
+    EXPECT_FALSE(endpoint_paths.fits_u64());
+    // The depth-60 forwarders send 2^90: 91 bits plus 2.
+    EXPECT_EQ(res.stats.max_message_bits, 93u);
+
+    Matching m = ladder.matching;
+    AugOptions opts;
+    opts.seed = 17;
+    opts.pool = pool;
+    const AugResult aug = bipartite_aug(g, ladder.side, m, 61, {}, opts);
+    EXPECT_TRUE(aug.converged);
+    EXPECT_EQ(m.size(), 248u);  // perfect
+    EXPECT_TRUE(is_valid_matching(g, m.edge_ids(g)));
+
+    if (!have_base) {
+      base_count = res;
+      base_matching = m;
+      base_aug = aug;
+      have_base = true;
+      continue;
+    }
+    EXPECT_EQ(res.counts, base_count.counts);
+    EXPECT_EQ(res.stats.messages, base_count.stats.messages);
+    EXPECT_EQ(res.stats.total_bits, base_count.stats.total_bits);
+    EXPECT_EQ(m, base_matching);
+    EXPECT_EQ(aug.iterations, base_aug.iterations);
+    EXPECT_EQ(aug.paths_applied, base_aug.paths_applied);
+    EXPECT_EQ(aug.stats.total_bits, base_aug.stats.total_bits);
   }
 }
 

@@ -16,6 +16,7 @@
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/matcher.hpp"
 #include "dynamic/stream.hpp"
+#include "engine_cases.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
 #include "faults/recovery.hpp"
@@ -138,19 +139,20 @@ constexpr const char* kMessageChaos =
     "mchaos:drop=0.1,dup=0.05,delay=4,delay_p=0.2,reorder";
 
 TEST(EngineFaults, ScheduleBitIdenticalAcrossThreadsAndShards) {
+  // n = 4096: wide enough for 4 shards of the minimum 1024 vertices.
   Rng rng(7);
-  const Graph g = erdos_renyi(512, 6.0 / 512.0, rng);
+  const Graph g = erdos_renyi(4096, 6.0 / 4096.0, rng);
   std::vector<EdgeId> reference;
   NetStats ref_stats;
   bool first = true;
   for (const unsigned threads : {1u, 4u}) {
     ThreadPool pool(threads);
     for (const unsigned shards : {1u, 4u}) {
+      const test_support::ForcedShards forced(g.num_nodes(), shards);
       IsraeliItaiOptions opts;
       opts.seed = 99;
       opts.faults = kMessageChaos;
       opts.pool = threads == 1 ? nullptr : &pool;
-      opts.shards = shards;
       const DistMatchingResult res = israeli_itai(g, opts);
       EXPECT_TRUE(is_valid_matching(g, res.matching.edge_ids(g)));
       if (first) {

@@ -478,6 +478,13 @@ TEST(Io, MalformedInputThrows) {
     expect_refused("3 2 w\n0 1 2.5\n1 2 " + w + "\n",
                    "edge 1's weight '" + w + "' is not a finite number");
   }
+  // A vertex id is a whole unsigned decimal token: a sign, a hex prefix
+  // or a fraction is named with its edge, not wrapped, dropped or
+  // reported as a truncated list.
+  for (const std::string id : {"-1", "+1", "0x1", "1.5"}) {
+    expect_refused("3 1\n" + id + " 2\n",
+                   "edge 0's endpoint '" + id + "' is not a vertex id");
+  }
   // Counts and ids past the u32 id range are refused, never narrowed:
   // n = 2^32 is not an empty graph, a vertex 2^32 is not vertex 0,
   // n = 2^32 + 3 is not 3, and m = 2^64 - 1 is not a reservation.

@@ -18,6 +18,7 @@
 #include "core/israeli_itai.hpp"
 #include "core/luby_mis.hpp"
 #include "core/weighted_mwm.hpp"
+#include "engine_cases.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
 #include "runtime/engine.hpp"
@@ -270,17 +271,23 @@ TEST(Robustness, LubyIndifferentToDeliveryOrder) {
 TEST(Robustness, ReorderedInboxesStayBitIdenticalAcrossThreads) {
   // The shuffle derives from (receiver, round), not from which worker
   // or shard sorts the inbox — so even the *perturbed* execution is
-  // reproducible across thread counts.
+  // reproducible across thread and shard counts (n = 4096 is wide
+  // enough for 4 shards).
   Rng rng(47);
-  const Graph g = erdos_renyi(512, 8.0 / 512.0, rng);
+  const Graph g = erdos_renyi(4096, 8.0 / 4096.0, rng);
   IsraeliItaiOptions opts;
   opts.seed = 3;
   opts.faults = "reorder";
-  const DistMatchingResult inline_run = israeli_itai(g, opts);
+  const DistMatchingResult inline_run = [&] {
+    const test_support::ForcedShards forced(g.num_nodes(), 1);
+    return israeli_itai(g, opts);
+  }();
   ThreadPool pool(4);
   opts.pool = &pool;
-  opts.shards = 4;
-  const DistMatchingResult pooled_run = israeli_itai(g, opts);
+  const DistMatchingResult pooled_run = [&] {
+    const test_support::ForcedShards forced(g.num_nodes(), 4);
+    return israeli_itai(g, opts);
+  }();
   EXPECT_EQ(inline_run.matching.edge_ids(g), pooled_run.matching.edge_ids(g));
   EXPECT_EQ(inline_run.stats.messages, pooled_run.stats.messages);
 }

@@ -196,12 +196,13 @@ TEST(SyncNetwork, ChargedMessagesAreMeteredNotDelivered) {
   };
   ThreadPool pool(4);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    for (const unsigned shards : {1u, 0u}) {
+    for (const unsigned shards : {1u, 4u}) {
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    (p != nullptr ? " threads=4" : " no pool"));
       SyncNetwork<IntMsg> net(g, 1, meter);
       net.set_thread_pool(p);
       net.set_shards(shards);
+      ASSERT_EQ(net.shards(), shards);
       net.run_round(step);
       EXPECT_EQ(net.stats().messages, want.messages);
       EXPECT_EQ(net.stats().total_bits, want.total_bits);

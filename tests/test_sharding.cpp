@@ -1,10 +1,13 @@
 // Sharded execution is a pure locality optimization: for every engine
 // client, every shard count, and every thread count, the execution must
 // be bit-identical — same matching, same message/bit/round counts, same
-// metrics (DESIGN.md §11). This suite enforces that via the registry
+// metrics (DESIGN.md §11). Solvers take the engine's auto plan, so this
+// suite forces plans through the cache seam (ForcedShards) and checks,
 // for all 8 engine-backed solvers (case matrix + helpers shared with
-// test_telemetry via engine_cases.hpp), and checks that the LCA oracles
-// (which never see the engine) still agree with sharded global runs.
+// test_telemetry via engine_cases.hpp), that 1, 2 and 4 shards agree
+// wherever the instance is wide enough for them. It also checks that
+// the LCA oracles (which never see the engine) agree with sharded
+// global runs.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,12 +15,15 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/registry.hpp"
 #include "api/runner.hpp"
 #include "engine_cases.hpp"
+#include "graph/generators.hpp"
 #include "lca/oracle.hpp"
+#include "runtime/engine.hpp"
 #include "runtime/shard.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
@@ -29,21 +35,40 @@ using api::Instance;
 using api::SolveResult;
 using api::SolverConfig;
 using api::SolverRegistry;
+using test_support::ForcedShards;
 using test_support::ShardCase;
+using test_support::case_instance;
 using test_support::expect_identical;
 using test_support::kEngineCases;
 using test_support::solve_with;
 
 const auto& kCases = kEngineCases;
 
+/// The shard counts a case runs: 1, 2 and 4 at n = 4096, 1 and 2 at
+/// n = 2048 (a shard is at least 1024 vertices wide).
+std::vector<unsigned> shard_counts(NodeId n) {
+  EXPECT_TRUE(n == 2048 || n == 4096) << "n=" << n;
+  std::vector<unsigned> counts;
+  for (const unsigned s : {1u, 2u, 4u}) {
+    if (std::size_t{s} * 1024 <= n) counts.push_back(s);
+  }
+  return counts;
+}
+
 TEST(Sharding, AllEngineClientsBitIdenticalAcrossShardCounts) {
   for (const ShardCase& c : kCases) {
-    const SolveResult base = solve_with(c, /*shards=*/1, nullptr);
-    for (unsigned shards : {0u, 2u, 4u, 8u}) {
-      const SolveResult r = solve_with(c, shards, nullptr);
-      expect_identical(base, r,
-                       std::string(c.solver) + " shards=" +
-                           std::to_string(shards) + " vs 1");
+    const NodeId n = case_instance(c).graph().num_nodes();
+    SolveResult base;
+    for (const unsigned shards : shard_counts(n)) {
+      const ForcedShards forced(n, shards);
+      SolveResult r = solve_with(c, nullptr);
+      if (shards == 1) {
+        base = std::move(r);
+      } else {
+        expect_identical(base, r,
+                         std::string(c.solver) + " shards=" +
+                             std::to_string(shards) + " vs 1");
+      }
     }
   }
 }
@@ -51,9 +76,15 @@ TEST(Sharding, AllEngineClientsBitIdenticalAcrossShardCounts) {
 TEST(Sharding, ShardsAndThreadsComposeBitIdentically) {
   ThreadPool pool(4);
   for (const ShardCase& c : kCases) {
-    const SolveResult base = solve_with(c, /*shards=*/1, nullptr);
-    for (unsigned shards : {2u, 4u}) {
-      const SolveResult r = solve_with(c, shards, &pool);
+    const NodeId n = case_instance(c).graph().num_nodes();
+    SolveResult base;
+    {
+      const ForcedShards forced(n, 1);
+      base = solve_with(c, nullptr);
+    }
+    for (const unsigned shards : shard_counts(n)) {
+      const ForcedShards forced(n, shards);
+      const SolveResult r = solve_with(c, &pool);
       expect_identical(base, r,
                        std::string(c.solver) + " shards=" +
                            std::to_string(shards) + " threads=4 vs 1/seq");
@@ -64,7 +95,7 @@ TEST(Sharding, ShardsAndThreadsComposeBitIdentically) {
 // The tests above compare plans of one build with each other, so a
 // change that alters every plan alike would pass them. These
 // fingerprints pin the executions themselves (instance seed 7, solver
-// seed 11, default shards, no pool); a change that is meant to be
+// seed 11, the host's auto plan, no pool); a change that is meant to be
 // execution-neutral must leave every one of them untouched. The
 // matching itself is pinned by an order-independent hash of its edge
 // ids (the wrapping sum of splitmix64(e)) and, on weighted instances,
@@ -101,7 +132,7 @@ TEST(Sharding, ExecutionsMatchPinnedFingerprints) {
     const PinnedExecution& pin = kPinned[i];
     ASSERT_EQ(std::string(c.solver), pin.solver);
     const Instance inst = api::make_instance(c.generator, /*seed=*/7);
-    const SolveResult r = solve_with(c, /*shards=*/0, nullptr);
+    const SolveResult r = solve_with(c, nullptr);
     EXPECT_EQ(r.stats.rounds, pin.rounds) << c.solver;
     EXPECT_EQ(r.stats.messages, pin.messages) << c.solver;
     EXPECT_EQ(r.stats.total_bits, pin.total_bits) << c.solver;
@@ -126,9 +157,11 @@ TEST(Sharding, LcaOracleAgreesWithShardedGlobalRun) {
   const Instance inst = api::make_instance("er:n=4096,deg=4", /*seed=*/7);
   for (const std::string& name : lca::oracle_names()) {
     SolverConfig cfg;
-    cfg.seed(11).shards(4);
-    const SolveResult global =
-        SolverRegistry::global().at(name).solve(inst, cfg);
+    cfg.seed(11);
+    const SolveResult global = [&] {
+      const ForcedShards forced(inst.graph().num_nodes(), 4);
+      return SolverRegistry::global().at(name).solve(inst, cfg);
+    }();
     lca::OracleOptions opts;
     opts.seed = 11;
     const auto oracle = lca::make_oracle(name, inst.graph(), opts);
@@ -138,21 +171,6 @@ TEST(Sharding, LcaOracleAgreesWithShardedGlobalRun) {
           << name << " disagrees at edge " << e;
     }
   }
-}
-
-TEST(Sharding, RunnerRecordsShardsInProvenance) {
-  api::RunSpec spec;
-  spec.generator = "er:n=2048,deg=4";
-  spec.solver = "israeli_itai";
-  spec.shards = 2;
-  const api::RunResult r = api::run_one(spec);
-  EXPECT_TRUE(r.valid);
-  EXPECT_NE(r.to_json().find("\"shards\": 2"), std::string::npos);
-  // And a config-string override wins over the RunSpec field.
-  api::RunSpec spec1 = spec;
-  spec1.config = "shards=4";
-  const api::RunResult r1 = api::run_one(spec1);
-  EXPECT_EQ(r.matching_size, r1.matching_size);
 }
 
 TEST(ShardPlan, WidthAndCoverage) {
@@ -222,6 +240,30 @@ TEST(CacheDetect, ReadsSyntheticSysfs) {
   EXPECT_EQ(info.l2_bytes, std::size_t{2048} << 10);
   EXPECT_EQ(info.l3_bytes, std::size_t{16} << 20);
   fs::remove_all(root);
+}
+
+TEST(CacheDetect, OverrideFakesTheL2UntilItEnds) {
+  // The seam the solver-level identity tests force plans through: a
+  // faked L2 moves the auto plan of every network built meanwhile, and
+  // detect_cache() reads sysfs again once the override ends.
+  Rng rng(3);
+  const Graph g = erdos_renyi(4096, 4.0 / 4096, rng);
+  for (const auto& [l2, shards] :
+       {std::pair{std::size_t{128} << 10, 4u},
+        std::pair{std::size_t{256} << 10, 2u},
+        std::pair{std::size_t{64} << 20, 1u}}) {
+    CacheInfo fake;
+    fake.l2_bytes = l2;
+    const ScopedCacheOverride override_l2(fake);
+    EXPECT_EQ(detect_cache().l2_bytes, l2);
+    EXPECT_EQ(plan_shards(4096, 0).count, shards) << "L2 " << l2;
+    const SyncNetwork<std::uint32_t> net(g, /*seed=*/1);
+    EXPECT_EQ(net.shards(), shards) << "L2 " << l2;
+  }
+  const CacheInfo sysfs = detect_cache_at("/sys/devices/system/cpu/cpu0/cache");
+  EXPECT_EQ(detect_cache().l1d_bytes, sysfs.l1d_bytes);
+  EXPECT_EQ(detect_cache().l2_bytes, sysfs.l2_bytes);
+  EXPECT_EQ(detect_cache().l3_bytes, sysfs.l3_bytes);
 }
 
 TEST(ShardPlan, AutoPlanTracksDetectedCache) {

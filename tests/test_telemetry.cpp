@@ -234,6 +234,23 @@ TEST(TraceReader, RejectsMalformedDocuments) {
       &error));  // missing name
   EXPECT_FALSE(tel::load_chrome_trace("{\"traceEvents\": []} trailing", doc,
                                       &error));
+  // Nesting past the reader's depth cap is refused with one message, not
+  // a stack overflow.
+  const std::string deep = "{\"traceEvents\": " + std::string(200000, '[') +
+                           std::string(200000, ']') + "}";
+  EXPECT_FALSE(tel::load_chrome_trace(deep, doc, &error));
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+  // A tid outside [0, 2^32) names its event instead of converting.
+  for (const char* tid : {"-5", "1e20", "0.5", "\"main\""}) {
+    EXPECT_FALSE(tel::load_chrome_trace(
+        std::string("{\"traceEvents\": [{\"name\": \"a\", \"ph\": \"i\", "
+                    "\"ts\": 0, \"tid\": ") +
+            tid + "}]}",
+        doc, &error))
+        << tid;
+    EXPECT_EQ(error, "traceEvents[0] tid is not an integer in [0, 2^32)")
+        << tid;
+  }
   EXPECT_TRUE(tel::load_chrome_trace("{\"traceEvents\": []}", doc, &error))
       << error;
   EXPECT_TRUE(doc.spans.empty());
@@ -246,7 +263,7 @@ TEST(Telemetry, EngineClientsBitIdenticalWithTelemetryOn) {
   tel::Tracer& tracer = tel::Tracer::global();
   const bool prev_enabled = tel::enabled();
   for (const test_support::ShardCase& c : test_support::kEngineCases) {
-    const api::SolveResult base = test_support::solve_with(c, 0, nullptr);
+    const api::SolveResult base = test_support::solve_with(c, nullptr);
     tel::set_enabled(true);
     tracer.reset();
     tracer.set_recording(true);
@@ -254,7 +271,7 @@ TEST(Telemetry, EngineClientsBitIdenticalWithTelemetryOn) {
     mo.interval_ms = 20;
     mo.out = nullptr;  // silent sampling; no watchdog
     tel::Monitor monitor(mo);
-    const api::SolveResult traced = test_support::solve_with(c, 0, nullptr);
+    const api::SolveResult traced = test_support::solve_with(c, nullptr);
     monitor.stop();
     tracer.set_recording(false);
     tel::set_enabled(prev_enabled);

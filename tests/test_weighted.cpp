@@ -12,6 +12,7 @@
 #include "core/gain.hpp"
 #include "core/israeli_itai.hpp"
 #include "core/weighted_mwm.hpp"
+#include "engine_cases.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
 #include "runtime/engine.hpp"
@@ -347,22 +348,22 @@ TEST(ClassMwm, ViewMatchesClassMwmOnTheInducedCopy) {
   // "absent", must be class_mwm on the induced copy of the positive
   // edges, mapped back: same matching, NetStats, class count and
   // convergence at every shard and thread setting, with and without a
-  // phase cap.
+  // phase cap. n = 2048 is wide enough for 2 shards.
   Rng rng(41);
-  const Graph g = erdos_renyi(800, 6.0 / 800, rng);
+  const Graph g = erdos_renyi(2048, 6.0 / 2048, rng);
   const std::vector<double> w = weights_with_absent_edges(g.num_edges(), rng);
   const PositiveCopy copy = positive_copy(g, w);
   ASSERT_GT(copy.sub.graph.num_edges(), g.num_edges() / 3);
   ASSERT_LT(copy.sub.graph.num_edges(), 2 * g.num_edges() / 3);
   ThreadPool pool(4);
-  for (const unsigned shards : {1u, 0u}) {
+  for (const unsigned shards : {1u, 2u}) {
+    const test_support::ForcedShards forced(g.num_nodes(), shards);
     for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
       for (const std::uint64_t max_phases : {0u, 2u}) {
         ClassMwmOptions opts;
         opts.seed = 9;
         opts.max_phases_per_class = max_phases;
         opts.pool = p;
-        opts.shards = shards;
         const std::string what =
             "shards=" + std::to_string(shards) +
             (p != nullptr ? " threads=4" : " no pool") +

@@ -24,6 +24,7 @@ function(expect_code expected)
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
   set(last_out "${out}" PARENT_SCOPE)
+  set(last_err "${err}" PARENT_SCOPE)
   if(NOT code EQUAL ${expected})
     message(SEND_ERROR
         "expected exit ${expected}, got '${code}' for: ${ARGN}\n"
@@ -62,6 +63,17 @@ expect_code(1 --check "${workdir}/garbage.json")
 # Well-formed JSON that is not a trace document.
 file(WRITE "${workdir}/nottrace.json" "{\"spans\": []}\n")
 expect_code(1 --check "${workdir}/nottrace.json")
+
+# Nesting far past the reader's depth cap: one diagnostic line and exit
+# 1, not a stack overflow.
+string(REPEAT "[" 200000 open)
+string(REPEAT "]" 200000 close)
+file(WRITE "${workdir}/deep.json" "{\"traceEvents\": ${open}${close}}")
+expect_code(1 --check "${workdir}/deep.json")
+string(REGEX REPLACE "\n$" "" deep_err "${last_err}")
+if(deep_err STREQUAL "" OR deep_err MATCHES "\n")
+  message(SEND_ERROR "deep trace: expected one diagnostic line: ${last_err}")
+endif()
 
 # Missing file -> 1 (I/O failure), usage errors -> 2.
 expect_code(1 --check "${workdir}/does_not_exist.json")

@@ -17,6 +17,8 @@
 int main(int argc, char** argv) {
   using namespace lps;
   const Options opts(argc, argv);
+  const bool csv = opts.get_bool("csv", false);
+  opts.exit_on_unread_flags();
 
   Table t({"name", "capabilities", "guarantee", "lca oracle", "description"});
   for (const std::string& name : api::SolverRegistry::global().names()) {
@@ -46,7 +48,7 @@ int main(int argc, char** argv) {
     t.cell(s.description());
   }
 
-  if (opts.get_bool("csv", false)) {
+  if (csv) {
     t.print_csv(std::cout);
   } else {
     std::printf("%zu registered solvers:\n\n", t.num_rows());

@@ -46,7 +46,6 @@ void usage() {
       "  --seed N             instance seed (default 1)\n"
       "  --solver-seed N      solver seed (default 1)\n"
       "  --threads N          1 = inline, 0 = hardware concurrency\n"
-      "  --shards N           0 = auto (L2-sized), 1 = single shard\n"
       "  --oracle NAME        auto | none | registry solver\n"
       "  --feed-oracle        pass the exact optimum to the solver\n"
       "  --lca NAME           LCA leg: auto | oracle name\n"
@@ -102,7 +101,6 @@ int main(int argc, char** argv) {
   spec.solver_seed =
       static_cast<std::uint64_t>(opts.get_int("solver-seed", 1));
   spec.threads = static_cast<unsigned>(opts.get_int("threads", 1));
-  spec.shards = static_cast<unsigned>(opts.get_int("shards", 0));
   spec.oracle = opts.get("oracle", "auto");
   spec.feed_oracle = opts.get_bool("feed-oracle", false);
   spec.lca = opts.get("lca", "");
@@ -130,14 +128,14 @@ int main(int argc, char** argv) {
   if (debug) {
     std::fprintf(stderr,
                  "runner: spec: generator=%s solver=%s config='%s' "
-                 "seed=%llu solver-seed=%llu threads=%u shards=%u "
+                 "seed=%llu solver-seed=%llu threads=%u "
                  "oracle=%s faults='%s' dynamic='%s' trace='%s' "
                  "monitor-ms=%u stall-timeout-ms=%u\n",
                  spec.generator.c_str(), spec.solver.c_str(),
                  spec.config.c_str(),
                  static_cast<unsigned long long>(spec.instance_seed),
                  static_cast<unsigned long long>(spec.solver_seed),
-                 spec.threads, spec.shards, spec.oracle.c_str(),
+                 spec.threads, spec.oracle.c_str(),
                  spec.faults.c_str(), spec.dynamic.c_str(),
                  spec.trace.c_str(), spec.monitor_ms,
                  spec.stall_timeout_ms);
