@@ -74,13 +74,13 @@ struct Row {
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
   const bool smoke = opts.get_bool("smoke", false);
-  const std::int64_t max_n = opts.get_int("max-n", smoke ? 4096 : 1048576);
-  const std::int64_t updates_override = opts.get_int("updates", 0);
-  const int sample = static_cast<int>(opts.get_int("sample", smoke ? 6 : 20));
+  const std::int64_t max_n = opts.get_count("max-n", smoke ? 4096 : 1048576);
+  const std::int64_t updates_override = opts.get_count("updates", 0);
+  const int sample = static_cast<int>(opts.get_count("sample", smoke ? 6 : 20));
   const bool emit_json = opts.get_bool("json", !smoke);
   const std::string json_path = opts.get("json-path", "BENCH_dynamic.json");
   const bench::TraceGuard trace(opts);
-  opts.exit_on_unread_flags();
+  opts.exit_on_bad_flags();
 
   bench::print_header(
       "Dynamic matching: incremental maintenance vs solve-from-scratch",

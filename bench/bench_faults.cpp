@@ -53,11 +53,11 @@ struct Row {
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
   const bool smoke = opts.get_bool("smoke", false);
-  const std::int64_t n = opts.get_int("n", smoke ? 4096 : (1 << 18));
+  const std::int64_t n = opts.get_count("n", smoke ? 4096 : (1 << 18));
   const bool emit_json = opts.get_bool("json", !smoke);
   const std::string json_path = opts.get("json-path", "BENCH_faults.json");
   const bench::TraceGuard trace(opts);
-  opts.exit_on_unread_flags();
+  opts.exit_on_bad_flags();
 
   bench::print_header(
       "Fault injection: degradation and recovery per failure profile",

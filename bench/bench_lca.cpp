@@ -15,21 +15,22 @@
 
 #include "api/runner.hpp"
 #include "bench/bench_common.hpp"
+#include "runtime/thread_pool.hpp"
 
 using namespace lps;
 using bench::fmt;
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  const int trials = static_cast<int>(opts.get_int("trials", 3));
-  const std::int64_t max_n = opts.get_int("max-n", 16384);
-  const std::uint64_t queries =
-      static_cast<std::uint64_t>(opts.get_int("queries", 256));
-  const unsigned threads = static_cast<unsigned>(opts.get_int("threads", 1));
+  const int trials = static_cast<int>(opts.get_count("trials", 3));
+  const std::int64_t max_n = opts.get_count("max-n", 16384);
+  const std::uint64_t queries = opts.get_count("queries", 256);
+  const unsigned threads = static_cast<unsigned>(
+      opts.get_count("threads", 1, ThreadPool::kMaxThreads));
   const bool emit_json = opts.get_bool("json", true);
   const std::string json_dir = opts.get("json-dir", "bench/out");
   const bench::TraceGuard trace(opts);
-  opts.exit_on_unread_flags();
+  opts.exit_on_bad_flags();
 
   bench::print_header(
       "LCA: oracle point queries vs the global solve",

@@ -18,7 +18,8 @@
 //   --trace=PATH          record a Chrome/Perfetto trace of whichever
 //                         sweep mode runs and write it to PATH.
 //   --trace-overhead[=E]  observability-overhead gate: best-of-3
-//                         rounds/sec at n=2^E (default 20) deg 4, bare vs
+//                         rounds/sec at n=2^E (E in 10..24, the sizes the
+//                         sweep covers; default 20) deg 4, bare vs
 //                         fully observed (metrics, trace recording and a
 //                         silent Monitor sampling progress); exit 1 when
 //                         the observed run is >5% slower
@@ -227,8 +228,17 @@ int main(int argc, char** argv) {
       trace_overhead = true;
     } else if (std::strncmp(argv[i], "--trace-overhead=", 17) == 0) {
       trace_overhead = true;
-      trace_overhead_exp =
-          static_cast<unsigned>(std::strtoul(argv[i] + 17, nullptr, 10));
+      const char* value = argv[i] + 17;
+      char* end = nullptr;
+      const long e = std::strtol(value, &end, 10);
+      if (end == value || *end != '\0' || e < 10 || e > 24) {
+        std::fprintf(stderr,
+                     "bench_micro: --trace-overhead=E needs an integer E in "
+                     "10..24, got '%s'\n",
+                     value);
+        return 2;
+      }
+      trace_overhead_exp = static_cast<unsigned>(e);
     } else {
       unused.push_back(argv[i]);
     }

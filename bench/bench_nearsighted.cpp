@@ -22,8 +22,8 @@ using namespace lps;
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  const int trials = static_cast<int>(opts.get_int("trials", 5));
-  opts.exit_on_unread_flags();
+  const int trials = static_cast<int>(opts.get_count("trials", 5));
+  opts.exit_on_bad_flags();
 
   bench::print_header(
       "NEAR.a: round-truncated Israeli–Itai",

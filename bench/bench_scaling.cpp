@@ -14,8 +14,8 @@ using namespace lps;
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  const int trials = static_cast<int>(opts.get_int("trials", 3));
-  opts.exit_on_unread_flags();
+  const int trials = static_cast<int>(opts.get_count("trials", 3));
+  opts.exit_on_bad_flags();
 
   bench::print_header(
       "SCALING.a: rounds vs n (sparse ER / bipartite, mean over seeds)",

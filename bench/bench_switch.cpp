@@ -18,10 +18,9 @@ using namespace lps;
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  const std::size_t ports = static_cast<std::size_t>(opts.get_int("ports", 8));
-  const std::uint64_t slots =
-      static_cast<std::uint64_t>(opts.get_int("slots", 6000));
-  opts.exit_on_unread_flags();
+  const auto ports = static_cast<std::size_t>(opts.get_count("ports", 8));
+  const std::uint64_t slots = opts.get_count("slots", 6000);
+  opts.exit_on_bad_flags();
 
   bench::print_header(
       "SWITCH: VOQ crossbar, schedulers under Bernoulli traffic",

@@ -214,11 +214,11 @@ std::uint64_t workload_seed(const char* generator) {
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  const int default_trials = static_cast<int>(opts.get_int("trials", 3));
+  const int default_trials = static_cast<int>(opts.get_count("trials", 3));
   const std::string filter = opts.get("filter", "");
   const bool emit_json = opts.get_bool("json", true);
   const std::string json_dir = opts.get("json-dir", "bench/out");
-  opts.exit_on_unread_flags();
+  opts.exit_on_bad_flags();
 
   bool any_matched = false;
   for (const Experiment& exp : kExperiments) {

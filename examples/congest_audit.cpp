@@ -15,9 +15,9 @@
 int main(int argc, char** argv) {
   using namespace lps;
   const Options opts(argc, argv);
-  const int k = static_cast<int>(opts.get_int("kmax", 3));
+  const int k = static_cast<int>(opts.get_count("kmax", 3));
   const std::uint64_t seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  opts.exit_on_unread_flags();
+  opts.exit_on_bad_flags();
 
   std::printf("%8s %8s | %10s %14s | %10s %14s\n", "n", "m",
               "congest:R", "congest:maxbit", "local:R", "local:maxbit");

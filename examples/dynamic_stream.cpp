@@ -20,10 +20,10 @@ using namespace lps;
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
   dynamic::SwitchReplayConfig config;
-  config.ports = static_cast<std::size_t>(opts.get_int("ports", 16));
-  config.slots = static_cast<std::uint64_t>(opts.get_int("slots", 20000));
+  config.ports = static_cast<std::size_t>(opts.get_count("ports", 16));
+  config.slots = opts.get_count("slots", 20000);
   config.load = opts.get_double("load", 0.85);
-  opts.exit_on_unread_flags();
+  opts.exit_on_bad_flags();
   config.pattern = TrafficPattern::kUniform;
   config.seed = 7;
 

@@ -16,19 +16,21 @@
 #include "api/runner.hpp"
 #include "lca/batch.hpp"
 #include "lca/oracle.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
 
 int main(int argc, char** argv) {
   using namespace lps;
   const Options opts(argc, argv);
-  const long n = opts.get_int("n", 20000);
-  const long deg = opts.get_int("deg", 8);
+  const std::uint64_t n = opts.get_count("n", 20000);
+  const std::uint64_t deg = opts.get_count("deg", 8);
   const std::string solver_name = opts.get("solver", "rank_greedy_mcm");
-  const long num_queries = opts.get_int("queries", 2000);
+  const std::uint64_t num_queries = opts.get_count("queries", 2000);
   const std::uint64_t seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  const unsigned threads = static_cast<unsigned>(opts.get_int("threads", 0));
-  opts.exit_on_unread_flags();
+  const unsigned threads = static_cast<unsigned>(
+      opts.get_count("threads", 0, ThreadPool::kMaxThreads));
+  opts.exit_on_bad_flags();
 
   if (!lca::has_oracle(solver_name)) {
     std::fprintf(stderr, "oracle_queries: no LCA oracle for solver '%s'",
@@ -58,7 +60,7 @@ int main(int argc, char** argv) {
       std::max<EdgeId>(1, g.num_edges() / 100);  // hottest 1% of edges
   std::vector<EdgeId> queries;
   queries.reserve(num_queries);
-  for (long i = 0; i < num_queries; ++i) {
+  for (std::uint64_t i = 0; i < num_queries; ++i) {
     queries.push_back(static_cast<EdgeId>(
         rng.coin() ? rng.below(hot_span) : rng.below(g.num_edges())));
   }

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   const bool list = opts.get_bool("list", false);
   // Odd --n rounds down to an even node count; p's default tracks the
   // actual instance size, not the requested one.
-  const long half = opts.get_int("n", 256) / 2;
+  const long half = opts.get_count("n", 256) / 2;
   const long n = 2 * half;
   const double p = opts.get_double("p", 8.0 / static_cast<double>(n));
   const std::string solver_name = opts.get("solver", "bipartite_mcm");
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   // The pre-registry interface took --k directly; keep honoring it (a
   // solver without a 'k' key will reject it loudly).
   const std::string k = opts.get("k", "");
-  opts.exit_on_unread_flags();
+  opts.exit_on_bad_flags();
 
   if (list) {
     std::printf("registered solvers:\n");

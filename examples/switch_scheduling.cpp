@@ -16,14 +16,14 @@ int main(int argc, char** argv) {
   using namespace lps;
   const Options opts(argc, argv);
   SwitchConfig cfg;
-  cfg.ports = static_cast<std::size_t>(opts.get_int("ports", 16));
+  cfg.ports = static_cast<std::size_t>(opts.get_count("ports", 16));
   cfg.load = opts.get_double("load", 0.9);
-  cfg.slots = static_cast<std::uint64_t>(opts.get_int("slots", 20000));
+  cfg.slots = opts.get_count("slots", 20000);
   cfg.warmup = cfg.slots / 10;
   cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
   const std::string pattern = opts.get("pattern", "uniform");
   const std::string name = opts.get("scheduler", "distmcm");
-  opts.exit_on_unread_flags();
+  opts.exit_on_bad_flags();
 
   if (pattern == "uniform") cfg.pattern = TrafficPattern::kUniform;
   else if (pattern == "diagonal") cfg.pattern = TrafficPattern::kDiagonal;

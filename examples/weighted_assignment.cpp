@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   const double eps = opts.get_double("eps", 0.05);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  opts.exit_on_unread_flags();
+  opts.exit_on_bad_flags();
   if (jobs < 1 || workers < 1 || degree < 1) {
     std::fprintf(stderr,
                  "weighted_assignment: --jobs, --workers, and --degree "

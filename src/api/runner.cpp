@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include <chrono>
-#include <thread>
 
 #include "api/json.hpp"
 #include "api/provenance.hpp"
@@ -184,6 +183,11 @@ Instance make_instance(const std::string& spec, std::uint64_t seed) {
 
 namespace {
 
+/// Largest general (non-bipartite) graph the blossom oracle measures;
+/// beyond it the run and the dynamic leg's checkpoints fall back to a
+/// greedy_mcm bound (DESIGN.md §5, §10).
+constexpr NodeId kBlossomMaxNodes = 400;
+
 struct OracleChoice {
   std::string solver;  // "" = none
   std::string kind;    // "exact" | "upper_bound" | "reference" | "none"
@@ -239,7 +243,7 @@ OracleChoice resolve_oracle(const std::string& requested, const Instance& inst,
     return certified("greedy_mwm");
   }
   if (bipartite) return {"hopcroft_karp", "exact", 1.0};
-  if (n <= 400) return {"blossom", "exact", 1.0};
+  if (n <= kBlossomMaxNodes) return {"blossom", "exact", 1.0};
   return certified("greedy_mcm");
 }
 
@@ -332,8 +336,9 @@ void run_dynamic_leg(const RunSpec& spec, const faults::FaultPlan& fault_plan,
   // scales it was never meant for just because the stream started small.
   const auto ratio_now = [&]() {
     const dynamic::Snapshot snap = matcher.graph().snapshot();
-    out.dynamic_baseline =
-        snap.graph.num_nodes() <= 400 ? "blossom" : "greedy_mcm";
+    out.dynamic_baseline = snap.graph.num_nodes() <= kBlossomMaxNodes
+                               ? "blossom"
+                               : "greedy_mcm";
     if (snap.graph.num_edges() == 0) return 1.0;
     SolverConfig config;
     config.seed(spec.solver_seed);
@@ -758,12 +763,8 @@ RunResult run_one(const RunSpec& spec) {
     tracer.set_recording(false);
     if (tracer.write_chrome_trace(spec.trace)) out.trace_path = spec.trace;
   }
-  // Mirror ThreadPool's resolution of the 0 sentinel (hardware
-  // concurrency, floored at 1 — the standard allows it to report 0).
-  const unsigned resolved_threads =
-      spec.threads == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                        : spec.threads;
-  const Provenance prov = current_provenance(resolved_threads);
+  const Provenance prov =
+      current_provenance(ThreadPool::resolve_threads(spec.threads));
   out.prov_git_sha = prov.git_sha;
   out.prov_build_type = prov.build_type;
   out.prov_threads = prov.threads;

@@ -14,22 +14,12 @@ void require_weight(double w, const char* who) {
                                 ": weight must be positive and finite");
   }
 }
-
-std::shared_ptr<const GraphStore> isolated_store(NodeId n) {
-  auto s = std::make_shared<GraphStore>();
-  s->n = n;
-  s->offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  return s;
-}
 }  // namespace
 
 DynamicGraph::DynamicGraph() : DynamicGraph(0) {}
 
 DynamicGraph::DynamicGraph(NodeId n)
-    : base_(isolated_store(n)),
-      node_alive_(n, 1),
-      overlay_of_(n, -1),
-      live_nodes_(n) {}
+    : node_alive_(n, 1), rows_(n), live_nodes_(n) {}
 
 DynamicGraph DynamicGraph::from_graph(const Graph& g,
                                       const std::vector<double>* weights) {
@@ -41,21 +31,16 @@ DynamicGraph DynamicGraph::from_graph(const Graph& g,
       require_weight(w, "DynamicGraph::from_graph");
     }
   }
-  DynamicGraph out;
-  out.base_ = g.store_ptr();  // zero-copy: the overlay reads g's columns
-  const GraphStore& s = *out.base_;
-  out.node_alive_.assign(s.n, 1);
-  out.overlay_of_.assign(s.n, -1);
-  out.live_nodes_ = s.n;
-  const EdgeId m = s.num_edges();
-  out.edge_u_ = s.edge_u;
-  out.edge_v_ = s.edge_v;
-  out.edge_w_.assign(m, 1.0);
-  if (weights != nullptr) {
-    out.edge_w_ = *weights;
-  } else if (!s.edge_weight.empty()) {
-    out.edge_w_ = s.edge_weight;
+  DynamicGraph out(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const NeighborView row = g.neighbors(v);
+    out.rows_[v].to.assign(row.to_data(), row.to_data() + row.size());
+    out.rows_[v].edge.assign(row.edge_data(), row.edge_data() + row.size());
   }
+  const EdgeId m = g.num_edges();
+  out.edge_u_ = g.store().edge_u;
+  out.edge_v_ = g.store().edge_v;
+  out.edge_w_ = weights != nullptr ? *weights : std::vector<double>(m, 1.0);
   out.edge_alive_.assign(m, 1);
   out.live_edges_ = m;
   return out;
@@ -105,13 +90,8 @@ EdgeId DynamicGraph::find_edge(NodeId u, NodeId v) const {
 
 NodeId DynamicGraph::add_vertex() {
   node_alive_.push_back(1);
-  // New vertices have no base row; give them an (empty) overlay row so
-  // neighbors() never indexes past the base offsets array.
-  overlay_of_.push_back(static_cast<std::int32_t>(overlay_.size()));
-  overlay_.emplace_back();
-  overlay_live_ = overlay_.size();
+  rows_.emplace_back();
   ++live_nodes_;
-  pristine_ = false;
   return static_cast<NodeId>(node_alive_.size() - 1);
 }
 
@@ -125,7 +105,6 @@ void DynamicGraph::remove_vertex(NodeId v) {
   for (EdgeId e : incident) delete_edge(e);
   node_alive_[v] = 0;
   --live_nodes_;
-  pristine_ = false;
 }
 
 void DynamicGraph::revive_vertex(NodeId v) {
@@ -138,30 +117,14 @@ void DynamicGraph::revive_vertex(NodeId v) {
         "DynamicGraph::revive_vertex: vertex is alive");
   }
   // A dead vertex's row is always empty (remove_vertex deleted every
-  // incident edge, materializing the row if it had base edges), so the
-  // sorted-incidence invariant holds trivially on revival.
+  // incident edge), so the sorted-incidence invariant holds trivially
+  // on revival.
   node_alive_[v] = 1;
   ++live_nodes_;
-  pristine_ = false;
-}
-
-std::int32_t DynamicGraph::materialize(NodeId v) {
-  std::int32_t ov = overlay_of_[v];
-  if (ov >= 0) return ov;
-  ov = static_cast<std::int32_t>(overlay_.size());
-  overlay_.emplace_back();
-  OverlayRow& row = overlay_.back();
-  const NeighborView base_row = base_->row(v);
-  row.to.assign(base_row.to_data(), base_row.to_data() + base_row.size());
-  row.edge.assign(base_row.edge_data(),
-                  base_row.edge_data() + base_row.size());
-  overlay_of_[v] = ov;
-  overlay_live_ = overlay_.size();
-  return ov;
 }
 
 void DynamicGraph::arc_insert(NodeId v, NodeId to, EdgeId e) {
-  OverlayRow& row = overlay_[materialize(v)];
+  Row& row = rows_[v];
   const auto it = std::lower_bound(row.to.begin(), row.to.end(), to);
   const std::size_t pos = static_cast<std::size_t>(it - row.to.begin());
   row.to.insert(it, to);
@@ -169,7 +132,7 @@ void DynamicGraph::arc_insert(NodeId v, NodeId to, EdgeId e) {
 }
 
 void DynamicGraph::arc_erase(NodeId v, NodeId to) {
-  OverlayRow& row = overlay_[materialize(v)];
+  Row& row = rows_[v];
   const auto it = std::lower_bound(row.to.begin(), row.to.end(), to);
   const std::size_t pos = static_cast<std::size_t>(it - row.to.begin());
   row.to.erase(it);
@@ -207,7 +170,6 @@ EdgeId DynamicGraph::insert_edge(NodeId u, NodeId v, double w) {
   arc_insert(u, v, id);
   arc_insert(v, u, id);
   ++live_edges_;
-  pristine_ = false;
   return id;
 }
 
@@ -220,7 +182,6 @@ void DynamicGraph::delete_edge(EdgeId e) {
   edge_alive_[e] = 0;
   free_edges_.push_back(e);
   --live_edges_;
-  pristine_ = false;
 }
 
 void DynamicGraph::set_weight(EdgeId e, double w) {
@@ -232,21 +193,6 @@ void DynamicGraph::set_weight(EdgeId e, double w) {
 Snapshot DynamicGraph::snapshot() const {
   Snapshot out;
   const NodeId slots = node_slots();
-  if (structurally_pristine()) {
-    // Zero-copy bridge: the registry reads the very columns we overlay.
-    out.graph = Graph(base_);
-    out.shared_store = true;
-    out.weights = edge_w_;
-    out.node_to_dynamic.resize(slots);
-    out.dynamic_to_node.resize(slots);
-    for (NodeId v = 0; v < slots; ++v) {
-      out.node_to_dynamic[v] = v;
-      out.dynamic_to_node[v] = v;
-    }
-    out.edge_to_dynamic.resize(live_edges_);
-    for (EdgeId e = 0; e < live_edges_; ++e) out.edge_to_dynamic[e] = e;
-    return out;
-  }
   out.dynamic_to_node.assign(slots, kInvalidNode);
   out.node_to_dynamic.reserve(live_nodes_);
   for (NodeId v = 0; v < slots; ++v) {
@@ -270,52 +216,21 @@ Snapshot DynamicGraph::snapshot() const {
   return out;
 }
 
-void DynamicGraph::compact() {
-  const NodeId slots = node_slots();
-  auto fresh = std::make_shared<GraphStore>();
-  fresh->n = slots;
-  fresh->offsets.assign(static_cast<std::size_t>(slots) + 1, 0);
-  for (NodeId v = 0; v < slots; ++v) {
-    fresh->offsets[v + 1] = fresh->offsets[v] + degree(v);
-  }
-  const std::size_t arcs = fresh->offsets[slots];
-  fresh->adj_to.resize(arcs);
-  fresh->adj_edge.resize(arcs);
-  for (NodeId v = 0; v < slots; ++v) {
-    const NeighborView row = neighbors(v);
-    std::copy(row.to_data(), row.to_data() + row.size(),
-              fresh->adj_to.data() + fresh->offsets[v]);
-    std::copy(row.edge_data(), row.edge_data() + row.size(),
-              fresh->adj_edge.data() + fresh->offsets[v]);
-    fresh->max_degree =
-        std::max(fresh->max_degree, static_cast<NodeId>(row.size()));
-  }
-  base_ = std::move(fresh);
-  overlay_.clear();
-  overlay_live_ = 0;
-  overlay_of_.assign(slots, -1);
-}
-
 void DynamicGraph::check_invariants() const {
   const auto fail = [](const std::string& what) {
     throw std::logic_error("DynamicGraph::check_invariants: " + what);
   };
   const NodeId slots = node_slots();
-  if (overlay_of_.size() != slots) fail("overlay map size");
+  if (rows_.size() != slots) fail("row count");
   if (edge_u_.size() != edge_v_.size() || edge_u_.size() != edge_w_.size() ||
       edge_u_.size() != edge_alive_.size()) {
     fail("edge column sizes");
   }
-  if (overlay_live_ != overlay_.size()) fail("overlay row count");
   NodeId live_n = 0;
   std::size_t arc_count = 0;
   for (NodeId v = 0; v < slots; ++v) {
-    const std::int32_t ov = overlay_of_[v];
-    if (ov >= 0 && static_cast<std::size_t>(ov) >= overlay_.size()) {
-      fail("overlay index out of range for node " + std::to_string(v));
-    }
-    if (ov >= 0 && overlay_[ov].to.size() != overlay_[ov].edge.size()) {
-      fail("overlay columns of node " + std::to_string(v) + " disagree");
+    if (rows_[v].to.size() != rows_[v].edge.size()) {
+      fail("row columns of node " + std::to_string(v) + " disagree");
     }
     if (node_alive_[v]) ++live_n;
     const NeighborView nbrs = neighbors(v);

@@ -1,25 +1,17 @@
-// Mutable graph overlay for the fully dynamic matching subsystem —
-// now a copy-on-write overlay over the same columnar GraphStore the
-// static solvers, the LCA oracles, and the sharded round engine read
-// (DESIGN.md §11).
+// Mutable graph for the fully dynamic matching subsystem (DESIGN.md
+// §10).
 //
 // `graph::Graph` is a frozen CSR view: perfect for the solvers, the
 // engine, and the oracles, but a serving system sees *changing* traffic
 // (edges appearing and disappearing every timeslot in the switch
-// workload). DynamicGraph layers mutability on top of the flat base
-// columns instead of keeping a second vector-of-vectors copy:
+// workload). An update edits only its endpoints' rows, so DynamicGraph
+// keeps exactly that:
 //
-//  * Base: a shared_ptr<const GraphStore> — the adjacency rows of every
-//    unmodified vertex are read straight from the base columns (zero
-//    duplication with any static Graph holding the same store).
-//  * Overlay: the first mutation touching a vertex copies its row out
-//    of the base into a columnar overlay row (to/edge columns); later
-//    mutations edit the overlay in place. Memory grows with churn, not
-//    with n.
+//  * Rows: one sorted (to, edge) row per vertex slot; inserts and
+//    deletes splice at the sorted position, O(deg).
 //  * Edge table: columnar (edge_u_/edge_v_/edge_w_/edge_alive_),
-//    seeded from the base store's endpoint columns and extended by
-//    inserts; ids are recycled through a free list so unbounded update
-//    streams do not grow the table without bound.
+//    extended by inserts; ids are recycled through a free list so
+//    unbounded update streams do not grow the table without bound.
 //
 // The sorted-incidence invariant of the static Graph (each vertex's
 // incidence list ascending by neighbor id) is preserved under every
@@ -28,15 +20,11 @@
 //
 // Vertex ids are never reused (a removed vertex's slot stays dead) so
 // stream generators can name vertices stably. `snapshot()` compacts the
-// live subgraph into a `Graph` (+ weights + id maps) to feed the
-// existing solver registry; when the graph is structurally untouched
-// since construction the snapshot *shares the base store* — a refcount
-// bump instead of an O(n + m) copy. `compact()` folds the overlay back
-// into a fresh flat base when churn has accumulated.
+// live subgraph into a `Graph` (+ weights + id maps) through
+// GraphStore::build to feed the existing solver registry.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -56,8 +44,6 @@ struct Snapshot {
   std::vector<NodeId> node_to_dynamic;  // snapshot node -> dynamic node
   std::vector<EdgeId> edge_to_dynamic;  // snapshot edge -> dynamic edge
   std::vector<NodeId> dynamic_to_node;  // dynamic node -> snapshot node
-  /// True when `graph` shares the dynamic base store (no copy was made).
-  bool shared_store = false;
 };
 
 class DynamicGraph {
@@ -65,8 +51,9 @@ class DynamicGraph {
   DynamicGraph();
   /// Start with `n` live, isolated vertices.
   explicit DynamicGraph(NodeId n);
-  /// Seed from a static graph — shares its columnar store (no adjacency
-  /// copy); `weights` (when non-null) must have one entry per edge.
+  /// Seed from a static graph: copies g's rows and keeps its edge ids;
+  /// `weights` (when non-null) must have one entry per edge, else every
+  /// edge weighs 1.
   static DynamicGraph from_graph(const Graph& g,
                                  const std::vector<double>* weights = nullptr);
 
@@ -95,16 +82,11 @@ class DynamicGraph {
   NodeId other_endpoint(EdgeId e, NodeId v) const;
 
   NodeId degree(NodeId v) const {
-    const std::int32_t ov = overlay_of_[v];
-    return ov >= 0 ? static_cast<NodeId>(overlay_[ov].to.size())
-                   : base_->degree(v);
+    return static_cast<NodeId>(rows_[v].to.size());
   }
-  /// Sorted-by-neighbor incidence row: the base store's columns for
-  /// untouched vertices, the overlay row otherwise.
+  /// Sorted-by-neighbor incidence row.
   NeighborView neighbors(NodeId v) const {
-    const std::int32_t ov = overlay_of_[v];
-    if (ov < 0) return base_->row(v);
-    const OverlayRow& row = overlay_[ov];
+    const Row& row = rows_[v];
     return {row.to.data(), row.edge.data(), row.to.size()};
   }
 
@@ -129,58 +111,31 @@ class DynamicGraph {
   EdgeId insert_edge(NodeId u, NodeId v, double w = 1.0);
   /// Delete a live edge by id. O(deg(u) + deg(v)).
   void delete_edge(EdgeId e);
-  /// Re-weight a live edge (w > 0, finite). Does not dirty the
-  /// structure (snapshot sharing stays possible).
+  /// Re-weight a live edge (w > 0, finite).
   void set_weight(EdgeId e, double w);
 
   // --------------------------------------------------------- bridges --
   /// Compact the live subgraph into a static Graph + weights + id maps
-  /// (solver registry food). O(live n + live m) — except when the graph
-  /// is structurally untouched since from_graph(), where the snapshot
-  /// shares the base store and only the weight column is copied.
+  /// (solver registry food). O(live n + live m).
   Snapshot snapshot() const;
 
-  /// Fold the overlay back into a fresh flat base store (identity ids,
-  /// dead vertices become empty rows). O(n + m); call when churn has
-  /// accumulated and read-heavy phases are coming.
-  void compact();
-
-  /// The flat base store under the overlay; right after compact() it
-  /// holds every live row.
-  const GraphStore& base_store() const noexcept { return *base_; }
-
-  /// Number of vertices whose rows currently live in the overlay (0
-  /// right after construction, from_graph, or compact()).
-  std::size_t overlay_rows() const noexcept { return overlay_live_; }
-
-  /// True while snapshot() can share the base store (no structural
-  /// mutation since from_graph on a store with endpoint columns).
-  bool structurally_pristine() const noexcept {
-    return pristine_ && base_->num_edges() == live_edges_;
-  }
-
   /// Full structural audit: mirror arcs, sorted incidence, live counts,
-  /// edge table consistency, overlay bookkeeping. O(n + m); the soak
-  /// tests call this after every update. Throws std::logic_error naming
-  /// the violation.
+  /// edge table consistency. O(n + m); the soak tests call this after
+  /// every update. Throws std::logic_error naming the violation.
   void check_invariants() const;
 
  private:
-  struct OverlayRow {
+  struct Row {
     std::vector<NodeId> to;
     std::vector<EdgeId> edge;
   };
 
   void require_live_node(NodeId v, const char* who) const;
   void require_live_edge(EdgeId e, const char* who) const;
-  /// Copy v's base row into the overlay on first mutation; returns the
-  /// overlay row index.
-  std::int32_t materialize(NodeId v);
-  /// Insert {to, edge} into v's (overlay) row / remove it. O(deg(v)).
+  /// Insert {to, edge} into v's row / remove it. O(deg(v)).
   void arc_insert(NodeId v, NodeId to, EdgeId e);
   void arc_erase(NodeId v, NodeId to);
 
-  std::shared_ptr<const GraphStore> base_;
   // Columnar edge table (parallel arrays, id-indexed, recycled).
   std::vector<NodeId> edge_u_;
   std::vector<NodeId> edge_v_;
@@ -189,13 +144,10 @@ class DynamicGraph {
   std::vector<EdgeId> free_edges_;  // dead edge ids available for reuse
 
   std::vector<std::uint8_t> node_alive_;
-  std::vector<std::int32_t> overlay_of_;  // node -> overlay row or -1
-  std::vector<OverlayRow> overlay_;
-  std::size_t overlay_live_ = 0;
+  std::vector<Row> rows_;  // one per vertex slot, sorted by `to`
 
   NodeId live_nodes_ = 0;
   EdgeId live_edges_ = 0;
-  bool pristine_ = true;  // no structural mutation since from_graph
 };
 
 }  // namespace lps::dynamic

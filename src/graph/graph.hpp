@@ -3,11 +3,10 @@
 // edge identifiers shared by matchings, weights and the distributed
 // runtime (an edge id doubles as a communication channel id).
 //
-// A Graph is a shared_ptr to its store, so copies are refcount bumps
-// and a DynamicGraph snapshot can hand solvers the very arrays the
-// overlay reads (DESIGN.md §11). All the old call-site idioms keep
-// working: `for (const Graph::Incidence& inc : g.neighbors(v))`
-// iterates the columnar rows through a zip view.
+// A Graph is a shared_ptr to a store GraphStore::build made and
+// validated, so copies are refcount bumps (DESIGN.md §11).
+// `for (const Graph::Incidence& inc : g.neighbors(v))` iterates the
+// columnar rows through a zip view.
 #pragma once
 
 #include <memory>
@@ -43,11 +42,6 @@ class Graph {
       : store_(std::make_shared<const GraphStore>(
             GraphStore::build(n, std::move(edges)))) {}
 
-  /// Wrap an existing store (zero copy). The store must satisfy the
-  /// sorted-incidence invariant; GraphStore::build always does.
-  explicit Graph(std::shared_ptr<const GraphStore> store)
-      : store_(std::move(store)) {}
-
   NodeId num_nodes() const noexcept { return store_->n; }
   EdgeId num_edges() const noexcept { return store_->num_edges(); }
 
@@ -78,11 +72,8 @@ class Graph {
   std::vector<NodeId> components() const;
 
   /// The underlying columnar store (shared with every copy of this
-  /// Graph, and with the DynamicGraph overlay when bridged zero-copy).
+  /// Graph).
   const GraphStore& store() const noexcept { return *store_; }
-  const std::shared_ptr<const GraphStore>& store_ptr() const noexcept {
-    return store_;
-  }
 
  private:
   std::shared_ptr<const GraphStore> store_;

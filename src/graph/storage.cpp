@@ -1,22 +1,12 @@
 #include "graph/storage.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
 namespace lps {
 
-GraphStore GraphStore::build(NodeId n, std::vector<Edge> edges,
-                             std::vector<double> weights) {
-  if (!weights.empty() && weights.size() != edges.size()) {
-    throw std::invalid_argument("GraphStore: weight column size mismatch");
-  }
-  for (double w : weights) {
-    if (!(w > 0.0) || !std::isfinite(w)) {
-      throw std::invalid_argument("GraphStore: weights must be positive");
-    }
-  }
+GraphStore GraphStore::build(NodeId n, std::vector<Edge> edges) {
   GraphStore s;
   s.n = n;
   const std::size_t m = edges.size();
@@ -25,7 +15,6 @@ GraphStore GraphStore::build(NodeId n, std::vector<Edge> edges,
   }
   s.edge_u.resize(m);
   s.edge_v.resize(m);
-  s.edge_weight = std::move(weights);
   for (std::size_t id = 0; id < m; ++id) {
     Edge& e = edges[id];
     if (e.u >= n || e.v >= n) {

@@ -1,29 +1,22 @@
-// GraphStore: the one flat columnar layout every graph consumer reads.
-//
-// Before this existed the repo kept three copies of every graph: the
-// static CSR in `Graph` (AoS Incidence pairs + an AoS edge vector), the
-// dynamic adjacency in `DynamicGraph` (vector-of-vectors), and whatever
-// snapshot() compacted between them. GraphStore collapses them onto one
-// set of flat columns:
+// GraphStore: the flat columnar layout every static graph consumer
+// reads — the solvers, the LCA oracles and the sharded round engine:
 //
 //   offsets[n+1]            CSR row boundaries (vertex-contiguous, so a
 //                           shard's rows are one contiguous byte range)
 //   adj_to[2m], adj_edge[2m]  the incidence lists, split into columns —
 //                           neighbor-id scans (find_edge's binary search,
 //                           degree filters) touch only adj_to and thus
-//                           half the cache lines of the old AoS layout
+//                           half the cache lines of an AoS layout
 //   edge_u[m], edge_v[m]    endpoint columns, normalized u < v
-//   edge_weight[m]          optional weight column ([] = unweighted)
 //   rev_slot()[2m]          reverse-arc table, built on first use and
 //                           shared by every network on the store
 //
-// `Graph` wraps a shared_ptr<const GraphStore>, so copying a Graph is a
-// refcount bump and the dynamic overlay can hand static solvers, the LCA
-// oracles, and the sharded round engine the *same* arrays it reads
-// itself (DESIGN.md §11).
+// `Graph` wraps a shared_ptr<const GraphStore> that build() made, so
+// copying a Graph is a refcount bump (DESIGN.md §11). Edge weights live
+// beside the graph, in WeightedGraph::weights.
 //
-// Invariant (inherited from the old Graph and relied on throughout):
-// each vertex's incidence slice is sorted ascending by neighbor id.
+// Invariant (relied on throughout): each vertex's incidence slice is
+// sorted ascending by neighbor id.
 #pragma once
 
 #include <cstddef>
@@ -215,7 +208,6 @@ struct GraphStore {
   std::vector<EdgeId> adj_edge;        // 2m, parallel to adj_to
   std::vector<NodeId> edge_u;          // m, u < v
   std::vector<NodeId> edge_v;          // m
-  std::vector<double> edge_weight;     // m or empty (unweighted)
 
   EdgeId num_edges() const noexcept {
     return static_cast<EdgeId>(edge_u.size());
@@ -235,12 +227,10 @@ struct GraphStore {
 
   /// Build from an edge list: normalize endpoints to u < v, reject
   /// self-loops / duplicates / out-of-range endpoints, counting-sort the
-  /// incidence columns, establish the sorted-row invariant. `weights`
-  /// (when non-empty) must be one per edge. Duplicate detection is
-  /// sort-based, O(m log m) with flat memory — no hash table, so
-  /// n = 2^24-scale builds stay cheap.
-  static GraphStore build(NodeId n, std::vector<Edge> edges,
-                          std::vector<double> weights = {});
+  /// incidence columns, establish the sorted-row invariant. Duplicate
+  /// detection is sort-based, O(m log m) with flat memory — no hash
+  /// table, so n = 2^24-scale builds stay cheap.
+  static GraphStore build(NodeId n, std::vector<Edge> edges);
 
   /// The reverse-arc table, one entry per arc: for arc a = v -> to,
   /// rev_slot()[a] is v's position in to's row, so the mirror arc is

@@ -1,18 +1,26 @@
 #include "runtime/thread_pool.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "telemetry/telemetry.hpp"
 
 namespace lps {
 
-ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
+unsigned ThreadPool::resolve_threads(unsigned threads) {
+  if (threads > kMaxThreads) {
+    throw std::invalid_argument("ThreadPool: " + std::to_string(threads) +
+                                " threads is above the limit of " +
+                                std::to_string(kMaxThreads));
   }
-  num_threads_ = threads;
-  for (unsigned i = 1; i < threads; ++i) {
+  if (threads != 0) return threads;
+  return std::clamp(std::thread::hardware_concurrency(), 1u, kMaxThreads);
+}
+
+ThreadPool::ThreadPool(unsigned threads)
+    : num_threads_(resolve_threads(threads)) {
+  for (unsigned i = 1; i < num_threads_; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }

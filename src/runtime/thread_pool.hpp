@@ -21,9 +21,19 @@ namespace lps {
 
 class ThreadPool {
  public:
+  /// The most threads a pool runs. A larger request is a wrapped
+  /// negative or a typo, not a machine, and is refused.
+  static constexpr unsigned kMaxThreads = 1024;
+
   /// threads == 0 selects hardware_concurrency(); threads == 1 runs
-  /// everything inline on the caller.
+  /// everything inline on the caller. Throws std::invalid_argument
+  /// above kMaxThreads, before any thread starts.
   explicit ThreadPool(unsigned threads = 0);
+
+  /// The thread count a pool built with `threads` runs: 0 resolves to
+  /// hardware_concurrency() (at least 1, at most kMaxThreads). Throws
+  /// std::invalid_argument when `threads` > kMaxThreads.
+  static unsigned resolve_threads(unsigned threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

@@ -142,23 +142,50 @@ std::string Options::get(const std::string& key,
   return v == nullptr ? fallback : *v;
 }
 
+template <typename T, typename Parse>
+T Options::parse_or(const std::string& key, T fallback, Parse parse) const {
+  const std::string* v = lookup(key);
+  if (v == nullptr) return fallback;
+  try {
+    return parse("--" + key, *v);
+  } catch (const std::invalid_argument& e) {
+    if (first_error_.empty()) first_error_ = e.what();
+    return fallback;
+  }
+}
+
 std::int64_t Options::get_int(const std::string& key,
                               std::int64_t fallback) const {
-  const std::string* v = lookup(key);
-  return v == nullptr ? fallback : parse_int_value("--" + key, *v);
+  return parse_or(key, fallback, parse_int_value);
+}
+
+std::uint64_t Options::get_count(const std::string& key,
+                                 std::uint64_t fallback,
+                                 std::uint64_t max) const {
+  return parse_or(key, fallback,
+                  [max](const std::string& flag, const std::string& v) {
+                    const std::int64_t n = parse_int_value(flag, v);
+                    const std::string bad =
+                        "bad count for '" + flag + "': '" + v + "' ";
+                    if (n < 0) throw std::invalid_argument(bad + "(negative)");
+                    if (static_cast<std::uint64_t>(n) > max) {
+                      throw std::invalid_argument(
+                          bad + "(at most " + std::to_string(max) + ")");
+                    }
+                    return static_cast<std::uint64_t>(n);
+                  });
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
-  const std::string* v = lookup(key);
-  return v == nullptr ? fallback : parse_double_value("--" + key, *v);
+  return parse_or(key, fallback, parse_double_value);
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {
-  const std::string* v = lookup(key);
-  return v == nullptr ? fallback : parse_bool_value("--" + key, *v);
+  return parse_or(key, fallback, parse_bool_value);
 }
 
-void Options::check_all_used() const {
+void Options::check_flags() const {
+  if (!first_error_.empty()) throw std::invalid_argument(first_error_);
   for (const auto& [key, _] : values_) {
     if (used_.count(key) == 0) {
       throw std::invalid_argument("unknown flag '--" + key + "'");
@@ -166,9 +193,9 @@ void Options::check_all_used() const {
   }
 }
 
-void Options::exit_on_unread_flags() const {
+void Options::exit_on_bad_flags() const {
   try {
-    check_all_used();
+    check_flags();
   } catch (const std::invalid_argument& e) {
     const std::string name = program_.substr(program_.find_last_of('/') + 1);
     std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());

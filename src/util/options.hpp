@@ -53,36 +53,50 @@ class SpecArgs {
   std::vector<std::string> used_;
 };
 
+/// Flags of a bench, example or tool binary. A getter records its flag
+/// as read. A malformed value does not throw at the getter: it returns
+/// `fallback`, and check_flags() reports the first such value. A binary
+/// reads all its flags, then calls check_flags() or exit_on_bad_flags()
+/// once, before any work.
 class Options {
  public:
   Options(int argc, char** argv);
 
   std::string get(const std::string& key, const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// An integer in [0, max]; a negative or larger value is malformed.
+  /// The default max, 2^31 - 1, keeps every count castable to int.
+  std::uint64_t get_count(const std::string& key, std::uint64_t fallback,
+                          std::uint64_t max = INT32_MAX) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 
   /// Positional (non --key) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Every --key given must have been read by a get*() call; throws
-  /// std::invalid_argument("unknown flag '--key'") otherwise, so typos
-  /// and retired flags fail loudly instead of being ignored.
-  void check_all_used() const;
+  /// Throws std::invalid_argument naming the first malformed value, or
+  /// else the first flag no get*() call read ("unknown flag '--key'"),
+  /// so typos and retired flags fail loudly instead of being ignored.
+  void check_flags() const;
 
-  /// check_all_used() for a binary's main, once it has read all its
-  /// flags: prints `<program>: unknown flag '--key'` and exits 2.
-  void exit_on_unread_flags() const;
+  /// check_flags() for a binary's main: prints `<program>: <what>` and
+  /// exits 2.
+  void exit_on_bad_flags() const;
 
  private:
   /// The value given for `key` (nullptr when absent); records the key
   /// as read either way.
   const std::string* lookup(const std::string& key) const;
+  /// Runs `parse` on the value of `key`; on std::invalid_argument keeps
+  /// the first message for check_flags() and returns `fallback`.
+  template <typename T, typename Parse>
+  T parse_or(const std::string& key, T fallback, Parse parse) const;
 
   std::string program_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
   mutable std::set<std::string> used_;
+  mutable std::string first_error_;
 };
 
 }  // namespace lps

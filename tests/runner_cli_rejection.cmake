@@ -1,6 +1,7 @@
 # CLI contract test for tools/runner's input rejection: every unknown
-# flag and every malformed spec string — generator, solver, solver
-# config, fault plan, dynamic stream — must exit 2 with exactly one
+# flag, every malformed flag value and every malformed spec string —
+# generator, solver, solver config, fault plan, dynamic stream — must
+# exit 2 with exactly one
 # `runner: invalid spec:` line on stderr, never a stack trace, a zero
 # exit, or a leg-dependent format.
 # CTest-unfriendly to express with PASS_REGULAR_EXPRESSION (which
@@ -160,6 +161,17 @@ if(NOT last_err STREQUAL
    "runner: invalid spec: solver 'israeli_itai': unknown config key 'shards'\n")
   message(SEND_ERROR "unexpected shards= diagnostic: ${last_err}")
 endif()
+
+# Malformed flag values: read before any spec is validated, and refused
+# on the same path (they used to escape as an uncaught exception and
+# abort). The thread-count ceiling and negative counts are tested
+# through the parse step only (test_runtime, test_util), so no test can
+# start a thread even if that check regresses.
+expect_reject(--generator er:n=10,deg=2 --solver greedy_mcm --seed abc)
+if(NOT last_err STREQUAL "runner: invalid spec: bad integer for '--seed': 'abc'\n")
+  message(SEND_ERROR "unexpected --seed abc diagnostic: ${last_err}")
+endif()
+expect_reject(--generator er:n=10,deg=2 --solver greedy_mcm --threads x)
 
 # And the contract's other half: well-formed specs still run.
 expect_accept(--generator path:n=8 --solver greedy_mcm --oracle none

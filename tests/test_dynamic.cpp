@@ -1,4 +1,4 @@
-// Tests for src/dynamic: the DynamicGraph overlay (O(deg) updates,
+// Tests for src/dynamic: the DynamicGraph rows (O(deg) updates,
 // sorted-incidence invariant, id recycling, snapshots), the two
 // matching maintainers (validity after every update, greedy
 // 2-approximation against the exact oracle, repair augmentation and
@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <string>
 
@@ -16,6 +17,7 @@
 #include "dynamic/matcher.hpp"
 #include "dynamic/stream.hpp"
 #include "dynamic/switch_adapter.hpp"
+#include "graph/generators.hpp"
 #include "util/rng.hpp"
 
 namespace lps::dynamic {
@@ -129,15 +131,94 @@ TEST(DynamicGraph, SnapshotCompactsAndMapsBack) {
   }
 }
 
+/// Column-for-column equality of two stores (the reverse-arc table
+/// aside, which depends on the columns alone).
+void expect_same_columns(const GraphStore& a, const GraphStore& b) {
+  EXPECT_EQ(a.n, b.n);
+  EXPECT_EQ(a.max_degree, b.max_degree);
+  EXPECT_EQ(a.offsets, b.offsets);
+  EXPECT_EQ(a.adj_to, b.adj_to);
+  EXPECT_EQ(a.adj_edge, b.adj_edge);
+  EXPECT_EQ(a.edge_u, b.edge_u);
+  EXPECT_EQ(a.edge_v, b.edge_v);
+}
+
+TEST(DynamicGraph, SnapshotIsTheGraphOfTheLiveEdges) {
+  // Whatever a stream did to the rows, snapshot() is the Graph of the
+  // live vertices (renumbered in id order) and the live edges in
+  // dynamic-id order, and its three id maps round-trip.
+  for (const char* spec :
+       {"churn:n=32,m0=60,updates=500,vertex=0.1,reweight=0.05,wlo=1,whi=9",
+        "window:n=32,updates=400,window=40", "pa:n0=4,updates=150,attach=3",
+        "adversarial:n=32,m0=50,updates=400"}) {
+    SCOPED_TRACE(spec);
+    const StreamSpec stream = make_update_stream(spec, 5);
+    GreedyDynamicMatcher m{DynamicGraph(stream.initial_nodes)};
+    m.apply_trace(stream.trace);
+    const DynamicGraph& g = m.graph();
+    const Snapshot snap = g.snapshot();
+
+    std::vector<NodeId> rank(g.node_slots(), kInvalidNode);
+    NodeId live_n = 0;
+    for (NodeId v = 0; v < g.node_slots(); ++v) {
+      if (g.node_alive(v)) rank[v] = live_n++;
+    }
+    std::vector<Edge> live;
+    std::vector<EdgeId> live_ids;
+    std::vector<double> live_w;
+    for (EdgeId e = 0; e < g.edge_slots(); ++e) {
+      if (!g.edge_alive(e)) continue;
+      live.push_back({rank[g.edge(e).u], rank[g.edge(e).v]});
+      live_ids.push_back(e);
+      live_w.push_back(g.weight(e));
+    }
+    expect_same_columns(snap.graph.store(), Graph(live_n, live).store());
+    EXPECT_EQ(snap.weights, live_w);
+    EXPECT_EQ(snap.edge_to_dynamic, live_ids);
+
+    ASSERT_EQ(snap.node_to_dynamic.size(), live_n);
+    ASSERT_EQ(snap.dynamic_to_node.size(), g.node_slots());
+    for (NodeId i = 0; i < live_n; ++i) {
+      EXPECT_EQ(snap.dynamic_to_node[snap.node_to_dynamic[i]], i);
+    }
+    for (NodeId v = 0; v < g.node_slots(); ++v) {
+      EXPECT_EQ(snap.dynamic_to_node[v], rank[v]);
+    }
+    for (EdgeId i = 0; i < snap.graph.num_edges(); ++i) {
+      const Edge se = snap.graph.edge(i);
+      const Edge de = g.edge(snap.edge_to_dynamic[i]);
+      EXPECT_EQ(snap.node_to_dynamic[se.u], de.u);
+      EXPECT_EQ(snap.node_to_dynamic[se.v], de.v);
+    }
+  }
+}
+
 TEST(DynamicGraph, FromGraphPreservesIdsAndWeights) {
-  const Graph g(5, {{0, 1}, {1, 2}, {3, 4}});
-  const std::vector<double> w = {1.0, 2.0, 3.0};
-  const DynamicGraph dg = DynamicGraph::from_graph(g, &w);
-  dg.check_invariants();
-  EXPECT_EQ(dg.num_live_edges(), 3u);
-  for (EdgeId e = 0; e < 3; ++e) {
-    EXPECT_EQ(dg.edge(e), g.edge(e));
-    EXPECT_DOUBLE_EQ(dg.weight(e), w[e]);
+  // Edges given out of order: ids follow the list, rows follow the ids.
+  Rng rng(6);
+  const Graph er = erdos_renyi(200, 0.03, rng);
+  for (const Graph& g : {Graph(5, {{3, 4}, {1, 0}, {2, 1}}), er}) {
+    std::vector<double> w(g.num_edges());
+    for (EdgeId e = 0; e < g.num_edges(); ++e) w[e] = 1.0 + e % 7;
+    const DynamicGraph dg = DynamicGraph::from_graph(g, &w);
+    dg.check_invariants();
+    ASSERT_EQ(dg.num_live_edges(), g.num_edges());
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      EXPECT_EQ(dg.edge(e), g.edge(e));
+      EXPECT_DOUBLE_EQ(dg.weight(e), w[e]);
+    }
+    // A snapshot of the untouched graph hands back g's columns, w and
+    // identity id maps.
+    const Snapshot snap = dg.snapshot();
+    expect_same_columns(snap.graph.store(), g.store());
+    EXPECT_EQ(snap.weights, w);
+    std::vector<NodeId> nodes(g.num_nodes());
+    std::iota(nodes.begin(), nodes.end(), NodeId{0});
+    std::vector<EdgeId> edges(g.num_edges());
+    std::iota(edges.begin(), edges.end(), EdgeId{0});
+    EXPECT_EQ(snap.node_to_dynamic, nodes);
+    EXPECT_EQ(snap.dynamic_to_node, nodes);
+    EXPECT_EQ(snap.edge_to_dynamic, edges);
   }
 }
 

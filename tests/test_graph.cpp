@@ -151,9 +151,26 @@ TEST(GraphStore, RevSlotOnCompactedDynamicStore) {
       dg.insert_edge(v, v + 5);
     }
   }
-  dg.compact();
-  ASSERT_EQ(dg.overlay_rows(), 0u);
-  expect_rev_slot_definition(dg.base_store());
+  // The snapshot's store is what a mutated dynamic graph hands the
+  // solvers and the engine.
+  const dynamic::Snapshot snap = dg.snapshot();
+  ASSERT_EQ(snap.graph.num_nodes(), 299u);
+  expect_rev_slot_definition(snap.graph.store());
+}
+
+TEST(GraphStore, RevSlotRejectsUnsortedRow) {
+  // Path 1 - 0 - 2 with vertex 0's row stored as {2, 1}: a binary
+  // search would silently return a wrong slot here. GraphStore::build
+  // never makes such a store, so it is assembled by hand.
+  GraphStore s;
+  s.n = 3;
+  s.offsets = {0, 2, 3, 4};
+  s.adj_to = {2, 1, 0, 0};
+  s.adj_edge = {1, 0, 0, 1};
+  s.edge_u = {0, 0};
+  s.edge_v = {1, 2};
+  EXPECT_THROW(s.rev_slot(), std::logic_error);
+  EXPECT_THROW(s.rev_slot(), std::logic_error);  // and on every call
 }
 
 TEST(GraphStore, RevSlotIsBuiltOnceAndNeverCopied) {

@@ -9,6 +9,7 @@
 #include <memory>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "core/israeli_itai.hpp"
@@ -19,6 +20,7 @@
 #include "runtime/thread_pool.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_reader.hpp"
+#include "util/options.hpp"
 #include "util/rng.hpp"
 
 namespace lps {
@@ -63,6 +65,30 @@ TEST(ThreadPool, SingleThreadRunsInline) {
 TEST(ThreadPool, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   pool.parallel_for(5, 5, 1, [&](std::size_t, std::size_t) { FAIL(); });
+}
+
+TEST(ThreadPool, CountsPastTheCeilingAreRefused) {
+  // Only the parse and validation steps run here, never a pool, so a
+  // regressed check cannot start a thread.
+  constexpr unsigned kMax = ThreadPool::kMaxThreads;
+  EXPECT_EQ(ThreadPool::resolve_threads(1), 1u);
+  EXPECT_EQ(ThreadPool::resolve_threads(kMax), kMax);
+  EXPECT_GE(ThreadPool::resolve_threads(0), 1u);
+  EXPECT_LE(ThreadPool::resolve_threads(0), kMax);
+  EXPECT_THROW(ThreadPool::resolve_threads(kMax + 1), std::invalid_argument);
+  // A -1 that wrapped on its way in.
+  EXPECT_THROW(ThreadPool::resolve_threads(static_cast<unsigned>(-1)),
+               std::invalid_argument);
+  // The binaries' --threads parse refuses the same counts, and a
+  // negative one, before any cast to unsigned.
+  for (const std::string& arg : {std::string("--threads=-1"),
+                                 "--threads=" + std::to_string(kMax + 1),
+                                 std::string("--threads=4294967295")}) {
+    const char* argv[] = {"prog", arg.c_str()};
+    const Options opts(2, const_cast<char**>(argv));
+    EXPECT_EQ(opts.get_count("threads", 1, kMax), 1u) << arg;
+    EXPECT_THROW(opts.check_flags(), std::invalid_argument) << arg;
+  }
 }
 
 TEST(SyncNetwork, OneRoundDeliveryDelay) {
@@ -779,21 +805,6 @@ TEST(SyncNetwork, ConcurrentConstructionOnOneStoreBuildsOneTable) {
     EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
     EXPECT_EQ(tables[t], tables[0]) << "thread " << t;
   }
-}
-
-TEST(SyncNetwork, RejectsStoreWithUnsortedRow) {
-  // Path 1 - 0 - 2 with vertex 0's row stored as {2, 1}: a binary
-  // search would silently return a wrong slot here.
-  auto s = std::make_shared<GraphStore>();
-  s->n = 3;
-  s->offsets = {0, 2, 3, 4};
-  s->adj_to = {2, 1, 0, 0};
-  s->adj_edge = {1, 0, 0, 1};
-  s->edge_u = {0, 0};
-  s->edge_v = {1, 2};
-  const Graph g(std::shared_ptr<const GraphStore>(std::move(s)));
-  EXPECT_THROW(g.store().rev_slot(), std::logic_error);
-  EXPECT_THROW(SyncNetwork<IntMsg>(g, 1), std::logic_error);
 }
 
 /// One run of a gossip protocol whose nodes send in every round, the last

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -508,19 +509,50 @@ TEST(Options, ParsesAllForms) {
   EXPECT_DOUBLE_EQ(opts.get_double("missing", 2.5), 2.5);
 }
 
-TEST(Options, BadBoolThrows) {
-  const char* argv[] = {"prog", "--flag=maybe"};
-  Options opts(2, const_cast<char**>(argv));
-  EXPECT_THROW(opts.get_bool("flag", false), std::invalid_argument);
+/// The message check_flags() throws, or "" when it accepts.
+std::string check_message(const Options& opts) {
+  try {
+    opts.check_flags();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Options, MalformedValuesAreRefusedAtTheCheck) {
+  // Each getter hands back its fallback; check_flags() names the first
+  // malformed value read, ahead of an unknown flag.
+  const char* argv[] = {"prog",        "--typo=1",  "--flag=maybe",
+                        "--n=x",       "--r=1.5q",  "--count=-1"};
+  Options opts(6, const_cast<char**>(argv));
+  EXPECT_FALSE(opts.get_bool("flag", false));
+  EXPECT_EQ(opts.get_int("n", 7), 7);
+  EXPECT_DOUBLE_EQ(opts.get_double("r", 2.0), 2.0);
+  EXPECT_EQ(opts.get_count("count", 3), 3u);
+  EXPECT_EQ(check_message(opts), "bad boolean for '--flag': 'maybe'");
+
+  const auto count_message = [](const char* arg) {
+    const char* one[] = {"prog", arg};
+    Options o(2, const_cast<char**>(one));
+    o.get_count("v", 5, 8);
+    return check_message(o);
+  };
+  EXPECT_EQ(count_message("--v=abc"), "bad integer for '--v': 'abc'");
+  EXPECT_EQ(count_message("--v=3x"), "bad integer for '--v': '3x'");
+  EXPECT_EQ(count_message("--v="), "bad integer for '--v': ''");
+  EXPECT_EQ(count_message("--v=-1"), "bad count for '--v': '-1' (negative)");
+  EXPECT_EQ(count_message("--v=9"), "bad count for '--v': '9' (at most 8)");
+  EXPECT_EQ(count_message("--v=0"), "");
+  EXPECT_EQ(count_message("--v=8"), "");
 }
 
 TEST(Options, UnreadFlagsAreUnknown) {
   const char* argv[] = {"prog", "--trace=t.json", "--trcae", "x"};
   Options opts(4, const_cast<char**>(argv));
   EXPECT_EQ(opts.get("trace", ""), "t.json");
-  EXPECT_THROW(opts.check_all_used(), std::invalid_argument);
+  EXPECT_EQ(check_message(opts), "unknown flag '--trcae'");
   EXPECT_EQ(opts.get("trcae", ""), "x");  // read with any getter counts
-  EXPECT_NO_THROW(opts.check_all_used());
+  EXPECT_NO_THROW(opts.check_flags());
 }
 
 }  // namespace

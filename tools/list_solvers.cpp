@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   using namespace lps;
   const Options opts(argc, argv);
   const bool csv = opts.get_bool("csv", false);
-  opts.exit_on_unread_flags();
+  opts.exit_on_bad_flags();
 
   Table t({"name", "capabilities", "guarantee", "lca oracle", "description"});
   for (const std::string& name : api::SolverRegistry::global().names()) {

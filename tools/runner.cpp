@@ -21,13 +21,15 @@
 // informational notes, debug adds a resolved-spec echo.
 //
 // Exit codes: 0 success, 1 runtime failure (trace write, I/O, internal
-// error), 2 rejected input — an unknown flag or a malformed or unknown
-// generator / config / stream / fault spec, reported as one
-// `runner: invalid spec:` line on stderr. run_one validates every spec
-// string (generator, solver config, fault plan, dynamic stream,
-// maintainer config) before any solve work, so rejection is fast and
-// uniform across legs. A stall
+// error), 2 rejected input — an unknown flag, a malformed flag value (a
+// count that is negative, or a thread count above
+// ThreadPool::kMaxThreads), or a malformed or unknown generator /
+// config / stream / fault spec, reported as one `runner: invalid spec:`
+// line on stderr. run_one validates every spec string (generator,
+// solver config, fault plan, dynamic stream, maintainer config) before
+// any solve work, so rejection is fast and uniform across legs. A stall
 // abort (--stall-abort) exits with telemetry::kWatchdogExitCode (86).
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <iostream>
@@ -35,6 +37,7 @@
 #include <string>
 
 #include "api/runner.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/options.hpp"
 
 namespace {
@@ -100,18 +103,17 @@ int main(int argc, char** argv) {
   spec.instance_seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
   spec.solver_seed =
       static_cast<std::uint64_t>(opts.get_int("solver-seed", 1));
-  spec.threads = static_cast<unsigned>(opts.get_int("threads", 1));
+  spec.threads = static_cast<unsigned>(
+      opts.get_count("threads", 1, lps::ThreadPool::kMaxThreads));
   spec.oracle = opts.get("oracle", "auto");
   spec.feed_oracle = opts.get_bool("feed-oracle", false);
   spec.lca = opts.get("lca", "");
-  spec.lca_queries =
-      static_cast<std::uint64_t>(opts.get_int("lca-queries", 0));
-  spec.lca_cache = static_cast<std::uint64_t>(opts.get_int("lca-cache", 0));
+  spec.lca_queries = opts.get_count("lca-queries", 0);
+  spec.lca_cache = opts.get_count("lca-cache", 0);
   spec.dynamic = opts.get("dynamic", "");
   spec.dynamic_stream = opts.get("dynamic-stream", "");
   spec.dynamic_config = opts.get("dynamic-config", "");
-  spec.dynamic_checkpoints =
-      static_cast<std::uint64_t>(opts.get_int("dynamic-checkpoints", 8));
+  spec.dynamic_checkpoints = opts.get_count("dynamic-checkpoints", 8);
   spec.faults = opts.get("faults", "");
   spec.trace = opts.get("trace", "");
   spec.telemetry = !opts.get_bool("no-telemetry", false);
@@ -121,30 +123,29 @@ int main(int argc, char** argv) {
                     : monitor      ? 1000u
                                    : 0u;
   spec.stall_timeout_ms =
-      static_cast<unsigned>(opts.get_int("stall-timeout-ms", 0));
+      static_cast<unsigned>(opts.get_count("stall-timeout-ms", 0));
   spec.stall_abort = opts.get_bool("stall-abort", false);
   const std::string json_dir = opts.get("json-dir", "");
 
-  if (debug) {
-    std::fprintf(stderr,
-                 "runner: spec: generator=%s solver=%s config='%s' "
-                 "seed=%llu solver-seed=%llu threads=%u "
-                 "oracle=%s faults='%s' dynamic='%s' trace='%s' "
-                 "monitor-ms=%u stall-timeout-ms=%u\n",
-                 spec.generator.c_str(), spec.solver.c_str(),
-                 spec.config.c_str(),
-                 static_cast<unsigned long long>(spec.instance_seed),
-                 static_cast<unsigned long long>(spec.solver_seed),
-                 spec.threads, spec.oracle.c_str(),
-                 spec.faults.c_str(), spec.dynamic.c_str(),
-                 spec.trace.c_str(), spec.monitor_ms,
-                 spec.stall_timeout_ms);
-  }
-
   try {
-    // Every flag was read above; anything left over is a typo or a
-    // retired flag.
-    opts.check_all_used();
+    // Every flag was read above: a malformed value, or a flag left over
+    // (a typo or a retired flag), is refused before anything runs.
+    opts.check_flags();
+    if (debug) {
+      std::fprintf(stderr,
+                   "runner: spec: generator=%s solver=%s config='%s' "
+                   "seed=%llu solver-seed=%llu threads=%u "
+                   "oracle=%s faults='%s' dynamic='%s' trace='%s' "
+                   "monitor-ms=%u stall-timeout-ms=%u\n",
+                   spec.generator.c_str(), spec.solver.c_str(),
+                   spec.config.c_str(),
+                   static_cast<unsigned long long>(spec.instance_seed),
+                   static_cast<unsigned long long>(spec.solver_seed),
+                   spec.threads, spec.oracle.c_str(),
+                   spec.faults.c_str(), spec.dynamic.c_str(),
+                   spec.trace.c_str(), spec.monitor_ms,
+                   spec.stall_timeout_ms);
+    }
     const lps::api::RunResult result = lps::api::run_one(spec);
     std::cout << result.to_json() << "\n";
     if (!json_dir.empty()) {
