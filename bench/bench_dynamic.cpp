@@ -20,11 +20,11 @@
 #include <string>
 #include <vector>
 
-#include "api/json.hpp"
 #include "api/runner.hpp"
 #include "bench/bench_common.hpp"
 #include "dynamic/matcher.hpp"
 #include "dynamic/stream.hpp"
+#include "util/json.hpp"
 
 using namespace lps;
 using bench::fmt;
@@ -175,10 +175,9 @@ int main(int argc, char** argv) {
 
   if (emit_json && !rows.empty()) {
     std::ofstream os(json_path);
-    os << "[\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& row = rows[i];
-      api::JsonObject o;
+    JsonRows out(os);
+    for (const Row& row : rows) {
+      JsonObject o;
       o.add("n", static_cast<std::uint64_t>(row.n))
           .add("stream", row.stream)
           .add("churn", row.churn)
@@ -197,9 +196,9 @@ int main(int argc, char** argv) {
           .add("git_sha", row.res.prov_git_sha)
           .add("build_type", row.res.prov_build_type)
           .add("timestamp_utc", row.res.prov_timestamp_utc);
-      os << "  " << o.str() << (i + 1 < rows.size() ? "," : "") << "\n";
+      out.push(o);
     }
-    os << "]\n";
+    out.close();
     std::cout << "wrote " << rows.size() << " rows to " << json_path << "\n";
   }
   return ok ? 0 : 1;

@@ -24,10 +24,10 @@
 #include <string>
 #include <vector>
 
-#include "api/json.hpp"
 #include "api/runner.hpp"
 #include "bench/bench_common.hpp"
 #include "faults/scenarios.hpp"
+#include "util/json.hpp"
 
 using namespace lps;
 using bench::fmt;
@@ -48,10 +48,7 @@ struct Row {
   double resyncs = 0.0;  // engine rows: corrective sweeps
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+int run(const Options& opts) {
   const bool smoke = opts.get_bool("smoke", false);
   const std::int64_t n = opts.get_count("n", smoke ? 4096 : (1 << 18));
   const bool emit_json = opts.get_bool("json", !smoke);
@@ -205,10 +202,9 @@ int main(int argc, char** argv) {
 
   if (emit_json && !rows.empty()) {
     std::ofstream os(json_path);
-    os << "[\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& row = rows[i];
-      api::JsonObject o;
+    JsonRows out(os);
+    for (const Row& row : rows) {
+      JsonObject o;
       o.add("scenario", row.scenario)
           .add("surface", row.surface)
           .add("subject", row.subject)
@@ -229,10 +225,14 @@ int main(int argc, char** argv) {
           .add("git_sha", row.res.prov_git_sha)
           .add("build_type", row.res.prov_build_type)
           .add("timestamp_utc", row.res.prov_timestamp_utc);
-      os << "  " << o.str() << (i + 1 < rows.size() ? "," : "") << "\n";
+      out.push(o);
     }
-    os << "]\n";
+    out.close();
     std::cout << "wrote " << rows.size() << " rows to " << json_path << "\n";
   }
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

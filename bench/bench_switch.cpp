@@ -16,8 +16,9 @@
 
 using namespace lps;
 
-int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+namespace {
+
+int run(const Options& opts) {
   const auto ports = static_cast<std::size_t>(opts.get_count("ports", 8));
   const std::uint64_t slots = opts.get_count("slots", 6000);
   opts.exit_on_bad_flags();
@@ -67,3 +68,7 @@ int main(int argc, char** argv) {
   bench::print_table(t);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

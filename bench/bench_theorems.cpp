@@ -1,11 +1,13 @@
 // Experiment suite THEOREMS — the paper's headline claims (Theorems
-// 3.1, 3.8, 3.11, 4.5 and the Section 1 baseline positioning), driven
-// from one declarative table over the api runner. Each row is
+// 3.1, 3.8, 3.11, 4.5, the Section 1 baseline positioning and the
+// round-count scaling in n), driven from one declarative table over the
+// api runner. Each row is
 // (experiment, workload, generator spec, solver name, config, trials);
 // the runner owns instance construction, oracle resolution, and JSON
 // emission, so adding a scenario or algorithm is a table row, not a new
 // driver. Replaces the former bench_baselines, bench_t31_generic,
-// bench_t38_bipartite, bench_t311_general, and bench_t45_weighted.
+// bench_t38_bipartite, bench_t311_general, bench_t45_weighted and
+// bench_scaling.
 //
 //   ./bench_theorems [--trials 3] [--filter T3.8] [--json-dir bench/out]
 //                    [--json false]
@@ -80,6 +82,15 @@ const Experiment kExperiments[] = {
      "T4.5.c: measured delta of the class-based black box",
      "the stand-in for [18] must deliver a constant delta; the paper "
      "plugs in delta = 1/5 (ratio column = measured delta)"},
+    {"SCALING.a",
+     "SCALING.a: rounds vs n, sparse ER / bipartite",
+     "O(log n) round growth for the randomized algorithms: rounds/claim "
+     "(rounds / lg n) stays flat while n doubles"},
+    {"SCALING.b",
+     "SCALING.b: deterministic Hoepman [11] on the increasing path",
+     "Theta(n) rounds (rounds/claim = rounds / n), the O(n) entry in the "
+     "paper's related work, against Israeli-Itai's O(log n) on the same "
+     "path (rounds / lg n)"},
 };
 
 const Row kRows[] = {
@@ -165,6 +176,33 @@ const Row kRows[] = {
     // --------------------------------------------------- T4.5-delta --
     {"T4.5-delta", "bip ER n=128 w~U[1,256]", "bipartite:nx=64,ny=64,deg=6,w=uniform,wlo=1,whi=256", "class_mwm", "", 0, false, 0},
     {"T4.5-delta", "bip ER n=256 w~U[1,256]", "bipartite:nx=128,ny=128,deg=6,w=uniform,wlo=1,whi=256", "class_mwm", "", 0, false, 0},
+    // ------------------------------------------------------ SCALING.a --
+    {"SCALING.a", "ER n=256 deg4", "er:n=256,deg=4", "israeli_itai", "", 0, false, 0},
+    {"SCALING.a", "bip n=256 deg4", "bipartite:nx=128,ny=128,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
+    {"SCALING.a", "ER n=256 deg4 w~U[1,100]", "er:n=256,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.1", 0, false, 0},
+    {"SCALING.a", "ER n=512 deg4", "er:n=512,deg=4", "israeli_itai", "", 0, false, 0},
+    {"SCALING.a", "bip n=512 deg4", "bipartite:nx=256,ny=256,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
+    {"SCALING.a", "ER n=512 deg4 w~U[1,100]", "er:n=512,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.1", 0, false, 0},
+    {"SCALING.a", "ER n=1024 deg4", "er:n=1024,deg=4", "israeli_itai", "", 0, false, 0},
+    {"SCALING.a", "bip n=1024 deg4", "bipartite:nx=512,ny=512,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
+    {"SCALING.a", "ER n=1024 deg4 w~U[1,100]", "er:n=1024,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.1", 0, false, 0},
+    {"SCALING.a", "ER n=2048 deg4", "er:n=2048,deg=4", "israeli_itai", "", 0, false, 0},
+    {"SCALING.a", "bip n=2048 deg4", "bipartite:nx=1024,ny=1024,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
+    {"SCALING.a", "ER n=2048 deg4 w~U[1,100]", "er:n=2048,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.1", 0, false, 0},
+    {"SCALING.a", "ER n=4096 deg4", "er:n=4096,deg=4", "israeli_itai", "", 0, false, 0},
+    {"SCALING.a", "bip n=4096 deg4", "bipartite:nx=2048,ny=2048,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
+    {"SCALING.a", "ER n=4096 deg4 w~U[1,100]", "er:n=4096,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.1", 0, false, 0},
+    // ------------------------------------------------------ SCALING.b --
+    // The increasing path is Hoepman's Theta(n)-round worst case; one
+    // trial, since the protocol is deterministic.
+    {"SCALING.b", "increasing path n=128", "increasing_path:n=128", "hoepman_mwm", "", 1, false, 0},
+    {"SCALING.b", "increasing path n=128", "increasing_path:n=128", "israeli_itai", "", 0, false, 0},
+    {"SCALING.b", "increasing path n=256", "increasing_path:n=256", "hoepman_mwm", "", 1, false, 0},
+    {"SCALING.b", "increasing path n=256", "increasing_path:n=256", "israeli_itai", "", 0, false, 0},
+    {"SCALING.b", "increasing path n=512", "increasing_path:n=512", "hoepman_mwm", "", 1, false, 0},
+    {"SCALING.b", "increasing path n=512", "increasing_path:n=512", "israeli_itai", "", 0, false, 0},
+    {"SCALING.b", "increasing path n=1024", "increasing_path:n=1024", "hoepman_mwm", "", 1, false, 0},
+    {"SCALING.b", "increasing path n=1024", "increasing_path:n=1024", "israeli_itai", "", 0, false, 0},
 };
 
 using bench::fmt;
@@ -185,6 +223,11 @@ double claim_denominator(const std::string& exp, const api::RunResult& res) {
   if (exp == "T4.5") {             // Theorem 4.5: O(log(1/eps) log n)
     return std::log(1.0 / cfg.get_double("eps", 0.1)) * logn;
   }
+  // SCALING: O(log n) for the randomized solvers, Theta(n) for Hoepman
+  // on the increasing path.
+  const auto n = static_cast<double>(res.n);
+  if (exp == "SCALING.b" && res.spec.solver == "hoepman_mwm") return n;
+  if (exp.rfind("SCALING", 0) == 0) return std::log2(n);
   return 0.0;
 }
 
@@ -334,7 +377,8 @@ int main(int argc, char** argv) {
   if (!any_matched) {
     std::fprintf(stderr,
                  "bench_theorems: --filter '%s' matches no experiment "
-                 "(keys: BASE, T3.1, T3.8, T3.11, T4.5 and sub-keys)\n",
+                 "(keys: BASE, T3.1, T3.8, T3.11, T4.5, SCALING and "
+                 "sub-keys)\n",
                  filter.c_str());
     return 1;
   }

@@ -16,6 +16,7 @@
 #include "runtime/shard.hpp"
 #include "telemetry/monitor.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace lps {
@@ -195,45 +196,43 @@ int run_engine_sweep(const std::string& json_path, bool smoke) {
     return 1;
   }
   const CacheInfo& cache = detect_cache();
-  out << "{\n"
-      << "  \"schema\": \"lps-bench-engine-v3\",\n"
-      << "  \"harness\": \"erdos_renyi(n, avg_deg/n, seed 15); every 8th "
-         "node keep-active-sends 1 msg on its first edge per round; 3 "
-         "warmup rounds then >=0.5s timed, best of 5 repeats\",\n"
-      << "  \"generated_by\": \"bench_micro --engine-json\",\n"
-      << "  \"cache\": {\"l2_bytes\": " << cache.l2_bytes
-      << ", \"l3_bytes\": " << cache.l3_bytes << "},\n"
-      << "  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const EngineRunResult& r = results[i];
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"n\": %u, \"avg_deg\": %.0f, \"m\": %u, "
-                  "\"shards\": %u, \"rounds\": %llu, "
-                  "\"rounds_per_sec\": %.1f, \"messages_per_sec\": %.0f, "
-                  "\"ns_per_delivered_message\": %.1f}%s\n",
-                  r.n, r.avg_deg, r.m, r.shards,
-                  static_cast<unsigned long long>(r.rounds),
-                  r.rounds_per_sec(), r.messages_per_sec(),
-                  r.ns_per_message(), i + 1 < results.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]";
+  JsonObject head;
+  head.add("schema", "lps-bench-engine-v3")
+      .add("harness",
+           "erdos_renyi(n, avg_deg/n, seed 15); every 8th node "
+           "keep-active-sends 1 msg on its first edge per round; 3 warmup "
+           "rounds then >=0.5s timed, best of 5 repeats")
+      .add("generated_by", "bench_micro --engine-json")
+      .add("cache",
+           JsonObject()
+               .add("l2_bytes", static_cast<std::uint64_t>(cache.l2_bytes))
+               .add("l3_bytes", static_cast<std::uint64_t>(cache.l3_bytes)));
   if (!smoke && overhead.off.rounds > 0) {
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        ",\n  \"telemetry_overhead\": {\"n\": %u, \"avg_deg\": %.0f, "
-        "\"untraced_rounds_per_sec\": %.1f, \"traced_rounds_per_sec\": %.1f, "
-        "\"untraced_ns_per_msg\": %.1f, \"traced_ns_per_msg\": %.1f, "
-        "\"overhead_frac\": %.4f, \"trace_events\": %zu}",
-        overhead.off.n, overhead.off.avg_deg, overhead.off.rounds_per_sec(),
-        overhead.on.rounds_per_sec(), overhead.off.ns_per_message(),
-        overhead.on.ns_per_message(), overhead.overhead_frac(),
-        overhead.events);
-    out << buf;
+    head.add("telemetry_overhead",
+             JsonObject()
+                 .add("n", static_cast<std::uint64_t>(overhead.off.n))
+                 .add("avg_deg", overhead.off.avg_deg)
+                 .add("untraced_rounds_per_sec", overhead.off.rounds_per_sec())
+                 .add("traced_rounds_per_sec", overhead.on.rounds_per_sec())
+                 .add("untraced_ns_per_msg", overhead.off.ns_per_message())
+                 .add("traced_ns_per_msg", overhead.on.ns_per_message())
+                 .add("overhead_frac", overhead.overhead_frac())
+                 .add("trace_events",
+                      static_cast<std::uint64_t>(overhead.events)));
   }
-  out << "\n}\n";
+  JsonRows rows(out, head, "results");
+  for (const EngineRunResult& r : results) {
+    rows.push(JsonObject()
+                  .add("n", static_cast<std::uint64_t>(r.n))
+                  .add("avg_deg", r.avg_deg)
+                  .add("m", static_cast<std::uint64_t>(r.m))
+                  .add("shards", static_cast<std::uint64_t>(r.shards))
+                  .add("rounds", r.rounds)
+                  .add("rounds_per_sec", r.rounds_per_sec())
+                  .add("messages_per_sec", r.messages_per_sec())
+                  .add("ns_per_delivered_message", r.ns_per_message()));
+  }
+  rows.close();
   std::printf("wrote %s\n", json_path.c_str());
   return 0;
 }

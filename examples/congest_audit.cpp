@@ -12,9 +12,10 @@
 #include "graph/generators.hpp"
 #include "util/options.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const lps::Options& opts) {
   using namespace lps;
-  const Options opts(argc, argv);
   const int k = static_cast<int>(opts.get_count("kmax", 3));
   const std::uint64_t seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
   opts.exit_on_bad_flags();
@@ -49,3 +50,7 @@ int main(int argc, char** argv) {
               "the graph — exactly the contrast Sections 3.1 vs 3.2 draw.\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return lps::run_main(argc, argv, run); }

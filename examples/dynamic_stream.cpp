@@ -17,8 +17,9 @@
 
 using namespace lps;
 
-int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+namespace {
+
+int run(const Options& opts) {
   dynamic::SwitchReplayConfig config;
   config.ports = static_cast<std::size_t>(opts.get_count("ports", 16));
   config.slots = opts.get_count("slots", 20000);
@@ -71,3 +72,7 @@ int main(int argc, char** argv) {
             << "\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

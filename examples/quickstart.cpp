@@ -17,9 +17,10 @@
 #include "api/runner.hpp"
 #include "util/options.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const lps::Options& opts) {
   using namespace lps;
-  const Options opts(argc, argv);
   const bool list = opts.get_bool("list", false);
   // Odd --n rounds down to an even node count; p's default tracks the
   // actual instance size, not the requested one.
@@ -94,3 +95,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return lps::run_main(argc, argv, run); }

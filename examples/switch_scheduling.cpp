@@ -12,9 +12,10 @@
 #include "switch/voq.hpp"
 #include "util/options.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const lps::Options& opts) {
   using namespace lps;
-  const Options opts(argc, argv);
   SwitchConfig cfg;
   cfg.ports = static_cast<std::size_t>(opts.get_count("ports", 16));
   cfg.load = opts.get_double("load", 0.9);
@@ -63,3 +64,7 @@ int main(int argc, char** argv) {
   std::printf("  mean queue occupancy: %.1f cells\n", m.mean_queue);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return lps::run_main(argc, argv, run); }

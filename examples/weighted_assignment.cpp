@@ -13,9 +13,10 @@
 #include "api/runner.hpp"
 #include "util/options.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const lps::Options& opts) {
   using namespace lps;
-  const Options opts(argc, argv);
   const long jobs = opts.get_int("jobs", 64);
   const long workers = opts.get_int("workers", 64);
   const long degree = opts.get_int("degree", 6);
@@ -80,3 +81,7 @@ int main(int argc, char** argv) {
                       : 0));
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return lps::run_main(argc, argv, run); }

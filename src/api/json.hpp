@@ -1,54 +1,14 @@
-// Minimal JSON object writer for the runner's machine-readable per-run
-// records (bench/out/*.json). Write-only, no external dependencies;
-// numbers use max_digits10 so round-trips are value-faithful.
+// The JSON writer's old home. The codec lives in util/json.hpp; these
+// aliases stay only because perfbench/solver_bench.cpp includes this
+// header and spells the writer api::JsonObject and api::JsonArray. The
+// next change to perfbench/ includes util/json.hpp and deletes this file.
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
+#include "util/json.hpp"
 
 namespace lps::api {
 
-/// Escape for inclusion inside a JSON string literal (adds no quotes).
-std::string json_escape(const std::string& s);
-
-class JsonObject;
-
-/// JSON array builder (telemetry series / histograms in per-run JSON).
-class JsonArray {
- public:
-  JsonArray& push(double value);
-  JsonArray& push(std::uint64_t value);
-  JsonArray& push(const JsonObject& nested);
-
-  /// `[v, ...]` on one line.
-  std::string str() const;
-
- private:
-  std::vector<std::string> items_;
-};
-
-/// Flat-to-lightly-nested JSON object builder; keys appear in insertion
-/// order. Nesting via add(key, JsonObject) / add(key, JsonArray).
-class JsonObject {
- public:
-  JsonObject& add(const std::string& key, const std::string& value);
-  JsonObject& add(const std::string& key, const char* value);
-  JsonObject& add(const std::string& key, double value);
-  JsonObject& add(const std::string& key, std::int64_t value);
-  JsonObject& add(const std::string& key, std::uint64_t value);
-  JsonObject& add(const std::string& key, int value);
-  JsonObject& add(const std::string& key, bool value);
-  JsonObject& add(const std::string& key, const JsonObject& nested);
-  JsonObject& add(const std::string& key, const JsonArray& array);
-
-  /// `{"k": v, ...}` on one line.
-  std::string str() const;
-
- private:
-  JsonObject& raw(const std::string& key, std::string rendered);
-  std::vector<std::pair<std::string, std::string>> fields_;
-};
+using JsonObject = lps::JsonObject;
+using JsonArray = lps::JsonArray;
 
 }  // namespace lps::api

@@ -6,7 +6,7 @@
 
 #include <string>
 
-#include "api/json.hpp"
+#include "util/json.hpp"
 
 namespace lps::api {
 

@@ -10,7 +10,6 @@
 
 #include <chrono>
 
-#include "api/json.hpp"
 #include "api/provenance.hpp"
 #include "api/registry.hpp"
 #include "dynamic/matcher.hpp"
@@ -24,6 +23,7 @@
 #include "lca/oracle.hpp"
 #include "telemetry/monitor.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/json.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
 
@@ -461,10 +461,10 @@ TelemetrySnap snap_telemetry() {
   s.shard_ns = em.shard_exchange_ns.values();
   s.worker_ns = em.worker_busy_ns.values();
   s.series_size = em.messages_per_round.size();
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  s.lca_query_ns = reg.histogram("lca.query_ns").snapshot();
-  s.dyn_update_ns = reg.histogram("dynamic.update_ns").snapshot();
-  s.fault_recovery_ns = reg.histogram("faults.recovery_ns").snapshot();
+  telemetry::LegMetrics& legs = telemetry::LegMetrics::get();
+  s.lca_query_ns = legs.lca_query_ns.snapshot();
+  s.dyn_update_ns = legs.dynamic_update_ns.snapshot();
+  s.fault_recovery_ns = legs.faults_recovery_ns.snapshot();
   return s;
 }
 

@@ -10,17 +10,6 @@
 
 namespace lps::dynamic {
 
-namespace {
-
-/// Resolved once (static ref), recorded per update when metrics are on.
-telemetry::Histogram& update_ns_histogram() {
-  static telemetry::Histogram& h =
-      telemetry::MetricsRegistry::global().histogram("dynamic.update_ns");
-  return h;
-}
-
-}  // namespace
-
 // ------------------------------------------------------ DynamicMatcher --
 
 DynamicMatcher::DynamicMatcher(DynamicGraph g)
@@ -116,7 +105,10 @@ void DynamicMatcher::apply(const Update& up) {
   }
   ++stats_.updates;
   after_update();
-  if (tmetrics) update_ns_histogram().record(telemetry::now_ns() - t0);
+  if (tmetrics) {
+    const std::uint64_t ns = telemetry::now_ns() - t0;
+    telemetry::LegMetrics::get().dynamic_update_ns.record(ns);
+  }
 }
 
 void DynamicMatcher::apply_trace(const UpdateTrace& trace) {

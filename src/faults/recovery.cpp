@@ -142,9 +142,7 @@ std::uint64_t FaultSession::recover(std::uint64_t epoch, bool heal_all,
   matcher_.flush();
   const std::uint64_t ns = clock_ns() - t0;
   if (telemetry::enabled()) {
-    telemetry::MetricsRegistry::global()
-        .histogram("faults.recovery_ns")
-        .record(ns);
+    telemetry::LegMetrics::get().faults_recovery_ns.record(ns);
   }
   return ns;
 }

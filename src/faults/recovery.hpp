@@ -12,7 +12,7 @@
 //     both back, and flushes the maintainer (the repair maintainer
 //     treats the revived set as its dirty-set, escalating to a rebuild
 //     when the batch is large). Recovery is the timed section; its
-//     latency lands in the "faults.recovery_ns" histogram;
+//     latency lands in the LegMetrics::faults_recovery_ns histogram;
 // (3) audits — proves the matching valid (check_matching +
 //     check_invariants) and records its size against the fault-free
 //     baseline captured at session start.

@@ -74,7 +74,7 @@ BatchStats BatchEngine::run(
 namespace {
 
 /// Per-query instrumentation shared by the edge/node batch loops: a
-/// lca.query_ns histogram sample when metrics are on, plus a per-query
+/// LegMetrics::lca_query_ns sample when metrics are on, plus a per-query
 /// span (with the oracle's probe delta as an arg) when tracing.
 template <typename Query>
 void instrumented_query(MatchingOracle& oracle, bool tmetrics, bool ttrace,
@@ -103,9 +103,7 @@ struct QueryTelemetry {
   bool tmetrics = telemetry::enabled();
   bool ttrace = telemetry::Tracer::global().recording();
   telemetry::Histogram* query_ns =
-      tmetrics ? &telemetry::MetricsRegistry::global().histogram(
-                     "lca.query_ns")
-               : nullptr;
+      tmetrics ? &telemetry::LegMetrics::get().lca_query_ns : nullptr;
 };
 
 }  // namespace

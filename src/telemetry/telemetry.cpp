@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
+
+#include "util/json.hpp"
 
 namespace lps::telemetry {
 
@@ -106,18 +107,6 @@ HistogramSnapshot Histogram::snapshot() const noexcept {
   return out;
 }
 
-void Histogram::reset() noexcept {
-  for (unsigned i = 0; i < kSlots; ++i) {
-    Slot& s = slots_[i];
-    s.count.store(0, std::memory_order_relaxed);
-    s.sum.store(0, std::memory_order_relaxed);
-    s.max.store(0, std::memory_order_relaxed);
-    for (unsigned b = 0; b < kHistBuckets; ++b) {
-      s.buckets[b].store(0, std::memory_order_relaxed);
-    }
-  }
-}
-
 // ------------------------------------------------------------- counters --
 
 Counter::Counter() : slots_(new Slot[kSlots]) {}
@@ -132,12 +121,6 @@ std::uint64_t Counter::value() const noexcept {
     total += slots_[i].v.load(std::memory_order_relaxed);
   }
   return total;
-}
-
-void Counter::reset() noexcept {
-  for (unsigned i = 0; i < kSlots; ++i) {
-    slots_[i].v.store(0, std::memory_order_relaxed);
-  }
 }
 
 IndexedCounter::IndexedCounter()
@@ -168,14 +151,6 @@ std::vector<std::uint64_t> IndexedCounter::values() const {
   return out;
 }
 
-void IndexedCounter::reset() noexcept {
-  for (std::size_t i = 0; i < kIndexedCapacity; ++i) {
-    slots_[i].store(0, std::memory_order_relaxed);
-  }
-  watermark_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
-}
-
 // --------------------------------------------------------------- series --
 
 void Series::push(std::uint64_t v) {
@@ -203,88 +178,15 @@ std::uint64_t Series::dropped() const {
   return dropped_;
 }
 
-void Series::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  values_.clear();
-  dropped_ = 0;
-}
+// ---------------------------------------------------- instrument table --
 
-// ------------------------------------------------------------- registry --
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry* instance = new MetricsRegistry();
+EngineMetrics& EngineMetrics::get() {
+  static EngineMetrics* instance = new EngineMetrics();
   return *instance;
 }
 
-template <typename T>
-T& MetricsRegistry::get(
-    std::vector<std::pair<std::string, std::unique_ptr<T>>>& table,
-    const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [key, value] : table) {
-    if (key == name) return *value;
-  }
-  table.emplace_back(name, std::make_unique<T>());
-  return *table.back().second;
-}
-
-Counter& MetricsRegistry::counter(const std::string& name) {
-  return get(counters_, name);
-}
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  return get(histograms_, name);
-}
-IndexedCounter& MetricsRegistry::indexed(const std::string& name) {
-  return get(indexed_, name);
-}
-Series& MetricsRegistry::series(const std::string& name) {
-  return get(series_, name);
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> MetricsRegistry::counters()
-    const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  out.reserve(counters_.size());
-  for (const auto& [key, value] : counters_) {
-    out.emplace_back(key, value->value());
-  }
-  return out;
-}
-
-std::vector<std::pair<std::string, HistogramSnapshot>>
-MetricsRegistry::histograms() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::string, HistogramSnapshot>> out;
-  out.reserve(histograms_.size());
-  for (const auto& [key, value] : histograms_) {
-    out.emplace_back(key, value->snapshot());
-  }
-  return out;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [key, value] : counters_) value->reset();
-  for (auto& [key, value] : histograms_) value->reset();
-  for (auto& [key, value] : indexed_) value->reset();
-  for (auto& [key, value] : series_) value->reset();
-}
-
-EngineMetrics& EngineMetrics::get() {
-  static MetricsRegistry& reg = MetricsRegistry::global();
-  static EngineMetrics* instance = new EngineMetrics{
-      reg.counter("engine.rounds"),
-      reg.counter("engine.messages_delivered"),
-      reg.histogram("engine.round_ns"),
-      reg.histogram("engine.exchange_p1_ns"),
-      reg.histogram("engine.exchange_p2_ns"),
-      reg.histogram("engine.inbox_sort_ns"),
-      reg.histogram("engine.step_ns"),
-      reg.indexed("engine.shard_exchange_ns"),
-      reg.indexed("engine.worker_busy_ns"),
-      reg.series("engine.messages_per_round"),
-  };
+LegMetrics& LegMetrics::get() {
+  static LegMetrics* instance = new LegMetrics();
   return *instance;
 }
 
@@ -423,23 +325,6 @@ std::size_t Tracer::dropped() const noexcept {
   return dropped_.load(std::memory_order_relaxed);
 }
 
-namespace {
-
-/// %g loses no precision for the small integers args usually hold and
-/// stays compact for real fractions.
-void append_number(std::string& out, double v) {
-  char buf[64];
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  out += buf;
-}
-
-}  // namespace
-
 void Tracer::write_chrome_trace(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mutex_);
   // Rebase timestamps to the earliest event so `ts` stays well inside
@@ -450,55 +335,39 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
   }
   if (t0 == ~std::uint64_t{0}) t0 = 0;
 
-  os << "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [";
-  bool first = true;
-  std::string line;
+  JsonRows rows(os, JsonObject().add("displayTimeUnit", "ns"), "traceEvents");
   for (const auto& buffer : buffers_) {
+    const auto tid = static_cast<std::uint64_t>(buffer->tid);
     if (!buffer->label.empty()) {
-      line.clear();
-      line += first ? "\n" : ",\n";
-      first = false;
-      line += "{\"ph\": \"M\", \"pid\": 1, \"tid\": ";
-      line += std::to_string(buffer->tid);
-      line += ", \"name\": \"thread_name\", \"args\": {\"name\": \"";
-      line += buffer->label;  // labels are engine-generated, no escaping
-      line += "\"}}";
-      os << line;
+      rows.push(JsonObject()
+                    .add("ph", "M")
+                    .add("pid", 1)
+                    .add("tid", tid)
+                    .add("name", "thread_name")
+                    .add("args", JsonObject().add("name", buffer->label)));
     }
     for (const Event& e : buffer->events) {
-      line.clear();
-      line += first ? "\n" : ",\n";
-      first = false;
-      line += "{\"name\": \"";
-      line += e.name;
-      line += "\", \"cat\": \"";
-      line += e.cat;
-      line += "\", \"ph\": \"";
-      line += e.ph;
-      line += "\", \"pid\": 1, \"tid\": ";
-      line += std::to_string(buffer->tid);
-      line += ", \"ts\": ";
-      append_number(line, static_cast<double>(e.ts_ns - t0) / 1000.0);
+      JsonObject event;
+      event.add("name", e.name)
+          .add("cat", e.cat)
+          .add("ph", std::string_view(&e.ph, 1))
+          .add("pid", 1)
+          .add("tid", tid)
+          .add("ts", static_cast<double>(e.ts_ns - t0) / 1000.0);
       if (e.ph == 'X') {
-        line += ", \"dur\": ";
-        append_number(line, static_cast<double>(e.dur_ns) / 1000.0);
+        event.add("dur", static_cast<double>(e.dur_ns) / 1000.0);
       }
       if (e.argc > 0) {
-        line += ", \"args\": {";
+        JsonObject args;
         for (std::uint8_t i = 0; i < e.argc; ++i) {
-          if (i > 0) line += ", ";
-          line += '"';
-          line += e.args[i].key;
-          line += "\": ";
-          append_number(line, e.args[i].value);
+          args.add(e.args[i].key, e.args[i].value);
         }
-        line += '}';
+        event.add("args", args);
       }
-      line += '}';
-      os << line;
+      rows.push(event);
     }
   }
-  os << "\n]}\n";
+  rows.close();
 }
 
 bool Tracer::write_chrome_trace(const std::string& path) const {

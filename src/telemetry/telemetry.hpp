@@ -3,8 +3,11 @@
 //
 // Two cooperating pieces behind two independent runtime switches:
 //
-//  * MetricsRegistry — named counters, per-index counters, bounded
-//    series, and fixed-bucket log-scale latency histograms. All hot-path
+//  * A fixed instrument table: counters, per-index counters, bounded
+//    series and fixed-bucket log-scale latency histograms, each a named
+//    member of EngineMetrics (the round engine) or LegMetrics (the
+//    runner's LCA, dynamic and fault legs). A member name is checked by
+//    the compiler at every site that records or reads it. All hot-path
 //    mutation goes through cache-line-separated per-slot relaxed
 //    atomics (the same pattern as the engine's per-worker stat slots);
 //    merging happens only on read, so recording is lock-free and
@@ -16,17 +19,20 @@
 //    name/category, a nanosecond stamp, the recording thread's stable
 //    id, and up to four numeric args. Records land in per-thread
 //    buffers (registered once, under a mutex, on each thread's first
-//    record) and are folded into one Chrome JSON document on write.
+//    record) and are streamed as one Chrome JSON document, one event
+//    per line, through the JSON codec (util/json.hpp) on write.
 //    Gated by Tracer::recording().
 //
 // Switch contract: both switches are always compiled in. Off (the
 // default state), each instrumentation site costs one predictable
 // relaxed-load branch per phase and no clock reads.
 //
-// Naming scheme: `<layer>.<quantity>[_<unit>]` — e.g. engine.round_ns,
-// engine.shard_exchange_ns, lca.query_ns, dynamic.update_ns. Span names
-// reuse the layer prefix as the Chrome `cat` ("engine", "lca",
-// "dynamic", "api").
+// Naming scheme: an instrument member is `<quantity>[_<unit>]` inside
+// its layer's struct (EngineMetrics::round_ns, LegMetrics::
+// lca_query_ns), and the run record names its fields after them
+// (`lca_query_ns_p50`). Span names are `<layer>.<step>` ("engine.round",
+// "lca.query", "dynamic.repair"), with the layer as the Chrome `cat`
+// ("engine", "lca", "dynamic", "api"); a solve is "solve:<solver>".
 //
 // Threading: recording is safe from any thread. snapshot()/write are
 // meant for quiescent moments (between rounds / after a run); they
@@ -133,7 +139,6 @@ class Histogram {
   void record(std::uint64_t value, unsigned slot) noexcept;
 
   HistogramSnapshot snapshot() const noexcept;
-  void reset() noexcept;
 
  private:
   struct alignas(64) Slot {
@@ -155,7 +160,6 @@ class Counter {
 
   void add(std::uint64_t delta) noexcept;
   std::uint64_t value() const noexcept;
-  void reset() noexcept;
 
  private:
   struct alignas(64) Slot {
@@ -181,7 +185,6 @@ class IndexedCounter {
   std::uint64_t dropped() const noexcept {
     return dropped_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept;
 
  private:
   std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
@@ -202,7 +205,6 @@ class Series {
   /// Copy of entries [from, size()).
   std::vector<std::uint64_t> values_from(std::size_t from) const;
   std::uint64_t dropped() const;
-  void reset();
 
  private:
   const std::size_t capacity_;
@@ -211,56 +213,33 @@ class Series {
   std::uint64_t dropped_ = 0;
 };
 
-// ------------------------------------------------------------- registry --
+// ---------------------------------------------------- instrument table --
 
-/// Process-global name -> instrument table. Lookup takes a mutex;
-/// instruments are created on first use and never destroyed, so the
-/// returned references are stable — hot paths resolve names once (see
-/// EngineMetrics) and record lock-free thereafter.
-class MetricsRegistry {
- public:
-  static MetricsRegistry& global();
-
-  Counter& counter(const std::string& name);
-  Histogram& histogram(const std::string& name);
-  IndexedCounter& indexed(const std::string& name);
-  Series& series(const std::string& name);
-
-  std::vector<std::pair<std::string, std::uint64_t>> counters() const;
-  std::vector<std::pair<std::string, HistogramSnapshot>> histograms() const;
-
-  /// Zero every instrument (names and references stay valid).
-  void reset();
-
- private:
-  MetricsRegistry() = default;
-  template <typename T>
-  T& get(std::vector<std::pair<std::string, std::unique_ptr<T>>>& table,
-         const std::string& name);
-
-  mutable std::mutex mutex_;
-  std::vector<std::pair<std::string, std::unique_ptr<Counter>>> counters_;
-  std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> histograms_;
-  std::vector<std::pair<std::string, std::unique_ptr<IndexedCounter>>>
-      indexed_;
-  std::vector<std::pair<std::string, std::unique_ptr<Series>>> series_;
-};
-
-/// The engine's instruments, resolved once (SyncNetwork is a template;
-/// this keeps name lookups out of the round loop). All durations ns.
+/// The engine's instruments (SyncNetwork is a template; one process-wide
+/// table keeps lookups out of the round loop). All durations ns.
 struct EngineMetrics {
-  Counter& rounds;
-  Counter& messages_delivered;
-  Histogram& round_ns;        // whole run_round
-  Histogram& exchange_p1_ns;  // boundary exchange: bin by dest shard
-  Histogram& exchange_p2_ns;  // per shard: sort by receiver + scatter
-  Histogram& inbox_sort_ns;   // per shard: per-receiver incidence sort
-  Histogram& step_ns;         // active-set step loop
-  IndexedCounter& shard_exchange_ns;  // phase-2 ns by shard id
-  IndexedCounter& worker_busy_ns;     // step-loop ns by worker id
-  Series& messages_per_round;         // delivered per round
+  Counter rounds;
+  Counter messages_delivered;
+  Histogram round_ns;        // whole run_round
+  Histogram exchange_p1_ns;  // boundary exchange: bin by dest shard
+  Histogram exchange_p2_ns;  // per shard: sort by receiver + scatter
+  Histogram inbox_sort_ns;   // per shard: per-receiver incidence sort
+  Histogram step_ns;         // active-set step loop
+  IndexedCounter shard_exchange_ns;  // phase-2 ns by shard id
+  IndexedCounter worker_busy_ns;     // step-loop ns by worker id
+  Series messages_per_round;         // delivered per round
 
   static EngineMetrics& get();
+};
+
+/// The latency of one unit of work in each of the runner's optional
+/// legs; run_one reports each leg's p50/p99. All durations ns.
+struct LegMetrics {
+  Histogram lca_query_ns;        // one LCA oracle query (lca/batch)
+  Histogram dynamic_update_ns;   // one dynamic-graph update (dynamic/matcher)
+  Histogram faults_recovery_ns;  // one fault epoch's repair (faults/recovery)
+
+  static LegMetrics& get();
 };
 
 // --------------------------------------------------------------- tracer --

@@ -1,43 +1,16 @@
-// Minimal JSON reader for Chrome-trace documents, shared by
-// tools/trace_summary and tests/test_telemetry. This is a consumer-side
-// validator — the writer half lives in telemetry.cpp — so it parses
-// strict JSON (no comments, no trailing commas) and rejects anything
-// malformed instead of guessing.
+// The Chrome-trace schema over the JSON codec (util/json.hpp): reads
+// the documents Tracer::write_chrome_trace exports into flat spans and
+// thread labels, for tools/trace_summary and the tests. Parsing is the
+// codec's strict parse_json; this layer only checks the schema, and
+// rejects a malformed document with a message instead of guessing.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace lps::telemetry {
-
-/// A parsed JSON value. Numbers are kept as double (Chrome traces only
-/// carry µs timestamps and small args; 2^53 integer precision is ample).
-struct JsonValue {
-  enum class Kind { Null, Bool, Number, String, Array, Object };
-  Kind kind = Kind::Null;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  bool is_object() const noexcept { return kind == Kind::Object; }
-  bool is_array() const noexcept { return kind == Kind::Array; }
-  bool is_string() const noexcept { return kind == Kind::String; }
-  bool is_number() const noexcept { return kind == Kind::Number; }
-  /// Object member lookup; nullptr when absent or not an object.
-  const JsonValue* find(const std::string& key) const noexcept;
-};
-
-/// Parse a complete JSON document. Returns false (with a position +
-/// message in *error when non-null) on any syntax violation, including
-/// trailing garbage after the top-level value, and on arrays and objects
-/// nested more than 256 deep (the parser recurses per level).
-bool parse_json(const std::string& text, JsonValue& out,
-                std::string* error = nullptr);
 
 /// One trace event, flattened from the Chrome schema.
 struct TraceSpan {

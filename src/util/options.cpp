@@ -112,6 +112,7 @@ void SpecArgs::check_all_used() const {
 
 Options::Options(int argc, char** argv) {
   program_ = argc > 0 ? argv[0] : "";
+  program_.erase(0, program_.find_last_of('/') + 1);
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -197,9 +198,18 @@ void Options::exit_on_bad_flags() const {
   try {
     check_flags();
   } catch (const std::invalid_argument& e) {
-    const std::string name = program_.substr(program_.find_last_of('/') + 1);
-    std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
+    std::fprintf(stderr, "%s: %s\n", program_.c_str(), e.what());
     std::exit(2);
+  }
+}
+
+int run_main(int argc, char** argv, int (*body)(const Options& opts)) {
+  const Options opts(argc, argv);
+  try {
+    return body(opts);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", opts.program().c_str(), e.what());
+    return 2;
   }
 }
 

@@ -83,6 +83,9 @@ class Options {
   /// exits 2.
   void exit_on_bad_flags() const;
 
+  /// The binary's name: argv[0] without its directory.
+  const std::string& program() const { return program_; }
+
  private:
   /// The value given for `key` (nullptr when absent); records the key
   /// as read either way.
@@ -98,5 +101,13 @@ class Options {
   mutable std::set<std::string> used_;
   mutable std::string first_error_;
 };
+
+/// The main of a bench or example binary: builds its Options and runs
+/// `body`. A spec error that `body` finds after its flags parsed (an
+/// unknown solver, an out-of-range config or generator value: any
+/// std::invalid_argument) prints one `<program>: <what>` line and exits
+/// 2, as a bad flag does. Any other exception still escapes: a
+/// std::logic_error is a broken invariant, not a bad input.
+int run_main(int argc, char** argv, int (*body)(const Options& opts));
 
 }  // namespace lps

@@ -18,6 +18,7 @@
 #include "dynamic/stream.hpp"
 #include "dynamic/switch_adapter.hpp"
 #include "graph/generators.hpp"
+#include "run_record.hpp"
 #include "util/rng.hpp"
 
 namespace lps::dynamic {
@@ -532,14 +533,24 @@ TEST(RunnerDynamicLeg, EmitsThroughputRecourseAndRatio) {
   EXPECT_GT(res.dynamic_ratio, 0.8);
   EXPECT_GT(res.dynamic_ratio_min, 0.5);
   EXPECT_LE(res.dynamic_ratio_min, res.dynamic_ratio + 1e-12);
-  const std::string json = res.to_json();
-  for (const char* key :
-       {"\"dynamic_maintainer\"", "\"dynamic_updates_per_sec\"",
-        "\"dynamic_recourse_per_update\"", "\"dynamic_ratio\"",
-        "\"provenance\"", "\"git_sha\"", "\"build_type\"",
-        "\"timestamp_utc\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key;
-  }
+  const JsonValue rec = testing::parse_record(res.to_json());
+  using testing::field;
+  EXPECT_EQ(field(rec, "dynamic_maintainer").string, "repair");
+  EXPECT_EQ(field(rec, "dynamic_stream").string, spec.dynamic_stream);
+  EXPECT_EQ(field(rec, "dynamic_bootstrap_updates").number, 256.0);
+  EXPECT_EQ(field(rec, "dynamic_updates").number, 2000.0);
+  EXPECT_EQ(field(rec, "dynamic_updates_per_sec").number,
+            res.dynamic_updates_per_sec);
+  EXPECT_EQ(field(rec, "dynamic_recourse_per_update").number,
+            res.dynamic_recourse_per_update);
+  EXPECT_EQ(field(rec, "dynamic_ratio").number, res.dynamic_ratio);
+  EXPECT_EQ(field(rec, "dynamic_ratio_min").number, res.dynamic_ratio_min);
+  EXPECT_EQ(field(rec, "dynamic_baseline").string, "blossom");
+  EXPECT_TRUE(field(rec, "dynamic_valid").boolean);
+  const JsonValue& prov = field(rec, "provenance");
+  EXPECT_EQ(field(prov, "git_sha").string, res.prov_git_sha);
+  EXPECT_EQ(field(prov, "build_type").string, res.prov_build_type);
+  EXPECT_EQ(field(prov, "timestamp_utc").string, res.prov_timestamp_utc);
 }
 
 TEST(RunnerDynamicLeg, RequiresAStreamSpec) {

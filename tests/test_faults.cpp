@@ -22,6 +22,7 @@
 #include "faults/recovery.hpp"
 #include "faults/scenarios.hpp"
 #include "graph/generators.hpp"
+#include "run_record.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
 
@@ -450,7 +451,23 @@ TEST(RunnerFaults, FaultLegLandsInRunResult) {
   EXPECT_GT(res.fault_recovery_p50_ns, 0u);
   // The canonical plan echo and the JSON record carry the fields.
   EXPECT_FALSE(res.fault_plan.empty());
-  EXPECT_NE(res.to_json().find("\"fault_min_ratio\""), std::string::npos);
+  const JsonValue rec = testing::parse_record(res.to_json());
+  using testing::field;
+  EXPECT_EQ(field(rec, "faults").string, "flap1");
+  EXPECT_EQ(field(rec, "fault_plan").string, res.fault_plan);
+  EXPECT_EQ(field(rec, "fault_epochs").number, 4.0);
+  EXPECT_TRUE(field(rec, "fault_all_valid").boolean);
+  EXPECT_TRUE(field(rec, "fault_final_valid").boolean);
+  EXPECT_EQ(field(rec, "fault_min_ratio").number, res.fault_min_ratio);
+  EXPECT_EQ(field(rec, "fault_final_ratio").number, res.fault_final_ratio);
+  EXPECT_EQ(field(rec, "fault_baseline_size").number,
+            static_cast<double>(res.fault_baseline_size));
+  EXPECT_EQ(field(rec, "fault_crashed").number,
+            static_cast<double>(res.fault_crashed));
+  EXPECT_EQ(field(rec, "fault_revived").number,
+            static_cast<double>(res.fault_revived));
+  EXPECT_EQ(field(rec, "fault_recovery_p50_ns").number,
+            static_cast<double>(res.fault_recovery_p50_ns));
 }
 
 TEST(RunnerFaults, MalformedAndMisdirectedSpecsThrowEagerly) {

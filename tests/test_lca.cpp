@@ -20,6 +20,7 @@
 #include "lca/lru_cache.hpp"
 #include "lca/oracle.hpp"
 #include "lca/rank_greedy.hpp"
+#include "run_record.hpp"
 #include "util/rng.hpp"
 
 namespace lps {
@@ -333,13 +334,17 @@ TEST(RunnerLca, AutoPairedOracleAgreesAndFillsJsonFields) {
     EXPECT_EQ(res.lca_queries, static_cast<std::uint64_t>(res.m));
     EXPECT_GT(res.lca_probes_per_query, 0.0);
     EXPECT_GE(res.lca_cache_hit_rate, 0.0);
-    const std::string json = res.to_json();
-    EXPECT_NE(json.find("\"lca_oracle\": \"" + std::string(solver) + "\""),
-              std::string::npos);
-    EXPECT_NE(json.find("\"lca_probes_per_query\": "), std::string::npos);
-    EXPECT_NE(json.find("\"lca_queries_per_sec\": "), std::string::npos);
-    EXPECT_NE(json.find("\"lca_cache_hit_rate\": "), std::string::npos);
-    EXPECT_NE(json.find("\"lca_agree\": 1"), std::string::npos);
+    const JsonValue rec = testing::parse_record(res.to_json());
+    using testing::field;
+    EXPECT_EQ(field(rec, "lca_oracle").string, res.lca_oracle);
+    EXPECT_EQ(field(rec, "lca_queries").number,
+              static_cast<double>(res.lca_queries));
+    EXPECT_EQ(field(rec, "lca_probes_per_query").number,
+              res.lca_probes_per_query);
+    EXPECT_EQ(field(rec, "lca_queries_per_sec").number,
+              res.lca_queries_per_sec);
+    EXPECT_EQ(field(rec, "lca_cache_hit_rate").number, res.lca_cache_hit_rate);
+    EXPECT_EQ(field(rec, "lca_agree").number, 1.0);
   }
 }
 

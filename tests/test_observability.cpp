@@ -21,6 +21,7 @@
 
 #include "api/runner.hpp"
 #include "graph/generators.hpp"
+#include "run_record.hpp"
 #include "runtime/engine.hpp"
 #include "telemetry/monitor.hpp"
 #include "telemetry/telemetry.hpp"
@@ -34,7 +35,7 @@ namespace tel = telemetry;
 
 std::filesystem::path fresh_dir(const std::string& tag) {
   const std::filesystem::path dir =
-      std::filesystem::path(testing::TempDir()) / ("lps_obs_" + tag);
+      std::filesystem::path(::testing::TempDir()) / ("lps_obs_" + tag);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
@@ -160,17 +161,56 @@ TEST(RunJson, OmitsPercentileBlocksWithoutRounds) {
   const api::RunResult r = api::run_one(spec);
   ASSERT_TRUE(r.telemetry.enabled);
   EXPECT_EQ(r.telemetry.rounds, 0u);
-  const std::string json = r.to_json();
-  EXPECT_EQ(json.find("\"p99_ns\""), std::string::npos) << json;
-  EXPECT_EQ(json.find("phase_mean_per_round"), std::string::npos);
+  using testing::field;
+  const JsonValue rec = testing::parse_record(r.to_json());
+  const JsonValue& tel = field(rec, "telemetry");
+  EXPECT_TRUE(field(tel, "enabled").boolean);
+  EXPECT_EQ(field(tel, "rounds").number, 0.0);
+  EXPECT_EQ(tel.find("round"), nullptr);
+  EXPECT_EQ(tel.find("phase_mean_per_round"), nullptr);
 
   // And the blocks appear as soon as rounds were measured.
   api::RunResult synthetic = r;
   synthetic.telemetry.rounds = 3;
   synthetic.telemetry.round_ns_p99 = 5.0;
-  const std::string with = synthetic.to_json();
-  EXPECT_NE(with.find("\"p99_ns\""), std::string::npos);
-  EXPECT_NE(with.find("phase_mean_per_round"), std::string::npos);
+  synthetic.telemetry.step_ns_mean = 0.25;
+  const JsonValue with =
+      field(testing::parse_record(synthetic.to_json()), "telemetry");
+  EXPECT_EQ(field(field(with, "round"), "p99_ns").number, 5.0);
+  EXPECT_EQ(field(field(with, "phase_mean_per_round"), "step_ns").number,
+            0.25);
+}
+
+TEST(RunJson, EveryLegFillsItsLatencyPercentiles) {
+  // Each leg records into its own LegMetrics histogram and the runner
+  // reads that member back: a run with all three legs reports all
+  // three medians, in the RunResult and in the record.
+  api::RunSpec spec;
+  spec.generator = "er:n=200,deg=4";
+  spec.solver = "israeli_itai";
+  spec.oracle = "none";
+  spec.lca = "auto";
+  spec.dynamic = "repair";
+  spec.dynamic_stream = "churn:n=512,m0=1024,updates=1000";
+  spec.dynamic_checkpoints = 0;
+  spec.faults = "flap1";
+  const api::RunResult r = api::run_one(spec);
+  const api::TelemetrySummary& t = r.telemetry;
+  EXPECT_GT(t.lca_query_ns_p50, 0.0);
+  EXPECT_GT(t.dynamic_update_ns_p50, 0.0);
+  EXPECT_GT(t.faults_recovery_ns_p50, 0.0);
+  using testing::field;
+  const JsonValue tel = field(testing::parse_record(r.to_json()), "telemetry");
+  EXPECT_EQ(field(tel, "lca_query_ns_p50").number, t.lca_query_ns_p50);
+  EXPECT_EQ(field(tel, "lca_query_ns_p99").number, t.lca_query_ns_p99);
+  EXPECT_EQ(field(tel, "dynamic_update_ns_p50").number,
+            t.dynamic_update_ns_p50);
+  EXPECT_EQ(field(tel, "dynamic_update_ns_p99").number,
+            t.dynamic_update_ns_p99);
+  EXPECT_EQ(field(tel, "faults_recovery_ns_p50").number,
+            t.faults_recovery_ns_p50);
+  EXPECT_EQ(field(tel, "faults_recovery_ns_p99").number,
+            t.faults_recovery_ns_p99);
 }
 
 TEST(WriteJson, CollidingSpecsGetOrdinalSuffixes) {
@@ -311,7 +351,7 @@ TEST(MonitorDeathTest, StalledEngineAbortsWithDistinctExitCode) {
           }
         }
       },
-      testing::ExitedWithCode(tel::kWatchdogExitCode),
+      ::testing::ExitedWithCode(tel::kWatchdogExitCode),
       "watchdog: stall detected");
 }
 

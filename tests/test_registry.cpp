@@ -21,6 +21,7 @@
 #include "seq/exact_small.hpp"
 #include "seq/hopcroft_karp.hpp"
 #include "seq/hungarian.hpp"
+#include "run_record.hpp"
 #include "util/rng.hpp"
 
 namespace lps {
@@ -485,13 +486,30 @@ TEST(Runner, JsonRecordRoundTripsKeyFields) {
   spec.instance_seed = 3;
   const api::RunResult res = api::run_one(spec);
   const std::string json = res.to_json();
-  EXPECT_NE(json.find("\"solver\": \"israeli_itai\""), std::string::npos);
-  EXPECT_NE(json.find("\"generator\": \"grid:rows=4,cols=4\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"valid\": true"), std::string::npos);
-  EXPECT_NE(json.find("\"rounds\": "), std::string::npos);
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
+  const JsonValue rec = testing::parse_record(json);
+  using testing::field;
+  EXPECT_EQ(field(rec, "solver").string, "israeli_itai");
+  EXPECT_EQ(field(rec, "generator").string, "grid:rows=4,cols=4");
+  EXPECT_EQ(field(rec, "instance_seed").number, 3.0);
+  EXPECT_EQ(field(rec, "n").number, static_cast<double>(res.n));
+  EXPECT_EQ(field(rec, "m").number, static_cast<double>(res.m));
+  EXPECT_TRUE(res.valid);
+  EXPECT_EQ(field(rec, "valid").boolean, res.valid);
+  EXPECT_EQ(field(rec, "valid").kind, JsonValue::Kind::Bool);
+  EXPECT_EQ(field(rec, "rounds").number, static_cast<double>(res.net.rounds));
+  EXPECT_EQ(field(rec, "total_bits").number,
+            static_cast<double>(res.net.total_bits));
+  EXPECT_EQ(field(rec, "matching_size").number,
+            static_cast<double>(res.matching_size));
+  // Doubles read back bit for bit.
+  EXPECT_EQ(field(rec, "wall_ms").number, res.wall_ms);
+  EXPECT_EQ(field(rec, "ratio").number, res.ratio);
+  EXPECT_EQ(field(rec, "optimum").number, res.optimum);
+  EXPECT_EQ(field(rec, "optimum_kind").string, res.optimum_kind);
+  EXPECT_EQ(field(field(rec, "provenance"), "git_sha").string,
+            res.prov_git_sha);
+  EXPECT_EQ(field(field(rec, "telemetry"), "rounds").number,
+            static_cast<double>(res.telemetry.rounds));
 
   const std::string dir =
       (std::filesystem::temp_directory_path() / "lps_runner_test").string();

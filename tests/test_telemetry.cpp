@@ -7,6 +7,7 @@
 // engine_cases.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -17,6 +18,8 @@
 #include "telemetry/monitor.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_reader.hpp"
+#include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace lps {
 namespace {
@@ -122,26 +125,6 @@ TEST(Histogram, SnapshotDeltaSubtracts) {
   EXPECT_LE(delta.percentile(50.0), 1000.0);
 }
 
-TEST(MetricsRegistry, InstrumentsAreStableNamedAndResettable) {
-  tel::MetricsRegistry& reg = tel::MetricsRegistry::global();
-  tel::Counter& c = reg.counter("test.telemetry.counter");
-  EXPECT_EQ(&c, &reg.counter("test.telemetry.counter"));
-  c.reset();
-  c.add(5);
-  c.add(7);
-  EXPECT_EQ(c.value(), 12u);
-  bool seen = false;
-  for (const auto& [name, value] : reg.counters()) {
-    if (name == "test.telemetry.counter") {
-      seen = true;
-      EXPECT_EQ(value, 12u);
-    }
-  }
-  EXPECT_TRUE(seen);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
 TEST(IndexedCounter, WatermarkAndOutOfRangeDrops) {
   tel::IndexedCounter ic;
   ic.add(3, 10);
@@ -167,9 +150,6 @@ TEST(Series, BoundedWithDropAccounting) {
   ASSERT_EQ(tail.size(), 2u);
   EXPECT_EQ(tail[0], 2u);
   EXPECT_EQ(tail[1], 3u);
-  s.reset();
-  EXPECT_EQ(s.size(), 0u);
-  EXPECT_EQ(s.dropped(), 0u);
 }
 
 TEST(Tracer, ChromeTraceRoundTrips) {
@@ -221,6 +201,148 @@ TEST(Tracer, ChromeTraceRoundTrips) {
     if (name == "gtest-main") labeled = true;
   }
   EXPECT_TRUE(labeled);
+}
+
+/// The tracer's current contents as a Chrome-trace document.
+std::string exported() {
+  std::ostringstream os;
+  tel::Tracer::global().write_chrome_trace(os);
+  return os.str();
+}
+
+TEST(Tracer, ExportEscapesLabelsAndSpanNames) {
+  tel::Tracer& tracer = tel::Tracer::global();
+  tracer.reset();
+  tracer.set_recording(true);
+  const std::string label = "worker \"0\" \\ tab\there";
+  const std::string name = "span \"quoted\" \\ back\\slash";
+  tracer.set_thread_label(label);
+  tracer.emit(tracer.intern(name), tracer.intern("c\"at"), 10, 5,
+              {{"k\"ey", 1.0}});
+  tracer.set_recording(false);
+  const std::string text = exported();
+  tracer.reset();
+  tracer.set_thread_label("gtest-main");
+
+  tel::TraceDoc doc;
+  std::string error;
+  ASSERT_TRUE(tel::load_chrome_trace(text, doc, &error)) << error;
+  ASSERT_EQ(doc.spans.size(), 1u);
+  EXPECT_EQ(doc.spans[0].name, name);
+  EXPECT_EQ(doc.spans[0].cat, "c\"at");
+  EXPECT_EQ(doc.spans[0].args.count("k\"ey"), 1u);
+  EXPECT_EQ(doc.thread_names.at(doc.spans[0].tid), label);
+}
+
+TEST(Tracer, ExportedEventsLoadBackEventForEvent) {
+  struct Span {
+    const char* name;
+    std::uint64_t ts_ns;
+    std::uint64_t dur_ns;
+    std::vector<tel::Arg> args;
+  };
+  const std::uint64_t base = 5'000'000'000;
+  const std::vector<Span> spans = {
+      {"first", base, 1, {}},
+      {"exchange", base + 1'234'567, 999'999,
+       {{"round", 3.0}, {"frac", 0.1}, {"neg", -2.5}, {"big", 9007199254740992.0}}},
+      {"tiny", base + 1, 0, {{"tiny", 1e-300}}},
+      {"late", base + 86'400'000'000'000, 123'456'789,
+       {{"a", 1.0}, {"b", 2.0}, {"c", 1.0 / 3.0}, {"d", 5e-324}}},
+  };
+  tel::Tracer& tracer = tel::Tracer::global();
+  tracer.reset();
+  tracer.set_recording(true);
+  for (const Span& sp : spans) {
+    switch (sp.args.size()) {  // emit takes an initializer list
+      case 0: tracer.emit(sp.name, "test", sp.ts_ns, sp.dur_ns); break;
+      case 1:
+        tracer.emit(sp.name, "test", sp.ts_ns, sp.dur_ns, {sp.args[0]});
+        break;
+      case 4:
+        tracer.emit(sp.name, "test", sp.ts_ns, sp.dur_ns,
+                    {sp.args[0], sp.args[1], sp.args[2], sp.args[3]});
+        break;
+    }
+  }
+  tracer.event(tel::EventKind::kCrash, 7, 42);
+  tracer.set_recording(false);
+  const std::string text = exported();
+  tracer.reset();
+
+  tel::TraceDoc doc;
+  std::string error;
+  ASSERT_TRUE(tel::load_chrome_trace(text, doc, &error)) << error;
+  ASSERT_EQ(doc.spans.size(), spans.size() + 1);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const tel::TraceSpan& got = doc.spans[i];
+    EXPECT_EQ(got.name, spans[i].name);
+    EXPECT_EQ(got.cat, "test");
+    EXPECT_EQ(got.ph, 'X');
+    EXPECT_EQ(got.tid, doc.spans[0].tid);
+    // Rebased to the earliest event, in microseconds, bit for bit.
+    EXPECT_EQ(got.ts_us, static_cast<double>(spans[i].ts_ns - base) / 1000.0);
+    EXPECT_EQ(got.dur_us, static_cast<double>(spans[i].dur_ns) / 1000.0);
+    ASSERT_EQ(got.args.size(), spans[i].args.size()) << got.name;
+    for (const tel::Arg& a : spans[i].args) {
+      EXPECT_EQ(got.args.at(a.key), a.value) << got.name << "." << a.key;
+    }
+  }
+  const tel::TraceSpan& crash = doc.spans.back();
+  EXPECT_EQ(crash.name, "crash");
+  EXPECT_EQ(crash.cat, "event");
+  EXPECT_EQ(crash.ph, 'i');
+  EXPECT_EQ(crash.args.at("epoch"), 7.0);
+  EXPECT_EQ(crash.args.at("vertex"), 42.0);
+  EXPECT_EQ(text.back(), '\n');
+  // One event per line: the header line, then one line per event.
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(text.begin(), text.end(), '\n')),
+            1 + doc.spans.size() + doc.thread_names.size() + 1);
+}
+
+TEST(TraceReader, SurvivesTruncationsAndByteFlips) {
+  // Hostile input: every truncation of a valid trace and seeded
+  // single-byte flips. Each parse returns true, or false with a
+  // message; none may crash (this suite also runs under ASan/UBSan).
+  tel::Tracer& tracer = tel::Tracer::global();
+  tracer.reset();
+  tracer.set_recording(true);
+  tracer.emit("engine.exchange.p2", "engine", 1000, 2500,
+              {{"shard", 1.0}, {"round", 2.0}, {"msgs", 0.375}});
+  tracer.emit(tracer.intern("solve:\"x\\"), "api", 900, 5000);
+  tracer.event(tel::EventKind::kRevive, 3, 11);
+  tracer.set_recording(false);
+  const std::string valid = exported();
+  tracer.reset();
+  tel::TraceDoc doc;
+  std::string error;
+  ASSERT_TRUE(tel::load_chrome_trace(valid, doc, &error)) << error;
+
+  std::size_t rejected = 0;
+  const auto check = [&](const std::string& text) {
+    JsonValue value;
+    std::string json_error;
+    if (!parse_json(text, value, &json_error)) {
+      EXPECT_FALSE(json_error.empty());
+    }
+    std::string trace_error;
+    if (!tel::load_chrome_trace(text, doc, &trace_error)) {
+      EXPECT_FALSE(trace_error.empty());
+      ++rejected;
+    }
+  };
+  for (std::size_t len = 0; len < valid.size(); ++len) {
+    check(valid.substr(0, len));
+  }
+  Rng rng(20261020);
+  for (int i = 0; i < 20000; ++i) {
+    std::string text = valid;
+    text[rng.below(text.size())] = static_cast<char>(rng.below(256));
+    check(text);
+  }
+  // Every truncation short of the final newline is malformed.
+  EXPECT_GE(rejected, valid.size() - 1);
 }
 
 TEST(TraceReader, RejectsMalformedDocuments) {

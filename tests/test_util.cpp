@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cfloat>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "util/bigint.hpp"
+#include "util/json.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -553,6 +556,158 @@ TEST(Options, UnreadFlagsAreUnknown) {
   EXPECT_EQ(check_message(opts), "unknown flag '--trcae'");
   EXPECT_EQ(opts.get("trcae", ""), "x");  // read with any getter counts
   EXPECT_NO_THROW(opts.check_flags());
+}
+
+TEST(Options, RunMainTurnsSpecErrorsIntoExitTwo) {
+  const char* argv[] = {"/some/dir/prog", "--n=3"};
+  const auto run = [&](int (*body)(const Options&)) {
+    return run_main(2, const_cast<char**>(argv), body);
+  };
+  EXPECT_EQ(run([](const Options& o) {
+              return static_cast<int>(o.get_int("n", 0));
+            }),
+            3);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run([](const Options&) -> int {
+              throw std::invalid_argument("unknown solver 'x'");
+            }),
+            2);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "prog: unknown solver 'x'\n");
+  // A broken invariant is not a bad input: it still escapes.
+  EXPECT_THROW(run([](const Options&) -> int {
+                 throw std::logic_error("invariant");
+               }),
+               std::logic_error);
+}
+
+// --------------------------------------------------------------- JSON --
+
+JsonValue parse_ok(const std::string& text) {
+  JsonValue v;
+  std::string error;
+  EXPECT_TRUE(parse_json(text, v, &error)) << error << " in " << text;
+  return v;
+}
+
+TEST(Json, WriterRoundTripsThroughTheParser) {
+  std::string control;
+  for (char c = 1; c < 0x20; ++c) control += c;
+  const std::vector<std::string> strings = {
+      "", "plain", "quote \" inside", "back\\slash", control,
+      "h\xc3\xa9llo \xe2\x9c\x93 \xf0\x9d\x84\x9e", "\x7f del"};
+  const std::uint64_t two53 = std::uint64_t{1} << 53;
+  const std::vector<double> doubles = {
+      0.1, 1e-300, 5e-324, DBL_MAX, -0.0, 1.0 / 3.0, 123456.789, -2.5e17};
+
+  JsonObject o;
+  JsonObject keyed;  // the strings as keys
+  for (std::size_t i = 0; i < strings.size(); ++i) {
+    o.add(std::to_string(i) + "s", strings[i]);
+    keyed.add(strings[i], strings[i]);
+  }
+  JsonArray nums;
+  for (const double d : doubles) nums.push(d);
+  o.add("keyed", keyed)
+      .add("doubles", nums)
+      .add("u53", two53)
+      .add("i53", -static_cast<std::int64_t>(two53))
+      .add("int", -7)
+      .add("yes", true)
+      .add("no", false)
+      .add("nan", std::numeric_limits<double>::quiet_NaN())
+      .add("inf", std::numeric_limits<double>::infinity())
+      .add("ninf", -std::numeric_limits<double>::infinity())
+      .add("nested", JsonObject().add("inner", JsonObject().add("k", 1)));
+  const std::string text = o.str();
+  EXPECT_EQ(text.find('\n'), std::string::npos);  // one line
+  const JsonValue v = parse_ok(text);
+  ASSERT_TRUE(v.is_object());
+
+  for (std::size_t i = 0; i < strings.size(); ++i) {
+    const JsonValue* s = v.find(std::to_string(i) + "s");
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s->string, strings[i]);
+    const auto& [key, value] = v.find("keyed")->object.at(i);
+    EXPECT_EQ(key, strings[i]);  // keys are escaped too
+    EXPECT_EQ(value.string, strings[i]);
+  }
+  const JsonValue* ds = v.find("doubles");
+  ASSERT_NE(ds, nullptr);
+  ASSERT_EQ(ds->array.size(), doubles.size());
+  for (std::size_t i = 0; i < doubles.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ds->array[i].number),
+              std::bit_cast<std::uint64_t>(doubles[i]))
+        << doubles[i];
+  }
+  EXPECT_EQ(v.find("u53")->number, static_cast<double>(two53));
+  EXPECT_EQ(v.find("i53")->number, -static_cast<double>(two53));
+  EXPECT_EQ(v.find("int")->number, -7.0);
+  EXPECT_TRUE(v.find("yes")->boolean);
+  EXPECT_EQ(v.find("no")->kind, JsonValue::Kind::Bool);
+  EXPECT_FALSE(v.find("no")->boolean);
+  for (const char* key : {"nan", "inf", "ninf"}) {
+    EXPECT_EQ(v.find(key)->kind, JsonValue::Kind::Null) << key;
+  }
+  EXPECT_EQ(v.find("nested")->find("inner")->find("k")->number, 1.0);
+}
+
+TEST(Json, NumbersRenderAsTheShortestRoundTrip) {
+  EXPECT_EQ(JsonObject().add("x", 0.1).str(), "{\"x\": 0.1}");
+  EXPECT_EQ(JsonObject().add("x", 4.0).str(), "{\"x\": 4}");
+  EXPECT_EQ(JsonObject().add("x", -0.0).str(), "{\"x\": -0}");
+  EXPECT_EQ(JsonArray().push(0.5).push(std::uint64_t{18446744073709551615u})
+                .str(),
+            "[0.5, 18446744073709551615]");
+  EXPECT_EQ(JsonObject().add("t\x01z", "\t").str(),
+            "{\"t\\u0001z\": \"\\t\"}");
+}
+
+TEST(Json, RowsStreamOneObjectPerLine) {
+  std::ostringstream top;
+  {
+    JsonRows rows(top);
+    rows.push(JsonObject().add("a", 1)).push(JsonObject().add("a", 2));
+  }  // the destructor closes an unclosed document
+  EXPECT_EQ(top.str(), "[\n{\"a\": 1},\n{\"a\": 2}\n]\n");
+  EXPECT_EQ(parse_ok(top.str()).array.size(), 2u);
+
+  std::ostringstream member;
+  JsonRows rows(member, JsonObject().add("schema", "v"), "results");
+  rows.push(JsonObject().add("n", 3));
+  rows.close();
+  EXPECT_EQ(member.str(),
+            "{\"schema\": \"v\", \"results\": [\n{\"n\": 3}\n]}\n");
+  EXPECT_EQ(parse_ok(member.str()).find("results")->array.size(), 1u);
+
+  std::ostringstream empty;
+  JsonRows(empty, JsonObject(), "rows").close();
+  EXPECT_EQ(empty.str(), "{\"rows\": []}\n");
+  EXPECT_TRUE(parse_ok(empty.str()).find("rows")->array.empty());
+}
+
+TEST(Json, ParserFollowsTheGrammarAndNamesTheByte) {
+  for (const char* bad :
+       {"", "{", "[1,]", "{\"a\": 1,}", "01", "1.", ".5", "1e", "-", "+1",
+        "1e400", "tru", "nul", "\"\\x\"", "\"\\u12\"", "\"\\ud800\"",
+        "\"\\udc00\"", "\"\\ud800\\u0041\"", "\"raw\ttab\"", "[1] 2",
+        "{1: 2}", "\"open"}) {
+    JsonValue v;
+    std::string error;
+    EXPECT_FALSE(parse_json(bad, v, &error)) << bad;
+    EXPECT_EQ(error.rfind("at byte ", 0), 0u) << bad << ": " << error;
+  }
+  JsonValue v;
+  std::string error;
+  EXPECT_FALSE(parse_json("{\"a\" 1}", v, &error));
+  EXPECT_EQ(error, "at byte 5: expected ':'");
+  EXPECT_FALSE(parse_json(std::string(300, '['), v, &error));
+  EXPECT_EQ(error, "at byte 256: nesting deeper than 256");
+
+  EXPECT_EQ(parse_ok("\"\\ud834\\udd1e \\u00e9\\/\"").string,
+            "\xf0\x9d\x84\x9e \xc3\xa9/");
+  EXPECT_EQ(parse_ok(" [0, -0.5e-2, 1E+2] ").array.at(2).number, 100.0);
+  EXPECT_EQ(parse_ok("null").kind, JsonValue::Kind::Null);
 }
 
 }  // namespace
