@@ -9,22 +9,22 @@
 //                         and write PATH (default BENCH_engine.json, for
 //                         committing to the repo root so future PRs can
 //                         diff). Also measures tracing overhead at
-//                         n=2^20 deg 4 into a "telemetry_overhead"
-//                         block.
+//                         n=2^20 deg 4 (median of 5 pairs) into a
+//                         "telemetry_overhead" block.
 //   --shard-sweep         n=2^20 avg_deg=4, shard counts 1..128 and
 //                         auto: the locality curve behind DESIGN.md §11.
 //   --smoke               tiny sweep + engine sanity asserts, exit 0/1;
 //                         the CI bench smoke job runs this in Release.
 //   --trace=PATH          record a Chrome/Perfetto trace of whichever
 //                         sweep mode runs and write it to PATH.
-//   --trace-overhead[=E]  observability-overhead gate: best-of-3
-//                         rounds/sec at n=2^E (E in 10..24, the sizes the
-//                         sweep covers; default 20) deg 4, bare vs
-//                         fully observed (metrics, trace recording and a
-//                         silent Monitor sampling progress); exit 1 when
-//                         the observed run is >5% slower
-//                         (LPS_BENCH_GATE_SKIP=1 reports but exits 0,
-//                         the override for noisy CI hosts).
+//   --trace-overhead[=E]  observability-overhead gate: 10 back-to-back
+//                         pairs of a bare and a fully observed 0.5 s run
+//                         (metrics, trace recording and a silent
+//                         Monitor) at n=2^E (E in 10..24, the sizes the
+//                         sweep covers; default 20) deg 4, alternating
+//                         which runs first; exit 1 when at least 8 of
+//                         the 10 observed runs read more than 5% fewer
+//                         rounds/sec than their bare pair.
 //
 // These are engine numbers for one host. Comparing two commits is
 // tools/ab.py's job: a paired perfbench A/B on one host.

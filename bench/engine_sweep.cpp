@@ -3,9 +3,9 @@
 // codegen — see the header comment for the measured why.
 #include "bench/engine_sweep.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -18,6 +18,7 @@
 #include "telemetry/telemetry.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace lps {
 namespace {
@@ -84,53 +85,86 @@ void print_engine_row(const EngineRunResult& r) {
 
 // ------------------------------------------- tracing-overhead probe --
 
+/// Paired bare and fully observed runs of one workload: pair i is
+/// off[i] and on[i], run back to back.
 struct TraceOverheadResult {
-  EngineRunResult off;   // telemetry switched off
-  EngineRunResult on;    // metrics + recording on + silent monitor
-  std::size_t events = 0;  // spans captured during the best traced repeat
+  std::vector<EngineRunResult> off;  // telemetry switched off
+  std::vector<EngineRunResult> on;   // metrics + recording + silent monitor
+  std::size_t events = 0;  // events the last observed run captured
 
-  double overhead_frac() const {
-    return 1.0 - on.rounds_per_sec() / off.rounds_per_sec();
+  /// Pair i's cost of observation: 1 - observed / bare rounds/sec.
+  double overhead(std::size_t i) const {
+    return 1.0 - on[i].rounds_per_sec() / off[i].rounds_per_sec();
+  }
+  /// The nearest-rank median pair (util/stats percentile).
+  double median_overhead() const {
+    std::vector<double> v;
+    for (std::size_t i = 0; i < on.size(); ++i) v.push_back(overhead(i));
+    std::sort(v.begin(), v.end());
+    return percentile(v, 0.5);
+  }
+  std::size_t pairs_over(double budget) const {
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < on.size(); ++i) k += overhead(i) > budget;
+    return k;
   }
 };
 
-/// Best-of-`reps` bare vs fully observed runs of the EngineStep workload:
-/// metrics on, trace recording on, and a silent Monitor sampling the
-/// progress board the engine then publishes every round. Best-of on both
-/// sides: peak throughput is the noise-stable quantity, and comparing
-/// peaks isolates the instrumentation cost from scheduler jitter.
-TraceOverheadResult measure_trace_overhead(NodeId n, double avg_deg,
-                                           double min_seconds, int reps) {
-  TraceOverheadResult out{};
-  for (int rep = 0; rep < reps; ++rep) {
-    const EngineRunResult r =
-        measure_engine_rounds(n, avg_deg, min_seconds, /*shards=*/0);
-    if (rep == 0 || r.rounds_per_sec() > out.off.rounds_per_sec()) {
-      out.off = r;
-    }
-  }
+/// One fully observed run: trace recording on, and a silent Monitor
+/// sampling the engine's counters, which turns metrics on while armed.
+EngineRunResult observed_engine_rounds(NodeId n, double avg_deg,
+                                       double min_seconds,
+                                       std::size_t& events) {
   telemetry::Tracer& tracer = telemetry::Tracer::global();
-  const bool prev = telemetry::enabled();
-  telemetry::set_enabled(true);
-  for (int rep = 0; rep < reps; ++rep) {
-    tracer.reset();  // fresh event budget per repeat — no drop skew
-    tracer.set_recording(true);
-    telemetry::MonitorOptions mo;
-    mo.interval_ms = 50;
-    mo.out = nullptr;  // silent: sample the board, print nothing
-    telemetry::Monitor monitor(mo);
-    const EngineRunResult r =
-        measure_engine_rounds(n, avg_deg, min_seconds, /*shards=*/0);
-    monitor.stop();
-    tracer.set_recording(false);
-    if (rep == 0 || r.rounds_per_sec() > out.on.rounds_per_sec()) {
-      out.on = r;
-      out.events = tracer.events();
+  tracer.reset();  // a fresh event budget per run: no drop skew
+  tracer.set_recording(true);
+  telemetry::MonitorOptions mo;
+  mo.interval_ms = 50;
+  mo.out = nullptr;  // silent: sample the counters, print nothing
+  telemetry::Monitor monitor(mo);
+  const EngineRunResult r =
+      measure_engine_rounds(n, avg_deg, min_seconds, /*shards=*/0);
+  monitor.stop();
+  tracer.set_recording(false);
+  events = tracer.events();
+  tracer.reset();
+  return r;
+}
+
+/// `pairs` back-to-back pairs of a bare and a fully observed run of the
+/// EngineStep workload, alternating which side runs first, so a slow
+/// spell of the host lands on both sides alike and each pair's ratio
+/// compares runs that shared it.
+TraceOverheadResult measure_trace_overhead(NodeId n, double avg_deg,
+                                           double min_seconds, int pairs) {
+  TraceOverheadResult out;
+  for (int i = 0; i < pairs; ++i) {
+    const auto bare = [&] {
+      out.off.push_back(
+          measure_engine_rounds(n, avg_deg, min_seconds, /*shards=*/0));
+    };
+    const auto observed = [&] {
+      out.on.push_back(
+          observed_engine_rounds(n, avg_deg, min_seconds, out.events));
+    };
+    if (i % 2 == 0) {
+      bare();
+      observed();
+    } else {
+      observed();
+      bare();
     }
   }
-  telemetry::set_enabled(prev);
-  tracer.reset();
   return out;
+}
+
+/// The run with the nearest-rank median rounds/sec.
+EngineRunResult median_run(std::vector<EngineRunResult> runs) {
+  std::sort(runs.begin(), runs.end(),
+            [](const EngineRunResult& a, const EngineRunResult& b) {
+              return a.rounds_per_sec() < b.rounds_per_sec();
+            });
+  return runs[runs.size() / 2];
 }
 
 }  // namespace
@@ -176,19 +210,21 @@ int run_engine_sweep(const std::string& json_path, bool smoke) {
   // The telemetry acceptance number rides along with every full
   // regeneration: traced vs untraced throughput at the flagship
   // n=2^20 deg 4 row (ISSUE 7 budget: <= 5% rounds/sec).
-  TraceOverheadResult overhead{};
+  TraceOverheadResult overhead;
   if (!smoke && telemetry::Tracer::global().recording()) {
     // The probe's "untraced" half would record into the outer --trace
     // (and its reset() would erase it) — skip under an active trace.
     std::printf("tracing overhead probe skipped (outer --trace active)\n");
   } else if (!smoke) {
-    overhead = measure_trace_overhead(1u << 20, 4.0, min_seconds, 3);
+    overhead = measure_trace_overhead(1u << 20, 4.0, min_seconds, 5);
     std::printf("untraced ");
-    print_engine_row(overhead.off);
+    print_engine_row(median_run(overhead.off));
     std::printf("traced   ");
-    print_engine_row(overhead.on);
-    std::printf("tracing overhead: %.2f%% rounds/sec (%zu events)\n",
-                100.0 * overhead.overhead_frac(), overhead.events);
+    print_engine_row(median_run(overhead.on));
+    std::printf("tracing overhead: median %.2f%% rounds/sec over %zu pairs "
+                "(%zu events)\n",
+                100.0 * overhead.median_overhead(), overhead.on.size(),
+                overhead.events);
   }
   std::ofstream out(json_path);
   if (!out) {
@@ -207,16 +243,19 @@ int run_engine_sweep(const std::string& json_path, bool smoke) {
            JsonObject()
                .add("l2_bytes", static_cast<std::uint64_t>(cache.l2_bytes))
                .add("l3_bytes", static_cast<std::uint64_t>(cache.l3_bytes)));
-  if (!smoke && overhead.off.rounds > 0) {
+  if (!overhead.on.empty()) {
+    const EngineRunResult off = median_run(overhead.off);
+    const EngineRunResult on = median_run(overhead.on);
     head.add("telemetry_overhead",
              JsonObject()
-                 .add("n", static_cast<std::uint64_t>(overhead.off.n))
-                 .add("avg_deg", overhead.off.avg_deg)
-                 .add("untraced_rounds_per_sec", overhead.off.rounds_per_sec())
-                 .add("traced_rounds_per_sec", overhead.on.rounds_per_sec())
-                 .add("untraced_ns_per_msg", overhead.off.ns_per_message())
-                 .add("traced_ns_per_msg", overhead.on.ns_per_message())
-                 .add("overhead_frac", overhead.overhead_frac())
+                 .add("n", static_cast<std::uint64_t>(off.n))
+                 .add("avg_deg", off.avg_deg)
+                 .add("pairs", static_cast<std::uint64_t>(overhead.on.size()))
+                 .add("untraced_rounds_per_sec", off.rounds_per_sec())
+                 .add("traced_rounds_per_sec", on.rounds_per_sec())
+                 .add("untraced_ns_per_msg", off.ns_per_message())
+                 .add("traced_ns_per_msg", on.ns_per_message())
+                 .add("overhead_frac", overhead.median_overhead())
                  .add("trace_events",
                       static_cast<std::uint64_t>(overhead.events)));
   }
@@ -252,31 +291,33 @@ int run_shard_sweep() {
 /// CI observability-overhead gate (--trace-overhead): the telemetry
 /// contract says a fully observed engine run (metrics, trace recording
 /// and a silent Monitor all on) stays within 5% of bare rounds/sec.
-/// Best of 3 on each side; LPS_BENCH_GATE_SKIP=1 reports an over-budget
-/// run but exits 0 (the documented override for noisy hosts).
+/// One pair's ratio swings far past 5% either way on a shared host, so
+/// the verdict counts every pair: it fails only when at least
+/// kGatePairsOver of the kGatePairs pairs are over budget, which puts
+/// the median pair over budget too.
 int run_trace_overhead(unsigned nexp) {
+  constexpr int kGatePairs = 10;
+  constexpr std::size_t kGatePairsOver = 8;
+  constexpr double kBudget = 0.05;
   const NodeId n = NodeId{1} << nexp;
-  const TraceOverheadResult r = measure_trace_overhead(n, 4.0, 0.3, 3);
-  std::printf("untraced ");
-  print_engine_row(r.off);
-  std::printf("traced   ");
-  print_engine_row(r.on);
-  const double frac = r.overhead_frac();
+  const TraceOverheadResult r =
+      measure_trace_overhead(n, 4.0, 0.5, kGatePairs);
+  for (std::size_t i = 0; i < r.on.size(); ++i) {
+    std::printf("pair %zu: untraced rounds/s=%.1f traced rounds/s=%.1f "
+                "overhead %+.2f%%\n",
+                i, r.off[i].rounds_per_sec(), r.on[i].rounds_per_sec(),
+                100.0 * r.overhead(i));
+  }
+  const std::size_t over = r.pairs_over(kBudget);
   std::printf(
-      "trace overhead: %.2f%% rounds/sec (%zu events captured, budget "
-      "5%%)\n",
-      100.0 * frac, r.events);
-  if (frac > 0.05) {
-    const char* skip = std::getenv("LPS_BENCH_GATE_SKIP");
-    if (skip != nullptr && skip[0] == '1') {
-      std::printf(
-          "trace overhead: over budget but LPS_BENCH_GATE_SKIP=1 — "
-          "ignoring\n");
-      return 0;
-    }
+      "trace overhead: median %.2f%% rounds/sec, %zu of %zu pairs over the "
+      "5%% budget (%zu events captured per traced run)\n",
+      100.0 * r.median_overhead(), over, r.on.size(), r.events);
+  if (over >= kGatePairsOver) {
     std::fprintf(stderr,
-                 "trace overhead: traced run >5%% slower than untraced (set "
-                 "LPS_BENCH_GATE_SKIP=1 to override on noisy hosts)\n");
+                 "trace overhead: %zu of %zu observed runs are more than 5%% "
+                 "slower than their bare pair\n",
+                 over, r.on.size());
     return 1;
   }
   return 0;

@@ -7,8 +7,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
-
-#include <chrono>
+#include <tuple>
 
 #include "api/provenance.hpp"
 #include "api/registry.hpp"
@@ -26,6 +25,7 @@
 #include "util/json.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace lps::api {
 namespace {
@@ -257,6 +257,13 @@ double objective(const Instance& inst, const Matching& m,
 /// independent of every solver/generator draw under the same seed.
 constexpr std::uint64_t kLcaQuerySalt = 0x9c5a11edull;
 
+/// Nearest-rank p50 and p99 of a leg's latency samples; 0 and 0 when
+/// the leg timed nothing.
+std::pair<std::uint64_t, std::uint64_t> p50_p99(std::vector<std::uint64_t> ns) {
+  std::sort(ns.begin(), ns.end());
+  return {percentile(ns, 0.50), percentile(ns, 0.99)};
+}
+
 /// The LCA leg: build the oracle fleet, fan the edge queries across the
 /// pool, audit agreement against the global matching when the oracle
 /// pairs with the run's solver, and record the cost counters.
@@ -302,6 +309,8 @@ void run_lca_leg(const RunSpec& spec, const Instance& inst,
   out.lca_probes_per_query = batch.stats.oracle.probes_per_query();
   out.lca_queries_per_sec = batch.stats.queries_per_sec();
   out.lca_cache_hit_rate = batch.stats.oracle.cache_hit_rate();
+  std::tie(out.lca_query_p50_ns, out.lca_query_p99_ns) =
+      p50_p99(batch.stats.query_ns);
   if (paired) {
     out.lca_agree = 1;
     for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -352,8 +361,9 @@ void run_dynamic_leg(const RunSpec& spec, const faults::FaultPlan& fault_plan,
 
   // The bootstrap prefix (churn/adversarial's m0 build inserts) is
   // warm-up, not workload: it runs off the clock and outside the
-  // recourse accounting, so updates/sec measures maintenance under
-  // churn on the standing graph, not bulk construction.
+  // recourse accounting, so updates/sec and the update latency measure
+  // maintenance under churn on the standing graph, not bulk
+  // construction.
   const std::uint64_t total = stream.trace.size();
   const std::uint64_t bootstrap = stream.bootstrap;
   for (std::uint64_t i = 0; i < bootstrap; ++i) {
@@ -367,25 +377,30 @@ void run_dynamic_leg(const RunSpec& spec, const faults::FaultPlan& fault_plan,
           : measured + 1;
   const std::uint64_t checkpoint_step = next_checkpoint;
   double ratio_min = 2.0;
-  std::chrono::steady_clock::duration applied{0};
+  std::vector<std::uint64_t> update_ns;
+  update_ns.reserve(measured);
+  std::uint64_t applied_ns = 0;
   for (std::uint64_t i = 0; i < measured; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint64_t t0 = telemetry::now_ns();
     matcher.apply(stream.trace[bootstrap + i]);
-    applied += std::chrono::steady_clock::now() - t0;
+    update_ns.push_back(telemetry::now_ns() - t0);
+    applied_ns += update_ns.back();
     if (i + 1 >= next_checkpoint && i + 1 < measured) {
       next_checkpoint += checkpoint_step;
       ratio_min = std::min(ratio_min, ratio_now());
     }
   }
   {
-    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint64_t t0 = telemetry::now_ns();
     matcher.flush();
-    applied += std::chrono::steady_clock::now() - t0;
+    applied_ns += telemetry::now_ns() - t0;
   }
 
   out.dynamic_bootstrap_updates = bootstrap;
   out.dynamic_updates = measured;
-  const double secs = std::chrono::duration<double>(applied).count();
+  std::tie(out.dynamic_update_p50_ns, out.dynamic_update_p99_ns) =
+      p50_p99(std::move(update_ns));
+  const double secs = static_cast<double>(applied_ns) / 1e9;
   out.dynamic_updates_per_sec =
       secs > 0.0 ? static_cast<double>(measured) / secs : 0.0;
   out.dynamic_recourse_per_update =
@@ -429,9 +444,9 @@ void run_dynamic_leg(const RunSpec& spec, const faults::FaultPlan& fault_plan,
   }
 }
 
-/// A point-in-time copy of every instrument the run summary reads.
-/// run_one snapshots around each phase and subtracts, so one process
-/// can run many runs without resetting the global registry.
+/// A point-in-time copy of every engine instrument the run summary
+/// reads. run_one snapshots around the solve and subtracts, so one
+/// process can run many runs without resetting the global table.
 struct TelemetrySnap {
   std::uint64_t rounds = 0;
   std::uint64_t messages = 0;
@@ -443,9 +458,6 @@ struct TelemetrySnap {
   std::vector<std::uint64_t> shard_ns;
   std::vector<std::uint64_t> worker_ns;
   std::size_t series_size = 0;
-  telemetry::HistogramSnapshot lca_query_ns;
-  telemetry::HistogramSnapshot dyn_update_ns;
-  telemetry::HistogramSnapshot fault_recovery_ns;
 };
 
 TelemetrySnap snap_telemetry() {
@@ -461,10 +473,6 @@ TelemetrySnap snap_telemetry() {
   s.shard_ns = em.shard_exchange_ns.values();
   s.worker_ns = em.worker_busy_ns.values();
   s.series_size = em.messages_per_round.size();
-  telemetry::LegMetrics& legs = telemetry::LegMetrics::get();
-  s.lca_query_ns = legs.lca_query_ns.snapshot();
-  s.dyn_update_ns = legs.dynamic_update_ns.snapshot();
-  s.fault_recovery_ns = legs.faults_recovery_ns.snapshot();
   return s;
 }
 
@@ -476,11 +484,10 @@ std::vector<std::uint64_t> vec_delta(std::vector<std::uint64_t> after,
   return after;
 }
 
-/// Fold the solve-phase delta (before -> after_solve) plus the optional
-/// legs' histograms (before -> end) into the JSON-ready digest.
+/// Fold the solve-phase delta (before -> after_solve) into the
+/// JSON-ready digest.
 TelemetrySummary summarize_telemetry(const TelemetrySnap& before,
-                                     const TelemetrySnap& after_solve,
-                                     const TelemetrySnap& end) {
+                                     const TelemetrySnap& after_solve) {
   TelemetrySummary t;
   t.enabled = true;
   t.rounds = after_solve.rounds - before.rounds;
@@ -551,25 +558,6 @@ TelemetrySummary summarize_telemetry(const TelemetrySnap& before,
   for (std::size_t i = 0; i < rounds_in_series;
        i += t.messages_per_round_stride) {
     t.messages_per_round.push_back(series[i]);
-  }
-
-  telemetry::HistogramSnapshot lca = end.lca_query_ns;
-  lca -= before.lca_query_ns;
-  if (lca.count > 0) {
-    t.lca_query_ns_p50 = lca.percentile(50);
-    t.lca_query_ns_p99 = lca.percentile(99);
-  }
-  telemetry::HistogramSnapshot dyn = end.dyn_update_ns;
-  dyn -= before.dyn_update_ns;
-  if (dyn.count > 0) {
-    t.dynamic_update_ns_p50 = dyn.percentile(50);
-    t.dynamic_update_ns_p99 = dyn.percentile(99);
-  }
-  telemetry::HistogramSnapshot rec = end.fault_recovery_ns;
-  rec -= before.fault_recovery_ns;
-  if (rec.count > 0) {
-    t.faults_recovery_ns_p50 = rec.percentile(50);
-    t.faults_recovery_ns_p99 = rec.percentile(99);
   }
   return t;
 }
@@ -687,9 +675,9 @@ RunResult run_one(const RunSpec& spec) {
     }
   }
 
-  // Telemetry window: metrics cover only the solver's own solve (the
-  // oracle ran above, outside the window); the optional legs contribute
-  // their dedicated histograms below, and the trace (spans + event
+  // Telemetry window: the engine metrics cover only the solver's own
+  // solve (the oracle ran above, outside the window); each optional leg
+  // reports the latency it times itself, and the trace (spans + event
   // instants) covers solve and legs alike. The prior enabled state is
   // restored on the way out so nested/test callers see no side effect.
   const bool want_trace = !spec.trace.empty();
@@ -702,9 +690,9 @@ RunResult run_one(const RunSpec& spec) {
     tracer.set_recording(true);
   }
   // Live monitor + stall watchdog: a background sampler reading the
-  // progress board the engine publishes each round. Purely
-  // observational — the run's execution is bit-identical with or
-  // without it.
+  // engine's round and delivery counters (it turns metric recording on
+  // while armed). Purely observational — the run's execution is
+  // bit-identical with or without it.
   std::unique_ptr<telemetry::Monitor> monitor;
   if (spec.monitor_ms > 0 || spec.stall_timeout_ms > 0) {
     telemetry::MonitorOptions mopts;
@@ -721,8 +709,9 @@ RunResult run_one(const RunSpec& spec) {
 
   SolveResult result = solver.solve(inst, config);
 
-  TelemetrySnap t_solve;
-  if (want_metrics) t_solve = snap_telemetry();
+  if (want_metrics) {
+    out.telemetry = summarize_telemetry(t_before, snap_telemetry());
+  }
   if (self_oracle) {
     out.optimum = objective(inst, result.matching, weighted_objective) *
                   oracle.bound_factor;
@@ -749,9 +738,6 @@ RunResult run_one(const RunSpec& spec) {
   }
   if (!spec.dynamic.empty()) {
     run_dynamic_leg(spec, fault_plan, *dyn_stream, *dyn_matcher, out);
-  }
-  if (want_metrics) {
-    out.telemetry = summarize_telemetry(t_before, t_solve, snap_telemetry());
   }
   if (monitor != nullptr) {
     monitor->stop();
@@ -813,18 +799,6 @@ std::string RunResult::to_json() const {
         .add("shard_exchange", shards_obj)
         .add("messages_per_round", mpr)
         .add("messages_per_round_stride", telemetry.messages_per_round_stride);
-    if (telemetry.lca_query_ns_p50 > 0.0) {
-      tel.add("lca_query_ns_p50", telemetry.lca_query_ns_p50)
-          .add("lca_query_ns_p99", telemetry.lca_query_ns_p99);
-    }
-    if (telemetry.dynamic_update_ns_p50 > 0.0) {
-      tel.add("dynamic_update_ns_p50", telemetry.dynamic_update_ns_p50)
-          .add("dynamic_update_ns_p99", telemetry.dynamic_update_ns_p99);
-    }
-    if (telemetry.faults_recovery_ns_p50 > 0.0) {
-      tel.add("faults_recovery_ns_p50", telemetry.faults_recovery_ns_p50)
-          .add("faults_recovery_ns_p99", telemetry.faults_recovery_ns_p99);
-    }
     if (!trace_path.empty()) tel.add("trace_path", trace_path);
   }
   JsonObject o;
@@ -862,11 +836,15 @@ std::string RunResult::to_json() const {
       .add("lca_queries_per_sec", lca_queries_per_sec)
       .add("lca_cache_hit_rate", lca_cache_hit_rate)
       .add("lca_agree", lca_agree)
+      .add("lca_query_p50_ns", lca_query_p50_ns)
+      .add("lca_query_p99_ns", lca_query_p99_ns)
       .add("dynamic_maintainer", dynamic_maintainer)
       .add("dynamic_stream", spec.dynamic_stream)
       .add("dynamic_bootstrap_updates", dynamic_bootstrap_updates)
       .add("dynamic_updates", dynamic_updates)
       .add("dynamic_updates_per_sec", dynamic_updates_per_sec)
+      .add("dynamic_update_p50_ns", dynamic_update_p50_ns)
+      .add("dynamic_update_p99_ns", dynamic_update_p99_ns)
       .add("dynamic_recourse_per_update", dynamic_recourse_per_update)
       .add("dynamic_final_size", static_cast<std::uint64_t>(dynamic_final_size))
       .add("dynamic_final_edges", dynamic_final_edges)

@@ -100,7 +100,8 @@ struct RunSpec {
   /// `trace_summary --check`). Implies metric collection.
   std::string trace;
   /// Live-progress status line period in ms (stderr); 0 = no status
-  /// line.
+  /// line. The monitor reads the engine's round and delivery counters,
+  /// so it turns metric recording on while it runs.
   unsigned monitor_ms = 0;
   /// Stall-watchdog deadline in ms: when no engine round completes for
   /// this long, dump the progress state and the engine's telemetry
@@ -111,8 +112,11 @@ struct RunSpec {
   bool stall_abort = false;
 };
 
-/// The per-run telemetry digest attached to RunResult (and the JSON
-/// record). All durations ns; phase means are per *round* averages.
+/// The per-run engine telemetry digest attached to RunResult (and the
+/// JSON record's `telemetry` block), read from telemetry::EngineMetrics
+/// around the solve. It describes the engine only: each optional leg
+/// reports its own latency next to its other RunResult fields. All
+/// durations ns; phase means are per *round* averages.
 struct TelemetrySummary {
   bool enabled = false;   // false = block absent (telemetry off)
   std::uint64_t rounds = 0;
@@ -142,13 +146,6 @@ struct TelemetrySummary {
   // Messages delivered per round, strided to <= 64 samples.
   std::vector<std::uint64_t> messages_per_round;
   std::uint64_t messages_per_round_stride = 1;
-  // Optional-leg latency digests (zero when the leg did not run).
-  double lca_query_ns_p50 = 0.0;
-  double lca_query_ns_p99 = 0.0;
-  double dynamic_update_ns_p50 = 0.0;
-  double dynamic_update_ns_p99 = 0.0;
-  double faults_recovery_ns_p50 = 0.0;
-  double faults_recovery_ns_p99 = 0.0;
 };
 
 struct RunResult {
@@ -182,6 +179,10 @@ struct RunResult {
   // LCA query-oracle leg (empty/zero unless spec.lca was set). The
   // probes-per-query column is the subsystem's headline number: it must
   // grow sublinearly in n where a global solve grows at least linearly.
+  //
+  // Each leg's latency is stated once, in that leg's fields: nearest-
+  // rank p50/p99 (util/stats percentile) over the exact times the leg
+  // took, in ns, and 0 when the leg timed nothing.
   std::string lca_oracle;          // oracle actually used ("" = none)
   std::uint64_t lca_queries = 0;   // queries actually issued
   double lca_probes_per_query = 0.0;
@@ -191,6 +192,10 @@ struct RunResult {
   /// disagreed, -1 = not audited (oracle not paired with the solver,
   /// or no queries ran).
   int lca_agree = -1;
+  /// Per query (lca::BatchStats::query_ns); queries are timed while
+  /// metric recording or tracing is on (spec.telemetry, spec.trace).
+  std::uint64_t lca_query_p50_ns = 0;
+  std::uint64_t lca_query_p99_ns = 0;
   // Dynamic leg (zero/empty unless spec.dynamic was set). The headline
   // numbers: updates/sec (the incremental path's throughput, to beat
   // the from-scratch re-solve) and recourse per update (matched-edge
@@ -202,6 +207,10 @@ struct RunResult {
   /// Measured churn updates (the stream minus the bootstrap prefix).
   std::uint64_t dynamic_updates = 0;
   double dynamic_updates_per_sec = 0.0;
+  /// Per measured update, the same times updates/sec sums; bootstrap
+  /// inserts and fault-epoch updates are not among them.
+  std::uint64_t dynamic_update_p50_ns = 0;
+  std::uint64_t dynamic_update_p99_ns = 0;
   double dynamic_recourse_per_update = 0.0;
   std::size_t dynamic_final_size = 0;
   std::uint64_t dynamic_final_edges = 0;  // live edges after the stream
@@ -229,10 +238,12 @@ struct RunResult {
   std::uint64_t fault_adversarial = 0;  // matched edges adversary cut
   std::uint64_t fault_reinserted = 0;   // parked edges restored
   std::uint64_t fault_recourse = 0;     // matched-edge flips, all epochs
-  std::uint64_t fault_recovery_p50_ns = 0;  // per-epoch recovery latency
+  /// Per fault epoch's recovery section (faults::SessionResult); the
+  /// terminal heal is not an epoch.
+  std::uint64_t fault_recovery_p50_ns = 0;
   std::uint64_t fault_recovery_p99_ns = 0;
-  // Per-run telemetry digest (enabled=false when spec.telemetry was
-  // off).
+  // Per-run engine telemetry digest (enabled=false when spec.telemetry
+  // was off).
   TelemetrySummary telemetry;
   /// Path the trace was written to ("" = no trace requested/written).
   std::string trace_path;

@@ -53,7 +53,7 @@ class IsraeliItaiProtocol {
 
   void step_all_nodes(bool on) { net_.step_all_nodes(on); }
 
-  void set_message_faults(faults::MessageFaultInjector* injector) {
+  void set_message_faults(const faults::MessageFaultInjector* injector) {
     net_.set_message_faults(injector);
     faulty_ = injector != nullptr;
   }

@@ -46,8 +46,6 @@ void DynamicMatcher::unmatch(EdgeId e) {
 }
 
 void DynamicMatcher::apply(const Update& up) {
-  const bool tmetrics = telemetry::enabled();
-  const std::uint64_t t0 = tmetrics ? telemetry::now_ns() : 0;
   switch (up.kind) {
     case UpdateKind::kInsertEdge: {
       const EdgeId e = g_.insert_edge(up.u, up.v, up.weight);
@@ -105,10 +103,6 @@ void DynamicMatcher::apply(const Update& up) {
   }
   ++stats_.updates;
   after_update();
-  if (tmetrics) {
-    const std::uint64_t ns = telemetry::now_ns() - t0;
-    telemetry::LegMetrics::get().dynamic_update_ns.record(ns);
-  }
 }
 
 void DynamicMatcher::apply_trace(const UpdateTrace& trace) {

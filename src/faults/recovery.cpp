@@ -1,11 +1,11 @@
 #include "faults/recovery.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace lps::faults {
 
@@ -13,13 +13,6 @@ namespace {
 
 constexpr std::uint64_t kCrashSalt = 0xc7a5'4f1a'b001'd0e5ULL;
 constexpr std::uint64_t kAdversarySalt = 0xade5'a27e'5a1e'c7edULL;
-
-std::uint64_t clock_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// floor(frac * universe), but at least one while any fault is asked
 /// for and the universe is nonempty — a 1% plan on a small graph still
@@ -38,14 +31,6 @@ void partial_shuffle(std::vector<T>& pool, std::size_t count, Rng& rng) {
                                   rng.below(pool.size() - i));
     std::swap(pool[i], pool[j]);
   }
-}
-
-std::uint64_t percentile_ns(std::vector<std::uint64_t> sorted, double p) {
-  if (sorted.empty()) return 0;
-  std::sort(sorted.begin(), sorted.end());
-  const auto rank = static_cast<std::size_t>(
-      p * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(rank, sorted.size() - 1)];
 }
 
 }  // namespace
@@ -103,7 +88,7 @@ void FaultSession::inject_adversarial(std::uint32_t epoch,
 
 std::uint64_t FaultSession::recover(std::uint64_t epoch, bool heal_all,
                                     EpochReport* report) {
-  const std::uint64_t t0 = clock_ns();
+  const std::uint64_t t0 = telemetry::now_ns();
   telemetry::Tracer& tracer = telemetry::Tracer::global();
   const bool tevents = tracer.recording();
   std::size_t keep = 0;
@@ -140,11 +125,7 @@ std::uint64_t FaultSession::recover(std::uint64_t epoch, bool heal_all,
   parked_.resize(keep);
 
   matcher_.flush();
-  const std::uint64_t ns = clock_ns() - t0;
-  if (telemetry::enabled()) {
-    telemetry::LegMetrics::get().faults_recovery_ns.record(ns);
-  }
-  return ns;
+  return telemetry::now_ns() - t0;
 }
 
 bool FaultSession::audit() const {
@@ -203,8 +184,9 @@ SessionResult FaultSession::run() {
       baseline_ > 0 ? static_cast<double>(matcher_.matching_size()) / base
                     : 1.0;
 
-  result.recovery_p50_ns = percentile_ns(recovery_times, 0.50);
-  result.recovery_p99_ns = percentile_ns(recovery_times, 0.99);
+  std::sort(recovery_times.begin(), recovery_times.end());
+  result.recovery_p50_ns = percentile(recovery_times, 0.50);
+  result.recovery_p99_ns = percentile(recovery_times, 0.99);
   return result;
 }
 

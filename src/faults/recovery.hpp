@@ -11,8 +11,10 @@
 //     (kReviveVertex), re-inserts every saved edge whose endpoints are
 //     both back, and flushes the maintainer (the repair maintainer
 //     treats the revived set as its dirty-set, escalating to a rebuild
-//     when the batch is large). Recovery is the timed section; its
-//     latency lands in the LegMetrics::faults_recovery_ns histogram;
+//     when the batch is large). Recovery is the timed section: each
+//     epoch's EpochReport::recovery_ns, and the session's nearest-rank
+//     p50/p99 over those epochs, are the run's only recovery latency
+//     (the terminal heal is timed apart, in final_recovery_ns);
 // (3) audits — proves the matching valid (check_matching +
 //     check_invariants) and records its size against the fault-free
 //     baseline captured at session start.
@@ -65,7 +67,9 @@ struct SessionResult {
   std::uint64_t adversarial = 0;
   std::uint64_t reinserted = 0;     // includes terminal heal
   std::uint64_t total_recourse = 0;
-  std::uint64_t recovery_p50_ns = 0;  // over per-epoch recovery times
+  // Nearest-rank percentiles (util/stats) over the epochs' recovery_ns;
+  // the terminal heal is not an epoch.
+  std::uint64_t recovery_p50_ns = 0;
   std::uint64_t recovery_p99_ns = 0;
 };
 

@@ -1,6 +1,5 @@
 #include "lca/batch.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
@@ -34,10 +33,7 @@ BatchStats BatchEngine::run(
         fn) {
   BatchStats out;
   const OracleStats before = total_stats();
-  telemetry::Tracer& tracer = telemetry::Tracer::global();
-  const bool ttrace = tracer.recording();
-  const std::uint64_t tb = ttrace ? telemetry::now_ns() : 0;
-  const auto t0 = std::chrono::steady_clock::now();
+  const std::uint64_t t0 = telemetry::now_ns();
   if (pool_ != nullptr && pool_->num_threads() > 1 && count > 0) {
     // Chunks small enough that every worker stays busy, large enough
     // that free-list churn stays negligible next to query cost.
@@ -58,13 +54,13 @@ BatchStats BatchEngine::run(
   } else {
     fn(*oracles_.front(), 0, count);
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  out.wall_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
+  const std::uint64_t t1 = telemetry::now_ns();
+  out.wall_ms = static_cast<double>(t1 - t0) / 1e6;
   out.oracle = total_stats();
   out.oracle -= before;
-  if (ttrace) {
-    tracer.emit("lca.batch", "lca", tb, telemetry::now_ns() - tb,
+  telemetry::Tracer& tracer = telemetry::Tracer::global();
+  if (tracer.recording()) {
+    tracer.emit("lca.batch", "lca", t0, t1 - t0,
                 {{"queries", static_cast<double>(count)},
                  {"probes", static_cast<double>(out.oracle.probes)}});
   }
@@ -73,37 +69,39 @@ BatchStats BatchEngine::run(
 
 namespace {
 
-/// Per-query instrumentation shared by the edge/node batch loops: a
-/// LegMetrics::lca_query_ns sample when metrics are on, plus a per-query
-/// span (with the oracle's probe delta as an arg) when tracing.
-template <typename Query>
-void instrumented_query(MatchingOracle& oracle, bool tmetrics, bool ttrace,
-                        telemetry::Histogram* query_ns, double key,
-                        const Query& query) {
-  if (!tmetrics && !ttrace) {
-    query();
-    return;
-  }
-  const std::uint64_t probes_before = oracle.stats().probes;
-  const std::uint64_t t0 = telemetry::now_ns();
-  query();
-  const std::uint64_t t1 = telemetry::now_ns();
-  if (tmetrics) query_ns->record(t1 - t0);
-  if (ttrace) {
-    telemetry::Tracer::global().emit(
-        "lca.query", "lca", t0, t1 - t0,
-        {{"key", key},
-         {"probes", static_cast<double>(oracle.stats().probes -
-                                        probes_before)}});
-  }
-}
-
-/// Resolved once per batch; the per-query path then branches on bools.
-struct QueryTelemetry {
-  bool tmetrics = telemetry::enabled();
+/// Per-query instrumentation shared by the edge/node batch loops,
+/// resolved once per batch. With metrics or tracing on, query i's time
+/// lands in ns[i]; tracing also emits a per-query span with the
+/// oracle's probe delta as an arg.
+struct QueryTimer {
   bool ttrace = telemetry::Tracer::global().recording();
-  telemetry::Histogram* query_ns =
-      tmetrics ? &telemetry::LegMetrics::get().lca_query_ns : nullptr;
+  bool timed = ttrace || telemetry::enabled();
+  std::vector<std::uint64_t> ns;
+
+  explicit QueryTimer(std::size_t count) {
+    if (timed) ns.resize(count);
+  }
+
+  template <typename Query>
+  void operator()(MatchingOracle& oracle, std::size_t i, double key,
+                  const Query& query) {
+    if (!timed) {
+      query();
+      return;
+    }
+    const std::uint64_t probes_before = oracle.stats().probes;
+    const std::uint64_t t0 = telemetry::now_ns();
+    query();
+    const std::uint64_t t1 = telemetry::now_ns();
+    ns[i] = t1 - t0;
+    if (ttrace) {
+      telemetry::Tracer::global().emit(
+          "lca.query", "lca", t0, t1 - t0,
+          {{"key", key},
+           {"probes", static_cast<double>(oracle.stats().probes -
+                                          probes_before)}});
+    }
+  }
 };
 
 }  // namespace
@@ -111,33 +109,32 @@ struct QueryTelemetry {
 EdgeBatchResult BatchEngine::query_edges(const std::vector<EdgeId>& edges) {
   EdgeBatchResult out;
   out.in_matching.assign(edges.size(), 0);
-  const QueryTelemetry qt;
+  QueryTimer timer(edges.size());
   out.stats = run(edges.size(), [&](MatchingOracle& oracle,
                                     std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      instrumented_query(oracle, qt.tmetrics, qt.ttrace, qt.query_ns,
-                         static_cast<double>(edges[i]), [&] {
-                           out.in_matching[i] =
-                               oracle.in_matching(edges[i]) ? 1 : 0;
-                         });
+      timer(oracle, i, static_cast<double>(edges[i]), [&] {
+        out.in_matching[i] = oracle.in_matching(edges[i]) ? 1 : 0;
+      });
     }
   });
+  out.stats.query_ns = std::move(timer.ns);
   return out;
 }
 
 NodeBatchResult BatchEngine::query_nodes(const std::vector<NodeId>& nodes) {
   NodeBatchResult out;
   out.matched_to.assign(nodes.size(), kInvalidNode);
-  const QueryTelemetry qt;
+  QueryTimer timer(nodes.size());
   out.stats = run(nodes.size(), [&](MatchingOracle& oracle,
                                     std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      instrumented_query(oracle, qt.tmetrics, qt.ttrace, qt.query_ns,
-                         static_cast<double>(nodes[i]), [&] {
-                           out.matched_to[i] = oracle.matched_to(nodes[i]);
-                         });
+      timer(oracle, i, static_cast<double>(nodes[i]), [&] {
+        out.matched_to[i] = oracle.matched_to(nodes[i]);
+      });
     }
   });
+  out.stats.query_ns = std::move(timer.ns);
   return out;
 }
 

@@ -7,8 +7,14 @@
 // global execution (same graph, same seed), so any instance may serve
 // any query. Cache amortization happens per instance; the aggregated
 // hit rate the engine reports reflects the sharded reality.
+//
+// While metrics or tracing are on, each query is timed and its time
+// kept in the batch's own result (BatchStats::query_ns), which is the
+// one record of LCA query latency; tracing also emits one `lca.query`
+// span per query and one `lca.batch` span per batch.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -24,6 +30,9 @@ namespace lps::lca {
 struct BatchStats {
   OracleStats oracle;  // probes/queries/cache deltas for this batch
   double wall_ms = 0.0;
+  /// Each query's time in ns, parallel to the query vector; empty
+  /// unless metrics (telemetry::enabled) or tracing were on.
+  std::vector<std::uint64_t> query_ns;
   double queries_per_sec() const noexcept {
     return wall_ms <= 0.0 ? 0.0
                           : static_cast<double>(oracle.queries) /
@@ -60,7 +69,8 @@ class BatchEngine {
 
  private:
   /// Runs fn(oracle, begin, end) over [0, count) in exclusive-oracle
-  /// chunks; returns the batch stats (cost deltas + wall time).
+  /// chunks; returns the batch stats (cost deltas + wall time; the
+  /// caller's fn fills query_ns).
   BatchStats run(std::size_t count,
                  const std::function<void(MatchingOracle&, std::size_t,
                                           std::size_t)>& fn);

@@ -107,7 +107,6 @@
 #include "runtime/round_stats.hpp"
 #include "runtime/shard.hpp"
 #include "runtime/thread_pool.hpp"
-#include "telemetry/monitor.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 
@@ -328,7 +327,6 @@ class SyncNetwork {
     round_ = 0;
     stats_ = NetStats{};
     delivered_last_round_ = 0;
-    delivered_total_ = 0;
     stepped_last_round_ = 0;
     pending_activations_.clear();
     initial_restricted_ = false;
@@ -414,7 +412,8 @@ class SyncNetwork {
   /// metered, but delivery may drop, duplicate, or delay the message.
   /// Fates are a pure function of (injector seed, channel, round), so
   /// executions stay bit-identical across thread and shard counts.
-  void set_message_faults(faults::MessageFaultInjector* injector) noexcept {
+  void set_message_faults(
+      const faults::MessageFaultInjector* injector) noexcept {
     faults_ = injector;
     seq_on_ = injector != nullptr && injector->message_faults();
     // The seq column is maintained only while message faults are on; if
@@ -544,16 +543,7 @@ class SyncNetwork {
     // are): run(stop_when_silent) must not declare the network silent
     // while deliveries are still due.
     pending_ = queued + delayed_.size();
-    delivered_total_ += delivered_last_round_;
     ++round_;
-
-    // Live progress snapshot: only observes engine state (never feeds
-    // back into it), so executions stay bit-identical with it on or off.
-    telemetry::ProgressBoard& board = telemetry::ProgressBoard::global();
-    if (board.publishing()) {
-      board.publish(round_, delivered_total_, stepped_last_round_,
-                    telemetry::now_ns());
-    }
 
     if (tel) {
       const std::uint64_t t_end = telemetry::now_ns();
@@ -1018,7 +1008,6 @@ class SyncNetwork {
             if (with_seq) std::swap(dlv_seq_[base + i - 1], dlv_seq_[base + j]);
             std::swap(dlv_msg_[base + i - 1], dlv_msg_[base + j]);
           }
-          faults_->note_reordered();
         }
       }
       if (tel) {
@@ -1103,7 +1092,7 @@ class SyncNetwork {
 
   std::vector<PerWorker> workers_;
 
-  faults::MessageFaultInjector* faults_ = nullptr;  // not owned
+  const faults::MessageFaultInjector* faults_ = nullptr;  // not owned
   bool seq_on_ = false;  // maintain seq columns (message faults active)
   std::vector<PendingRec> delayed_;
   std::vector<PendingRec> dup_buf_;
@@ -1112,7 +1101,6 @@ class SyncNetwork {
   std::uint32_t epoch_base_ = 0;  // see epoch(); moved by reset()
   std::uint64_t pending_ = 0;  // messages awaiting delivery next round
   std::uint64_t delivered_last_round_ = 0;
-  std::uint64_t delivered_total_ = 0;  // cumulative (progress board)
   std::uint64_t stepped_last_round_ = 0;
   NetStats stats_;
 };

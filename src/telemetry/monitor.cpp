@@ -9,54 +9,12 @@
 
 namespace lps::telemetry {
 
-ProgressBoard& ProgressBoard::global() {
-  static ProgressBoard board;
-  return board;
-}
-
-void ProgressBoard::set_publishing(bool on) noexcept {
-  publishing_.store(on, std::memory_order_relaxed);
-}
-
-void ProgressBoard::publish(std::uint64_t round, std::uint64_t delivered_total,
-                            std::uint64_t active_nodes,
-                            std::uint64_t heartbeat_ns) noexcept {
-  bool expected = false;
-  if (!writer_busy_.compare_exchange_strong(expected, true,
-                                            std::memory_order_acquire,
-                                            std::memory_order_relaxed))
-    return;  // another publish in flight; this one is superseded anyway
-  seq_.fetch_add(1, std::memory_order_release);  // -> odd
-  round_.store(round, std::memory_order_relaxed);
-  delivered_.store(delivered_total, std::memory_order_relaxed);
-  active_.store(active_nodes, std::memory_order_relaxed);
-  heartbeat_.store(heartbeat_ns, std::memory_order_relaxed);
-  seq_.fetch_add(1, std::memory_order_release);  // -> even
-  writer_busy_.store(false, std::memory_order_release);
-}
-
-bool ProgressBoard::read(ProgressSnapshot& out) const noexcept {
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    const std::uint64_t s0 = seq_.load(std::memory_order_acquire);
-    if (s0 == 0) return false;  // never published
-    if (s0 & 1) continue;       // write in flight
-    ProgressSnapshot snap;
-    snap.round = round_.load(std::memory_order_relaxed);
-    snap.delivered_total = delivered_.load(std::memory_order_relaxed);
-    snap.active_nodes = active_.load(std::memory_order_relaxed);
-    snap.heartbeat_ns = heartbeat_.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (seq_.load(std::memory_order_relaxed) == s0) {
-      out = snap;
-      return true;
-    }
-  }
-  return false;
-}
-
-Monitor::Monitor(MonitorOptions opts) : opts_(std::move(opts)) {
+Monitor::Monitor(MonitorOptions opts)
+    : opts_(std::move(opts)), metrics_were_on_(enabled()) {
   if (opts_.interval_ms < 10) opts_.interval_ms = 10;
-  ProgressBoard::global().set_publishing(true);
+  set_enabled(true);
+  const EngineMetrics& em = EngineMetrics::get();
+  armed_ = {em.rounds.value(), em.messages_delivered.value()};
   thread_ = std::thread([this] { run(); });
 }
 
@@ -70,23 +28,27 @@ void Monitor::stop() {
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
-  ProgressBoard::global().set_publishing(false);
+  set_enabled(metrics_were_on_);
 }
 
-void Monitor::emit_status(const ProgressSnapshot& snap, bool have_snap,
-                          double msgs_per_sec) {
+Monitor::Progress Monitor::progress() const {
+  const EngineMetrics& em = EngineMetrics::get();
+  return {em.rounds.value() - armed_.rounds,
+          em.messages_delivered.value() - armed_.delivered};
+}
+
+void Monitor::emit_status(const Progress& p, double msgs_per_sec) {
   if (opts_.out == nullptr) return;
   std::ostringstream line;
   line << "monitor";
   if (!opts_.label.empty()) line << "[" << opts_.label << "]";
-  if (have_snap) {
-    line << ": round=" << snap.round << " msgs/s=";
+  if (p.rounds > 0) {
+    line << ": round=" << p.rounds << " msgs/s=";
     const auto old_flags = line.flags();
     line.precision(3);
     line << std::fixed << (msgs_per_sec >= 0 ? msgs_per_sec : 0.0);
     line.flags(old_flags);
-    line << " active=" << snap.active_nodes
-         << " delivered=" << snap.delivered_total;
+    line << " delivered=" << p.delivered;
   } else {
     line << ": waiting for first round";
   }
@@ -94,16 +56,12 @@ void Monitor::emit_status(const ProgressSnapshot& snap, bool have_snap,
   opts_.out->flush();
 }
 
-void Monitor::dump_stall(const ProgressSnapshot& snap, bool have_snap,
-                         std::uint64_t quiet_ns) {
+void Monitor::dump_stall(const Progress& p, std::uint64_t quiet_ns) {
   std::ostream& os = opts_.out != nullptr ? *opts_.out : std::cerr;
   os << "watchdog: stall detected: no progress for " << quiet_ns / 1000000
      << " ms (deadline " << opts_.stall_timeout_ms << " ms)\n";
-  if (have_snap) {
-    os << "watchdog: state: round=" << snap.round
-       << " delivered=" << snap.delivered_total
-       << " active=" << snap.active_nodes
-       << " heartbeat_age_ms=" << (now_ns() - snap.heartbeat_ns) / 1000000
+  if (p.rounds > 0) {
+    os << "watchdog: state: round=" << p.rounds << " delivered=" << p.delivered
        << "\n";
   } else {
     os << "watchdog: state: no round has completed since the monitor "
@@ -114,8 +72,7 @@ void Monitor::dump_stall(const ProgressSnapshot& snap, bool have_snap,
   // is touched; nothing here reads what other threads recorded.
   Tracer& tracer = Tracer::global();
   if (tracer.recording()) {
-    tracer.event(EventKind::kWatchdog, have_snap ? snap.round : 0,
-                 have_snap ? snap.delivered_total : 0);
+    tracer.event(EventKind::kWatchdog, p.rounds, p.delivered);
   }
 
   auto& em = EngineMetrics::get();
@@ -134,16 +91,13 @@ void Monitor::dump_stall(const ProgressSnapshot& snap, bool have_snap,
 }
 
 void Monitor::run() {
-  auto& board = ProgressBoard::global();
-
   // Tick fast enough to honor the watchdog deadline with slack even
   // when the status interval is long.
   int tick_ms = opts_.interval_ms;
   if (opts_.stall_timeout_ms > 0)
     tick_ms = std::min(tick_ms, std::max(10, opts_.stall_timeout_ms / 4));
 
-  ProgressSnapshot last{};
-  bool have_last = false;
+  Progress last;
   std::uint64_t last_progress_ns = now_ns();
   std::uint64_t last_status_ns = 0;
   std::uint64_t last_status_delivered = 0;
@@ -155,36 +109,31 @@ void Monitor::run() {
                  [this] { return stop_requested_; });
     if (stop_requested_) break;
 
-    ProgressSnapshot snap;
-    const bool have_snap = board.read(snap);
+    const Progress p = progress();
     const std::uint64_t now = now_ns();
 
-    if (have_snap &&
-        (!have_last || snap.round != last.round ||
-         snap.delivered_total != last.delivered_total)) {
+    if (p != last) {
       last_progress_ns = now;
-      last = snap;
-      have_last = true;
+      last = p;
       dumped = false;  // progress re-arms the watchdog
     }
 
     if (now - last_status_ns >=
         static_cast<std::uint64_t>(opts_.interval_ms) * 1000000ull) {
       double rate = -1.0;
-      if (have_snap && last_status_ns != 0 && now > last_status_ns)
-        rate = static_cast<double>(snap.delivered_total -
-                                   last_status_delivered) *
+      if (last_status_ns != 0 && now > last_status_ns)
+        rate = static_cast<double>(p.delivered - last_status_delivered) *
                1e9 / static_cast<double>(now - last_status_ns);
-      emit_status(snap, have_snap, rate);
+      emit_status(p, rate);
       last_status_ns = now;
-      last_status_delivered = have_snap ? snap.delivered_total : 0;
+      last_status_delivered = p.delivered;
     }
 
     if (opts_.stall_timeout_ms > 0 && !dumped) {
       const std::uint64_t quiet = now - last_progress_ns;
       if (quiet >=
           static_cast<std::uint64_t>(opts_.stall_timeout_ms) * 1000000ull) {
-        dump_stall(last, have_last, quiet);
+        dump_stall(last, quiet);
         dumped = true;
         stalled_.store(true, std::memory_order_relaxed);
         if (opts_.abort_on_stall) std::_Exit(kWatchdogExitCode);

@@ -185,11 +185,6 @@ EngineMetrics& EngineMetrics::get() {
   return *instance;
 }
 
-LegMetrics& LegMetrics::get() {
-  static LegMetrics* instance = new LegMetrics();
-  return *instance;
-}
-
 // --------------------------------------------------------------- tracer --
 
 namespace {

@@ -1,13 +1,14 @@
 // Telemetry: low-overhead metrics + tracing for every execution layer
 // (DESIGN.md §12).
 //
-// Two cooperating pieces behind two independent runtime switches:
+// Two cooperating pieces behind two independent runtime switches, and
+// the only process-wide recorders in the repository:
 //
-//  * A fixed instrument table: counters, per-index counters, bounded
-//    series and fixed-bucket log-scale latency histograms, each a named
-//    member of EngineMetrics (the round engine) or LegMetrics (the
-//    runner's LCA, dynamic and fault legs). A member name is checked by
-//    the compiler at every site that records or reads it. All hot-path
+//  * EngineMetrics, the round engine's fixed instrument table: counters,
+//    per-index counters, a bounded series and fixed-bucket log-scale
+//    latency histograms, each a named member. A member name is checked
+//    by the compiler at every site that records or reads it; the live
+//    Monitor and perfbench read the same members. All hot-path
 //    mutation goes through cache-line-separated per-slot relaxed
 //    atomics (the same pattern as the engine's per-worker stat slots);
 //    merging happens only on read, so recording is lock-free and
@@ -27,12 +28,17 @@
 // default state), each instrumentation site costs one predictable
 // relaxed-load branch per phase and no clock reads.
 //
-// Naming scheme: an instrument member is `<quantity>[_<unit>]` inside
-// its layer's struct (EngineMetrics::round_ns, LegMetrics::
-// lca_query_ns), and the run record names its fields after them
-// (`lca_query_ns_p50`). Span names are `<layer>.<step>` ("engine.round",
-// "lca.query", "dynamic.repair"), with the layer as the Chrome `cat`
-// ("engine", "lca", "dynamic", "api"); a solve is "solve:<solver>".
+// A latency that only one caller times is not an instrument here: the
+// runner's LCA, dynamic and fault legs keep their own exact samples and
+// report them next to the leg's other fields (api/runner.hpp).
+//
+// Naming scheme: an instrument member is `<quantity>[_<unit>]`
+// (EngineMetrics::exchange_p1_ns), and the run record's telemetry block
+// names its fields after them (`phase_mean_per_round.exchange_p1_ns`).
+// Span names are
+// `<layer>.<step>` ("engine.round", "lca.query", "dynamic.repair"),
+// with the layer as the Chrome `cat` ("engine", "lca", "dynamic",
+// "api"); a solve is "solve:<solver>".
 //
 // Threading: recording is safe from any thread. snapshot()/write are
 // meant for quiescent moments (between rounds / after a run); they
@@ -217,6 +223,8 @@ class Series {
 
 /// The engine's instruments (SyncNetwork is a template; one process-wide
 /// table keeps lookups out of the round loop). All durations ns.
+/// `rounds` and `messages_delivered` are also the live progress the
+/// Monitor samples.
 struct EngineMetrics {
   Counter rounds;
   Counter messages_delivered;
@@ -230,16 +238,6 @@ struct EngineMetrics {
   Series messages_per_round;         // delivered per round
 
   static EngineMetrics& get();
-};
-
-/// The latency of one unit of work in each of the runner's optional
-/// legs; run_one reports each leg's p50/p99. All durations ns.
-struct LegMetrics {
-  Histogram lca_query_ns;        // one LCA oracle query (lca/batch)
-  Histogram dynamic_update_ns;   // one dynamic-graph update (dynamic/matcher)
-  Histogram faults_recovery_ns;  // one fault epoch's repair (faults/recovery)
-
-  static LegMetrics& get();
 };
 
 // --------------------------------------------------------------- tracer --

@@ -1,8 +1,10 @@
 // The Chrome-trace schema over the JSON codec (util/json.hpp): reads
 // the documents Tracer::write_chrome_trace exports into flat spans and
 // thread labels, for tools/trace_summary and the tests. Parsing is the
-// codec's strict parse_json; this layer only checks the schema, and
-// rejects a malformed document with a message instead of guessing.
+// codec's strict grammar (parse_json_rows): each traceEvents element is
+// flattened as soon as it is parsed, so only one event's JSON tree is
+// held at a time. This layer only checks the schema, and rejects a
+// malformed document with a message instead of guessing.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +38,7 @@ struct TraceDoc {
 bool load_chrome_trace(const std::string& text, TraceDoc& out,
                        std::string* error = nullptr);
 
-/// Convenience: read the file then load_chrome_trace.
+/// Read the file once, into one buffer, then load_chrome_trace.
 bool load_chrome_trace_file(const std::string& path, TraceDoc& out,
                             std::string* error = nullptr);
 

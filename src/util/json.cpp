@@ -164,10 +164,13 @@ const JsonValue* JsonValue::find(std::string_view key) const noexcept {
 
 namespace {
 
+using RowFn = std::function<bool(const JsonValue&)>;
+
 class Parser {
  public:
-  Parser(std::string_view text, std::string* error)
-      : text_(text), error_(error) {}
+  Parser(std::string_view text, std::string* error,
+         std::string_view rows_key = {}, const RowFn* row = nullptr)
+      : text_(text), error_(error), rows_key_(rows_key), row_(row) {}
 
   bool parse(JsonValue& out) {
     skip_ws();
@@ -212,14 +215,15 @@ class Parser {
     return true;
   }
 
-  bool parse_value(JsonValue& out) {
+  /// `rows`: an array here streams its elements to row_ (parse_array).
+  bool parse_value(JsonValue& out, bool rows = false) {
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
       case '{':
       case '[': {
         if (++depth_ > 256) return fail("nesting deeper than 256");
         const bool ok =
-            text_[pos_] == '{' ? parse_object(out) : parse_array(out);
+            text_[pos_] == '{' ? parse_object(out) : parse_array(out, rows);
         --depth_;
         return ok;
       }
@@ -258,7 +262,8 @@ class Parser {
       if (!expect(':')) return false;
       skip_ws();
       JsonValue value;
-      if (!parse_value(value)) return false;
+      const bool rows = row_ != nullptr && depth_ == 1 && key == rows_key_;
+      if (!parse_value(value, rows)) return false;
       out.object.emplace_back(std::move(key), std::move(value));
       skip_ws();
       if (pos_ >= text_.size()) return fail("unterminated object");
@@ -267,7 +272,9 @@ class Parser {
     }
   }
 
-  bool parse_array(JsonValue& out) {
+  /// With `rows`, each element is handed to row_ and dropped instead of
+  /// kept in `out`.
+  bool parse_array(JsonValue& out, bool rows) {
     out.kind = JsonValue::Kind::Array;
     ++pos_;  // '['
     skip_ws();
@@ -277,8 +284,13 @@ class Parser {
     }
     while (true) {
       skip_ws();
-      out.array.emplace_back();
-      if (!parse_value(out.array.back())) return false;
+      if (rows) {
+        JsonValue element;
+        if (!parse_value(element) || !(*row_)(element)) return false;
+      } else {
+        out.array.emplace_back();
+        if (!parse_value(out.array.back())) return false;
+      }
       skip_ws();
       if (pos_ >= text_.size()) return fail("unterminated array");
       if (!at(',')) return expect(']');
@@ -405,6 +417,8 @@ class Parser {
 
   std::string_view text_;
   std::string* error_;
+  std::string_view rows_key_;  // the root member parse_json_rows streams
+  const RowFn* row_;
   std::size_t pos_ = 0;
   int depth_ = 0;  // arrays and objects open at pos_ (at most 256)
 };
@@ -413,6 +427,11 @@ class Parser {
 
 bool parse_json(std::string_view text, JsonValue& out, std::string* error) {
   return Parser(text, error).parse(out);
+}
+
+bool parse_json_rows(std::string_view text, std::string_view key,
+                     const RowFn& row, JsonValue& out, std::string* error) {
+  return Parser(text, error, key, &row).parse(out);
 }
 
 }  // namespace lps

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -110,5 +111,15 @@ struct JsonValue {
 /// nested more than 256 deep (the parser recurses per level).
 bool parse_json(std::string_view text, JsonValue& out,
                 std::string* error = nullptr);
+
+/// parse_json for a document too large to hold as one tree (a Chrome
+/// trace): the same grammar and checks, but each element of the root
+/// object's `key` array goes to `row` as soon as it is parsed and is
+/// not kept, so that member reads as an empty array in `out`. When
+/// `row` returns false the parse stops and returns false, and *error
+/// is whatever `row` left there.
+bool parse_json_rows(std::string_view text, std::string_view key,
+                     const std::function<bool(const JsonValue&)>& row,
+                     JsonValue& out, std::string* error = nullptr);
 
 }  // namespace lps

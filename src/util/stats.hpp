@@ -2,6 +2,7 @@
 // runtime's round/bit accounting.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -55,5 +56,17 @@ class Samples {
   mutable bool sorted_ = false;
   void ensure_sorted() const;
 };
+
+/// Nearest-rank percentile of exact samples sorted ascending: the
+/// sample at rank round(p * (n - 1)) for p in [0, 1], or T{} when there
+/// are none. The one percentile over exact samples: the runner's leg
+/// latencies, fault recovery and trace_summary's round times.
+template <typename T>
+T percentile(const std::vector<T>& sorted, double p) {
+  if (sorted.empty()) return T{};
+  const auto rank = static_cast<std::size_t>(
+      p * static_cast<double>(sorted.size() - 1) + 0.5);
+  return sorted[std::min(rank, sorted.size() - 1)];
+}
 
 }  // namespace lps

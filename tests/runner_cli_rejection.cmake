@@ -172,6 +172,16 @@ if(NOT last_err STREQUAL "runner: invalid spec: bad integer for '--seed': 'abc'\
   message(SEND_ERROR "unexpected --seed abc diagnostic: ${last_err}")
 endif()
 expect_reject(--generator er:n=10,deg=2 --solver greedy_mcm --threads x)
+# The monitor period is a count with the watchdog deadline's ceiling
+# (2^31 - 1 ms): a negative period used to run with no monitor, and one
+# past 2^32 ms wrapped to another period.
+expect_reject(--generator er:n=10,deg=2 --solver greedy_mcm --monitor-ms -5)
+if(NOT last_err STREQUAL
+   "runner: invalid spec: bad count for '--monitor-ms': '-5' (negative)\n")
+  message(SEND_ERROR "unexpected --monitor-ms -5 diagnostic: ${last_err}")
+endif()
+expect_reject(--generator er:n=10,deg=2 --solver greedy_mcm
+              --monitor-ms 5000000000)
 
 # And the contract's other half: well-formed specs still run.
 expect_accept(--generator path:n=8 --solver greedy_mcm --oracle none

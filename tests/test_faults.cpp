@@ -5,6 +5,7 @@
 // DynamicGraph, and the FaultSession recovery protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -25,6 +26,7 @@
 #include "run_record.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace lps {
 namespace {
@@ -107,6 +109,8 @@ TEST(Injector, FatesArePureFunctionsOfSeedChannelRound) {
                                                   43);
   ASSERT_NE(inj1, nullptr);
   bool seed_matters = false;
+  std::uint64_t dropped = 0;
+  std::uint64_t duplicated = 0;
   for (EdgeId e = 0; e < 64; ++e) {
     for (std::uint64_t round = 0; round < 8; ++round) {
       const faults::MessageFate a = inj1->decide(e, e % 7, round);
@@ -116,15 +120,17 @@ TEST(Injector, FatesArePureFunctionsOfSeedChannelRound) {
       EXPECT_EQ(a.delay, b.delay);
       const faults::MessageFate c = inj3->decide(e, e % 7, round);
       seed_matters = seed_matters || a.drop != c.drop || a.dup != c.dup;
+      // At most one fault per message: this plan has no delay, and no
+      // fate is both a drop and a dup.
+      EXPECT_FALSE(a.drop && a.dup) << "edge " << e << " round " << round;
+      EXPECT_EQ(a.delay, 0u);
+      dropped += a.drop;
+      duplicated += a.dup;
     }
   }
   EXPECT_TRUE(seed_matters);
-  // At most one fault per message, and the counters add up.
-  const faults::InjectorCounters c = inj1->counters();
-  EXPECT_EQ(c.decided, 64u * 8u);
-  EXPECT_GT(c.dropped, 0u);
-  EXPECT_GT(c.duplicated, 0u);
-  EXPECT_LE(c.dropped + c.duplicated + c.delayed, c.decided);
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(duplicated, 0u);
 }
 
 TEST(Injector, InertAndGraphOnlySpecsYieldNoInjector) {
@@ -430,6 +436,33 @@ TEST(FaultSession, ScheduleIsAPureFunctionOfTheSeed) {
   EXPECT_TRUE(differs);
 }
 
+TEST(FaultSession, RecoveryPercentilesAreNearestRankOverEpochs) {
+  // The session's p50/p99 are the one recovery latency a run reports:
+  // the nearest-rank percentiles of its epochs' recovery_ns, with the
+  // terminal heal (timed apart) left out.
+  const dynamic::StreamSpec stream = dynamic::make_update_stream(
+      "churn:n=512,m0=1024,updates=1000", 31);
+  auto matcher = dynamic::make_matcher(
+      "repair", dynamic::DynamicGraph(stream.initial_nodes), {});
+  matcher->apply_trace(stream.trace);
+  matcher->flush();
+  const faults::FaultPlan plan =
+      faults::parse_fault_plan("t:flap=0.02,adversarial=0.05,epochs=5");
+  const faults::SessionResult res =
+      faults::FaultSession(*matcher, plan, 47).run();
+  ASSERT_EQ(res.epochs.size(), 5u);
+  std::vector<std::uint64_t> ns;
+  for (const faults::EpochReport& ep : res.epochs) {
+    EXPECT_GT(ep.recovery_ns, 0u);
+    ns.push_back(ep.recovery_ns);
+  }
+  std::sort(ns.begin(), ns.end());
+  EXPECT_EQ(res.recovery_p50_ns, ns[2]);
+  EXPECT_EQ(res.recovery_p99_ns, ns[4]);
+  EXPECT_EQ(res.recovery_p50_ns, percentile(ns, 0.50));
+  EXPECT_GT(res.final_recovery_ns, 0u);
+}
+
 // ------------------------------------------------- runner integration --
 
 TEST(RunnerFaults, FaultLegLandsInRunResult) {
@@ -468,6 +501,23 @@ TEST(RunnerFaults, FaultLegLandsInRunResult) {
             static_cast<double>(res.fault_revived));
   EXPECT_EQ(field(rec, "fault_recovery_p50_ns").number,
             static_cast<double>(res.fault_recovery_p50_ns));
+  // The record states the recovery latency exactly once: the session's
+  // two percentiles, and nothing in the engine's telemetry block.
+  std::vector<std::string> recovery_keys;
+  for (const auto& [key, value] : rec.object) {
+    if (key.find("recovery") != std::string::npos) {
+      recovery_keys.push_back(key);
+    }
+  }
+  for (const auto& [key, value] : field(rec, "telemetry").object) {
+    if (key.find("recovery") != std::string::npos) {
+      recovery_keys.push_back("telemetry." + key);
+    }
+  }
+  EXPECT_EQ(recovery_keys, (std::vector<std::string>{
+                               "fault_recovery_p50_ns",
+                               "fault_recovery_p99_ns"}));
+  EXPECT_LE(res.fault_recovery_p50_ns, res.fault_recovery_p99_ns);
 }
 
 TEST(RunnerFaults, MalformedAndMisdirectedSpecsThrowEagerly) {

@@ -21,6 +21,7 @@
 #include "lca/oracle.hpp"
 #include "lca/rank_greedy.hpp"
 #include "run_record.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 
 namespace lps {
@@ -283,6 +284,15 @@ TEST(BatchEngine, ParallelAnswersEqualSequentialAnswers) {
   EXPECT_EQ(par.stats.oracle.queries, queries.size());
   EXPECT_EQ(seq.stats.oracle.queries, queries.size());
   EXPECT_GT(par.stats.oracle.probes, 0u);
+  // Queries are untimed while metrics and tracing are off; with metrics
+  // on, each query of a parallel batch keeps its own time.
+  EXPECT_TRUE(par.stats.query_ns.empty());
+  const bool prev = telemetry::enabled();
+  telemetry::set_enabled(true);
+  const auto timed = parallel_engine.query_edges(queries);
+  telemetry::set_enabled(prev);
+  EXPECT_EQ(timed.in_matching, seq.in_matching);
+  EXPECT_EQ(timed.stats.query_ns.size(), queries.size());
 
   // Node batches too, against the global execution.
   const Matching global = lca::rank_greedy_matching(g, 5);

@@ -1,13 +1,16 @@
 // The observability contracts (DESIGN.md §14): the closed event
 // vocabulary and its Chrome-trace instant shape, empty-histogram
 // percentiles, per-run JSON omission of unmeasured percentile blocks,
-// write_json collision ordinals, the stall watchdog's dump + distinct
-// exit code (including a dump racing other threads' trace emission),
-// and crash/revive pairing in a run's trace.
+// each leg's latency stated once in the run record, write_json
+// collision ordinals, the monitor reading the engine's counters, the
+// stall watchdog's dump + distinct exit code (including a dump racing
+// other threads' trace emission), and crash/revive pairing in a run's
+// trace.
 // The bit-identity of engine clients with tracing and a Monitor on
 // lives in test_telemetry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -49,6 +52,11 @@ std::vector<tel::TraceSpan> event_instants(const tel::TraceDoc& doc) {
   }
   return out;
 }
+
+struct StallMsg {
+  std::uint32_t x;
+};
+using StallNet = SyncNetwork<StallMsg, DefaultBitMeter<StallMsg>>;
 
 /// What the global tracer holds now, written and parsed back.
 tel::TraceDoc tracer_contents() {
@@ -182,9 +190,10 @@ TEST(RunJson, OmitsPercentileBlocksWithoutRounds) {
 }
 
 TEST(RunJson, EveryLegFillsItsLatencyPercentiles) {
-  // Each leg records into its own LegMetrics histogram and the runner
-  // reads that member back: a run with all three legs reports all
-  // three medians, in the RunResult and in the record.
+  // Each leg times its own unit of work and reports it next to its
+  // other fields: a run with all three legs reports all three p50/p99
+  // pairs, in the RunResult and in the record, and the engine's
+  // telemetry block carries none of them.
   api::RunSpec spec;
   spec.generator = "er:n=200,deg=4";
   spec.solver = "israeli_itai";
@@ -195,22 +204,53 @@ TEST(RunJson, EveryLegFillsItsLatencyPercentiles) {
   spec.dynamic_checkpoints = 0;
   spec.faults = "flap1";
   const api::RunResult r = api::run_one(spec);
-  const api::TelemetrySummary& t = r.telemetry;
-  EXPECT_GT(t.lca_query_ns_p50, 0.0);
-  EXPECT_GT(t.dynamic_update_ns_p50, 0.0);
-  EXPECT_GT(t.faults_recovery_ns_p50, 0.0);
   using testing::field;
-  const JsonValue tel = field(testing::parse_record(r.to_json()), "telemetry");
-  EXPECT_EQ(field(tel, "lca_query_ns_p50").number, t.lca_query_ns_p50);
-  EXPECT_EQ(field(tel, "lca_query_ns_p99").number, t.lca_query_ns_p99);
-  EXPECT_EQ(field(tel, "dynamic_update_ns_p50").number,
-            t.dynamic_update_ns_p50);
-  EXPECT_EQ(field(tel, "dynamic_update_ns_p99").number,
-            t.dynamic_update_ns_p99);
-  EXPECT_EQ(field(tel, "faults_recovery_ns_p50").number,
-            t.faults_recovery_ns_p50);
-  EXPECT_EQ(field(tel, "faults_recovery_ns_p99").number,
-            t.faults_recovery_ns_p99);
+  const JsonValue rec = testing::parse_record(r.to_json());
+  const struct {
+    const char* name;
+    std::uint64_t p50;
+    std::uint64_t p99;
+  } legs[] = {
+      {"lca_query", r.lca_query_p50_ns, r.lca_query_p99_ns},
+      {"dynamic_update", r.dynamic_update_p50_ns, r.dynamic_update_p99_ns},
+      {"fault_recovery", r.fault_recovery_p50_ns, r.fault_recovery_p99_ns},
+  };
+  for (const auto& leg : legs) {
+    const std::string name = leg.name;
+    EXPECT_GT(leg.p50, 0u) << name;
+    EXPECT_LE(leg.p50, leg.p99) << name;
+    EXPECT_EQ(field(rec, name + "_p50_ns").number,
+              static_cast<double>(leg.p50));
+    EXPECT_EQ(field(rec, name + "_p99_ns").number,
+              static_cast<double>(leg.p99));
+  }
+  for (const auto& [key, value] : field(rec, "telemetry").object) {
+    EXPECT_EQ(key.find("lca"), std::string::npos) << key;
+    EXPECT_EQ(key.find("dynamic"), std::string::npos) << key;
+    EXPECT_EQ(key.find("recovery"), std::string::npos) << key;
+  }
+}
+
+TEST(RunJson, BootstrapOnlyStreamReportsNoUpdateLatency) {
+  // A stream whose every update is bootstrap (off the clock) has no
+  // measured update, so it reports no update latency: the bootstrap
+  // inserts are warm-up, not samples.
+  api::RunSpec spec;
+  spec.generator = "path:n=2";
+  spec.solver = "greedy_mcm";
+  spec.oracle = "none";
+  spec.dynamic = "repair";
+  spec.dynamic_stream = "churn:n=1024,m0=2048,updates=0";
+  spec.dynamic_checkpoints = 0;
+  const api::RunResult r = api::run_one(spec);
+  EXPECT_EQ(r.dynamic_bootstrap_updates, 2048u);
+  EXPECT_EQ(r.dynamic_updates, 0u);
+  EXPECT_EQ(r.dynamic_update_p50_ns, 0u);
+  EXPECT_EQ(r.dynamic_update_p99_ns, 0u);
+  using testing::field;
+  const JsonValue rec = testing::parse_record(r.to_json());
+  EXPECT_EQ(field(rec, "dynamic_update_p50_ns").number, 0.0);
+  EXPECT_EQ(field(rec, "dynamic_update_p99_ns").number, 0.0);
 }
 
 TEST(WriteJson, CollidingSpecsGetOrdinalSuffixes) {
@@ -244,9 +284,12 @@ TEST(Monitor, WatchdogDumpsStateAndCountersThenLatches) {
   mo.stall_timeout_ms = 60;
   mo.abort_on_stall = false;
   mo.out = &sink;
-  tel::ProgressBoard::global().publish(7, 100, 5, tel::now_ns());
   tel::Monitor monitor(mo);
-  // Nothing publishes after construction -> the deadline passes.
+  // Seven rounds delivering 100 messages since arming, then nothing
+  // more -> the deadline passes.
+  tel::EngineMetrics& em = tel::EngineMetrics::get();
+  em.rounds.add(7);
+  em.messages_delivered.add(100);
   for (int i = 0; i < 200 && !monitor.stalled(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
@@ -267,6 +310,61 @@ TEST(Monitor, WatchdogDumpsStateAndCountersThenLatches) {
   EXPECT_EQ(ev[0].name, "watchdog");
   EXPECT_EQ(ev[0].args.at("round"), 7.0);
   EXPECT_EQ(ev[0].args.at("delivered"), 100.0);
+}
+
+TEST(Monitor, StatusLinesFollowEngineCountersWithMetricsOff) {
+  // The caller never turned metrics on: arming the monitor does, so the
+  // engine's counters move and the status line follows them; stopping
+  // it turns metrics back off.
+  const bool prev = tel::enabled();
+  tel::set_enabled(false);
+  Rng rng(5);
+  const Graph g = erdos_renyi(256, 4.0 / 256, rng);
+  StallNet net(g, 1, {});
+  tel::EngineMetrics& em = tel::EngineMetrics::get();
+  std::ostringstream sink;
+  tel::MonitorOptions mo;
+  mo.interval_ms = 10;
+  mo.out = &sink;
+  mo.label = "t";
+  tel::Monitor monitor(mo);
+  EXPECT_TRUE(tel::enabled());
+  const std::uint64_t delivered0 = em.messages_delivered.value();
+  for (int r = 0; r < 6; ++r) {
+    net.run_round([](StallNet::Ctx& ctx) {
+      for (const auto& inc : ctx.graph().neighbors(ctx.id())) {
+        ctx.send(inc.edge, StallMsg{ctx.id()});
+        break;
+      }
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(15));
+  }
+  const std::uint64_t delivered = em.messages_delivered.value() - delivered0;
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  monitor.stop();
+  EXPECT_FALSE(tel::enabled());
+  tel::set_enabled(prev);
+
+  // Each line reads `monitor[t]: round=R msgs/s=X delivered=D` (or the
+  // wait line); the rounds climb to all six, and the last line has
+  // every delivery.
+  std::vector<std::uint64_t> rounds;
+  std::string last;
+  std::istringstream lines(sink.str());
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_EQ(line.find("active="), std::string::npos) << line;
+    const auto at = line.find("monitor[t]: round=");
+    if (at == std::string::npos) continue;
+    rounds.push_back(std::stoull(line.substr(at + 18)));
+    last = line;
+  }
+  ASSERT_FALSE(rounds.empty()) << sink.str();
+  EXPECT_TRUE(std::is_sorted(rounds.begin(), rounds.end())) << sink.str();
+  EXPECT_EQ(rounds.back(), 6u) << sink.str();
+  EXPECT_GT(delivered, 0u);
+  EXPECT_NE(last.find(" delivered=" + std::to_string(delivered)),
+            std::string::npos)
+      << last;
 }
 
 // The dump must not read what other threads are still recording: here
@@ -315,14 +413,9 @@ TEST(Monitor, WatchdogFiresWhileAnotherThreadEmits) {
   EXPECT_EQ(watchdogs, 1u);
 }
 
-// A genuinely stalled *engine*: rounds advance (the board heartbeats),
-// then the step function wedges mid-run. The watchdog must dump and
-// abort the process with its distinct exit code.
-struct StallMsg {
-  std::uint32_t x;
-};
-using StallNet = SyncNetwork<StallMsg, DefaultBitMeter<StallMsg>>;
-
+// A genuinely stalled *engine*: rounds advance (the round counter
+// moves), then the step function wedges mid-run. The watchdog must dump
+// and abort the process with its distinct exit code.
 TEST(MonitorDeathTest, StalledEngineAbortsWithDistinctExitCode) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_EXIT(

@@ -380,8 +380,8 @@ TEST(TraceReader, RejectsMalformedDocuments) {
 
 TEST(Telemetry, EngineClientsBitIdenticalWithTelemetryOn) {
   // The acceptance-critical contract: metrics, trace recording and a
-  // silent Monitor sampling the progress board change nothing about any
-  // engine client's execution.
+  // silent Monitor sampling the engine's counters change nothing about
+  // any engine client's execution.
   tel::Tracer& tracer = tel::Tracer::global();
   const bool prev_enabled = tel::enabled();
   for (const test_support::ShardCase& c : test_support::kEngineCases) {

@@ -2,6 +2,7 @@
 // tables, CLI options.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cfloat>
 #include <cmath>
@@ -446,6 +447,33 @@ TEST(StreamingStats, MergeWithEmpty) {
   b.merge(a);
   EXPECT_EQ(b.count(), 1u);
   EXPECT_DOUBLE_EQ(b.mean(), 1.0);
+}
+
+TEST(Percentile, NearestRankMatchesTheFormulaItReplaced) {
+  // The one percentile over exact samples replaced two copies of one
+  // formula (fault recovery's and trace_summary's): the sample at rank
+  // round(p * (n - 1)), clamped to the last.
+  const auto old_formula = [](const std::vector<std::uint64_t>& sorted,
+                              double p) {
+    const auto rank = static_cast<std::size_t>(
+        p * static_cast<double>(sorted.size() - 1) + 0.5);
+    return sorted[std::min(rank, sorted.size() - 1)];
+  };
+  Rng rng(2026);
+  for (const std::size_t n : {1u, 2u, 5u, 100u}) {
+    std::vector<std::uint64_t> sorted(n);
+    for (std::uint64_t& v : sorted) v = rng.below(1000000);
+    std::sort(sorted.begin(), sorted.end());
+    for (const double p : {0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
+      EXPECT_EQ(percentile(sorted, p), old_formula(sorted, p))
+          << "n=" << n << " p=" << p;
+    }
+  }
+  const std::vector<std::uint64_t> five = {10, 20, 30, 40, 50};
+  EXPECT_EQ(percentile(five, 0.50), 30u);
+  EXPECT_EQ(percentile(five, 0.99), 50u);
+  EXPECT_EQ(percentile(std::vector<std::uint64_t>{7, 9}, 0.50), 9u);
+  EXPECT_EQ(percentile(std::vector<double>{}, 0.5), 0.0);
 }
 
 TEST(Samples, QuantilesAndExtremes) {

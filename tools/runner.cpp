@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   spec.faults = opts.get("faults", "");
   spec.trace = opts.get("trace", "");
   spec.telemetry = !opts.get_bool("no-telemetry", false);
-  const long long monitor_ms = opts.get_int("monitor-ms", 0);
+  const std::uint64_t monitor_ms = opts.get_count("monitor-ms", 0);
   const bool monitor = opts.get_bool("monitor", false);
   spec.monitor_ms = monitor_ms > 0 ? static_cast<unsigned>(monitor_ms)
                     : monitor      ? 1000u

@@ -21,18 +21,13 @@
 
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_reader.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
+using lps::percentile;
 using lps::telemetry::TraceDoc;
 using lps::telemetry::TraceSpan;
-
-double percentile(std::vector<double>& sorted_values, double p) {
-  if (sorted_values.empty()) return 0.0;
-  const std::size_t rank = static_cast<std::size_t>(
-      p / 100.0 * static_cast<double>(sorted_values.size() - 1) + 0.5);
-  return sorted_values[std::min(rank, sorted_values.size() - 1)];
-}
 
 int report(const TraceDoc& doc, const std::string& path) {
   std::printf("trace: %s\n", path.c_str());
@@ -80,8 +75,8 @@ int report(const TraceDoc& doc, const std::string& path) {
         "\nengine rounds: %zu  mean %.2f us  p50 %.2f  p90 %.2f  p99 %.2f  "
         "max %.2f\n",
         rounds.size(), total / static_cast<double>(rounds.size()),
-        percentile(rounds, 50), percentile(rounds, 90), percentile(rounds, 99),
-        rounds.back());
+        percentile(rounds, 0.50), percentile(rounds, 0.90),
+        percentile(rounds, 0.99), rounds.back());
   }
 
   // Per-shard imbalance from engine.exchange.p2 spans' shard arg.
