@@ -30,7 +30,9 @@ void layer_table() {
            "oracle #paths(len=d)"});
   for (NodeId v = 0; v < fig.graph.num_nodes(); ++v) {
     t.row();
-    t.cell("v" + std::to_string(v));
+    std::string name = "v";
+    name += std::to_string(v);
+    t.cell(name);
     t.cell(fig.side[v] == 0 ? "X" : "Y");
     t.cell(fig.matching.is_free(v) ? "free" : "matched");
     if (res.depth[v] == kUnreached) {

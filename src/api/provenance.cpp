@@ -4,14 +4,14 @@
 #include <cstdint>
 #include <ctime>
 
+// LPS_GIT_SHA: HEAD when the library was last built ("unknown" outside
+// git), written by the build's lps_git_sha target (CMakeLists.txt).
+#include "lps_git_sha.hpp"
+
 namespace lps::api {
 
-// LPS_GIT_SHA / LPS_BUILD_TYPE are injected by CMake at configure time
-// (see CMakeLists.txt); a build outside the repo or a stale configure
-// reports "unknown" rather than lying.
-#ifndef LPS_GIT_SHA
-#define LPS_GIT_SHA "unknown"
-#endif
+// LPS_BUILD_TYPE is injected by CMake at configure time (see
+// CMakeLists.txt).
 #ifndef LPS_BUILD_TYPE
 #ifdef NDEBUG
 #define LPS_BUILD_TYPE "release-unconfigured"

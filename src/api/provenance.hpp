@@ -11,7 +11,7 @@
 namespace lps::api {
 
 struct Provenance {
-  std::string git_sha;     // configure-time HEAD ("unknown" outside git)
+  std::string git_sha;     // build-time HEAD ("unknown" outside git)
   std::string build_type;  // CMAKE_BUILD_TYPE at configure time
   unsigned threads = 0;    // resolved worker count of the run
   std::string timestamp_utc;  // ISO-8601 UTC, per record

@@ -1,5 +1,6 @@
 #include "core/bipartite_counting.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -9,17 +10,32 @@ namespace lps {
 
 namespace {
 
+constexpr std::uint64_t kSpilled = CountingResult::kSpilled;
+
+/// A count in flight, as one word: the count itself below 2^63;
+/// otherwise kSpilled plus the count's bit size, which is all the meter
+/// needs, and the receiver reads the count from the sender's total. That
+/// read races with nothing: a node writes its total once, in its arrival
+/// round, before it sends, and a reached node never writes it again.
 struct CountMessage {
-  BigCounter count;
+  std::uint64_t word;
 };
+
+std::uint64_t on_wire(const BigCounter& count) {
+  const std::size_t bits = count.bit_size();
+  return bits < 64 ? count.to_u64() : kSpilled | bits;
+}
 
 /// Bit meter: a real CONGEST implementation ships each count as
 /// ceil(bits / chunk) chunks of O(log Delta) bits; we meter the full
 /// serialized width so max_message_bits reflects Lemma 3.6's
 /// O(l log Delta) bound.
 struct CountBits {
-  std::uint64_t operator()(const CountMessage& msg) const {
-    return std::max<std::uint64_t>(msg.count.bit_size(), 1) + 2;
+  std::uint64_t operator()(const CountMessage& msg) const noexcept {
+    const std::uint64_t bits = msg.word < kSpilled
+                                   ? std::bit_width(msg.word)
+                                   : msg.word & ~kSpilled;
+    return std::max<std::uint64_t>(bits, 1) + 2;
   }
 };
 
@@ -45,6 +61,10 @@ MaskedSubgraph::MaskedSubgraph(const Graph& g,
 
 bool CountingResult::built_for(const Graph& g) const {
   return net.get() != nullptr && &net.get()->graph().store() == &g.store();
+}
+
+const std::shared_ptr<EngineTables>& CountingResult::tables() const {
+  return net.get()->tables();
 }
 
 CountingResult count_augmenting_paths(const Graph& g,
@@ -86,7 +106,7 @@ void count_augmenting_paths(const Graph& g, const Subgraph& h,
   if (!out.built_for(g)) {
     // New, copied, or last used on another graph: build it all for g.
     out.depth.assign(n, kUnreached);
-    out.counts.assign(s.adj_to.size(), BigCounter{});
+    out.counts.assign(s.adj_to.size(), 0);
     out.total.assign(n, BigCounter{});
     out.endpoint.assign(n, 0);
     out.reached_bits.assign((std::size_t{n} + 63) / 64, 0);
@@ -98,9 +118,8 @@ void count_augmenting_paths(const Graph& g, const Subgraph& h,
       out.depth[v] = kUnreached;
       out.total[v].clear();
       out.endpoint[v] = 0;
-      for (std::uint64_t a = s.offsets[v]; a < s.offsets[v + 1]; ++a) {
-        out.counts[a].clear();
-      }
+      std::fill(out.counts.begin() + s.offsets[v],
+                out.counts.begin() + s.offsets[v + 1], 0);
     }
     out.reached.clear();
     net->reset(/*seed=*/0);
@@ -131,7 +150,7 @@ void count_augmenting_paths(const Graph& g, const Subgraph& h,
       out.total[v] = BigCounter(1);
       for (const auto& inc : nbrs) {
         if (h.active_from(0, inc.edge, inc.to)) {
-          ctx.send(inc.edge, CountMessage{BigCounter(1)});
+          ctx.send(inc.edge, CountMessage{1});
         }
       }
       return;
@@ -141,11 +160,17 @@ void count_augmenting_paths(const Graph& g, const Subgraph& h,
     // Stepped after round 0 means counts arrived, and every one came over
     // an edge of the subgraph: nothing is sent on any other edge.
     out.depth[v] = static_cast<std::uint32_t>(round);
-    BigCounter* counts = out.counts.data() + s.offsets[v];
+    std::uint64_t* counts = out.counts.data() + s.offsets[v];
+    BigCounter& total = out.total[v];
     for (const auto& in : ctx.inbox()) {
       // The inbox slot IS the incidence position: accumulate directly.
-      counts[in.slot] = in.payload->count;
-      out.total[v] += in.payload->count;
+      const std::uint64_t word = in.payload->word;
+      counts[in.slot] = word;
+      if (word < kSpilled) {
+        total += word;
+      } else {
+        total += out.total[in.from];
+      }
     }
 
     const bool is_x = h.side(v) == 0;
@@ -163,7 +188,7 @@ void count_augmenting_paths(const Graph& g, const Subgraph& h,
       if (may_send) {
         const EdgeId mate_edge = m.matched_edge(v);
         if (h.active_from(1, mate_edge, g.other_endpoint(mate_edge, v))) {
-          ctx.send(mate_edge, CountMessage{out.total[v]});
+          ctx.send(mate_edge, CountMessage{on_wire(total)});
         }
       }
     } else {
@@ -173,9 +198,10 @@ void count_augmenting_paths(const Graph& g, const Subgraph& h,
       }
       if (may_send) {
         const EdgeId mate_edge = m.matched_edge(v);
+        const CountMessage msg{on_wire(total)};
         for (const auto& inc : nbrs) {
           if (inc.edge != mate_edge && h.active_from(0, inc.edge, inc.to)) {
-            ctx.send(inc.edge, CountMessage{out.total[v]});
+            ctx.send(inc.edge, msg);
           }
         }
       }
@@ -196,7 +222,6 @@ void count_augmenting_paths(const Graph& g, const Subgraph& h,
     }
   }
   out.stats = net->stats();
-  net->release_message_buffers();
   // Read the marks back word by word: ascending in O(reached + n/64),
   // leaving every word zero for the next pass.
   for (std::size_t w = 0; w < out.reached_bits.size(); ++w) {

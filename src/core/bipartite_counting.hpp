@@ -10,12 +10,16 @@
 // non-shortest paths through already-visited nodes (the "back-arrows"
 // of Figure 1).
 //
-// Counts are BigCounters: Lemma 3.6 bounds n_v by Delta^{ceil(d/2)},
-// far beyond 64 bits. Message sizes are metered at the serialized
-// chunked width the paper's pipeline would use.
+// Lemma 3.6 bounds n_v by Delta^{ceil(d/2)}, which can pass 64 bits, so
+// the totals n_v are BigCounters. A count travels, and sits in the
+// per-arc count column, as one word: the count itself below 2^63, else a
+// marker for "the sender's total" (see CountingResult::counts). Message
+// sizes are metered at the serialized chunked width the paper's pipeline
+// would use.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/matching.hpp"
@@ -31,6 +35,7 @@ inline constexpr std::uint32_t kUnreached = 0xffffffffu;
 
 /// The counting pass's round network (defined in bipartite_counting.cpp).
 class CountNet;
+class EngineTables;
 
 /// The logical bipartite subgraph a counting pass runs on, as masks:
 /// `side` 2-colors it (side 0 = X) and `active_edges` holds one entry per
@@ -131,8 +136,11 @@ struct CountingResult {
   /// if the BFS never reached the node within max_len rounds.
   std::vector<std::uint32_t> depth;
   /// Arc-positioned: counts[offsets[v] + i] is the number of paths
-  /// arriving at v on its i-th incidence (zero off the reached nodes).
-  std::vector<BigCounter> counts;
+  /// arriving at v on its i-th incidence (zero off the reached nodes)
+  /// when it is below kSpilled. An entry with that bit set stands for a
+  /// count of 2^63 or more, which is the sender's total, and its low bits
+  /// hold the count's bit size; count_at() reads either kind.
+  std::vector<std::uint64_t> counts;
   /// n_v = sum over v's slice of counts.
   std::vector<BigCounter> total;
   /// endpoint[v] == 1 iff v is a free Y node the BFS reached: each such
@@ -150,10 +158,23 @@ struct CountingResult {
   /// it reaches here and reads them back in ascending order.
   std::vector<std::uint64_t> reached_bits;
 
+  /// The top bit of a spilled counts entry.
+  static constexpr std::uint64_t kSpilled = std::uint64_t{1} << 63;
+
   bool is_path_endpoint(NodeId v) const { return endpoint[v] != 0; }
+  /// The count at arc `a` of g (counts' indexing): a count on an arc
+  /// into v is the total of the node at its far end.
+  BigCounter count_at(const Graph& g, std::uint64_t a) const {
+    const std::uint64_t word = counts[a];
+    return word < kSpilled ? BigCounter(word) : total[g.store().adj_to[a]];
+  }
   /// True when the columns and the network were built for g's store, so
   /// a pass on g reuses them.
   bool built_for(const Graph& g) const;
+  /// The counting network's stamp tables, for a network that alternates
+  /// runs with the passes (Aug's token phase); requires a pass to have
+  /// built the network.
+  const std::shared_ptr<EngineTables>& tables() const;
 };
 
 /// Run the counting BFS for paths of length <= max_len (odd). `side`
@@ -172,8 +193,8 @@ CountingResult count_augmenting_paths(const Graph& g,
 /// passes. A result last used on `g` keeps its per-node columns and its
 /// network: the pass clears only the nodes the previous pass reached and
 /// restarts the network. A result that is new, copied, or last used on
-/// another graph is rebuilt for `g`. A count that fits in 64 bits owns
-/// no heap block, and a cleared count that had spilled past 64 bits
+/// another graph is rebuilt for `g`. A total that fits in 64 bits owns
+/// no heap block, and a cleared total that had spilled past 64 bits
 /// keeps its block for reuse.
 void count_augmenting_paths(const Graph& g,
                             const std::vector<std::uint8_t>& side,

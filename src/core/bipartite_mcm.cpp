@@ -16,9 +16,9 @@ enum class TokType : std::uint8_t { kToken, kConfirm };
 
 struct TokenMessage {
   TokType type;
+  NodeId leader = kInvalidNode;
   /// Log-domain order statistic: D = ln(-ln u) - ln(n_y); smaller wins.
   double value = 0.0;
-  NodeId leader = kInvalidNode;
 };
 
 /// The paper's token carries an O(l log Delta)-bit number plus a leader
@@ -40,15 +40,18 @@ double draw_winner_value(const BigCounter& n, Rng& rng) {
   return std::log(-std::log(u)) - ln_n;
 }
 
-/// Sample an incidence slot with probability counts[i] / total, over a
-/// node's slice of the arc-positioned count column.
-std::size_t sample_slot(const BigCounter* counts, std::size_t degree,
-                        const BigCounter& total, Rng& rng) {
-  BigCounter r = BigCounter::sample_below(total, rng);
+/// Sample one of v's incidence slots with probability count / total,
+/// over v's slice of the arc-positioned count column.
+std::size_t sample_slot(const Graph& g, const CountingResult& counting,
+                        NodeId v, Rng& rng) {
+  const std::uint64_t base = g.store().offsets[v];
+  const std::size_t degree = g.degree(v);
+  BigCounter r = BigCounter::sample_below(counting.total[v], rng);
   for (std::size_t i = 0; i < degree; ++i) {
-    if (counts[i].is_zero()) continue;
-    if (r < counts[i]) return i;
-    r -= counts[i];
+    if (counting.counts[base + i] == 0) continue;
+    const BigCounter count = counting.count_at(g, base + i);
+    if (r < count) return i;
+    r -= count;
   }
   throw std::logic_error("sample_slot: counts do not sum to total");
 }
@@ -96,6 +99,7 @@ AugResult aug_loop(const Graph& g, const Subgraph& h, Matching& m,
     // New, copied, or last used on another graph: build it all for g.
     // (`free` may live in the scratch, so it is left alone.)
     scratch.counting = CountingResult{};
+    scratch.net = NetworkSlot<TokenNet>{};
     scratch.tok.assign(n, {});
     scratch.flipped.assign(n, 0);
     scratch.new_match_edge.assign(n, kInvalidEdge);
@@ -123,12 +127,13 @@ AugResult aug_loop(const Graph& g, const Subgraph& h, Matching& m,
     }
 
     // --- Phase 2: token selection + traceback (Lemma 3.7). ---
-    // The token network is built at the first token phase, not before
-    // the first counting pass: that pass, from the emptiest matching, is
-    // the solve's largest, and it runs without this network's tables.
+    // The token network runs on the counting network's stamp tables:
+    // the two alternate runs, each from a reset, so the solve holds one
+    // set of graph-sized tables.
     TokenNet* net = scratch.net.get();
-    if (net == nullptr || &net->graph().store() != &g.store()) {
-      net = &scratch.net.emplace(g, /*seed=*/0, TokenBits{id_bits});
+    if (net == nullptr || net->tables() != counting.tables()) {
+      net = &scratch.net.emplace(counting.tables(), /*seed=*/0,
+                                 TokenBits{id_bits});
     }
     net->reset(splitmix64(opts.seed ^ (iter * 0x9e3779b97f4a7c15ULL)));
     net->set_thread_pool(opts.pool);
@@ -182,15 +187,12 @@ AugResult aug_loop(const Graph& g, const Subgraph& h, Matching& m,
         }
         // Choose the backward edge: Y samples by counts, X follows its
         // matched edge (which is exactly the single counted slot).
-        const auto nbrs = ctx.graph().neighbors(v);
-        const std::size_t slot = sample_slot(
-            counting.counts.data() + g.store().offsets[v], nbrs.size(),
-            counting.total[v], ctx.rng());
-        const EdgeId fwd = nbrs[slot].edge;
+        const std::size_t slot = sample_slot(g, counting, v, ctx.rng());
+        const EdgeId fwd = ctx.graph().neighbors(v)[slot].edge;
         tok[v].forwarded = true;
         tok[v].forwarded_leader = best_leader;
         tok[v].forward_edge = fwd;
-        ctx.send(fwd, TokenMessage{TokType::kToken, best_value, best_leader});
+        ctx.send(fwd, TokenMessage{TokType::kToken, best_leader, best_value});
         return;
       }
 
@@ -204,7 +206,7 @@ AugResult aug_loop(const Graph& g, const Subgraph& h, Matching& m,
         flipped[v] = 1;
         new_match_edge[v] = tok[v].arrival_edge;
         ctx.send(tok[v].arrival_edge,
-                 TokenMessage{TokType::kConfirm, 0.0, tok[v].forwarded_leader});
+                 TokenMessage{TokType::kConfirm, tok[v].forwarded_leader});
         return;
       }
       // Interior/leader node: accept a confirm only for the token we
@@ -222,7 +224,7 @@ AugResult aug_loop(const Graph& g, const Subgraph& h, Matching& m,
             (d % 2 == 1) ? tok[v].forward_edge : tok[v].arrival_edge;
         if (tok[v].arrival_edge != kInvalidEdge) {
           ctx.send(tok[v].arrival_edge,
-                   TokenMessage{TokType::kConfirm, 0.0, in.payload->leader});
+                   TokenMessage{TokType::kConfirm, in.payload->leader});
         }
         break;
       }
@@ -245,7 +247,6 @@ AugResult aug_loop(const Graph& g, const Subgraph& h, Matching& m,
       net->run_round(step);
     }
     result.stats.merge(net->stats());
-    net->release_message_buffers();
 
     // --- Apply the flips to the global matching. ---
     // Every path edge is reported by both of its endpoints (old matched

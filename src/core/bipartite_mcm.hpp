@@ -56,11 +56,13 @@ class TokenNet;
 
 /// Aug's per-node state: Algorithm 3's counting columns and Lemma 3.7's
 /// token columns, plus the two round networks, which each Aug iteration
-/// restarts instead of rebuilding. A solve that calls Aug many times on
-/// one graph holds one scratch and passes it to every call; each Aug
-/// iteration then clears only the nodes the previous one reached instead
-/// of allocating O(n + m) state afresh. The scratch records the graph it
-/// was built for: a call on another graph rebuilds it.
+/// restarts instead of rebuilding and which share one set of stamp
+/// tables (the token network runs on the counting network's). A solve
+/// that calls Aug many times on one graph holds one scratch and passes
+/// it to every call; each Aug iteration then clears only the nodes the
+/// previous one reached instead of allocating O(n + m) state afresh. The
+/// scratch records the graph it was built for: a call on another graph
+/// rebuilds it.
 struct AugScratch {
   /// Per-iteration token state of one node.
   struct Token {

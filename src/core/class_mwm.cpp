@@ -95,22 +95,27 @@ ClassMwmResult class_mwm(const Graph& g, std::span<const double> w,
   // round count of the simultaneous run is the max over classes). The
   // simulation runs them one after another on one network; class c's
   // matching is matched[matched_start[c], matched_start[c + 1]).
-  IsraeliItaiClassRuns runs(g, edge_class, degree, opts.pool);
   std::vector<EdgeId> matched;
   std::vector<std::size_t> matched_start(num_classes + 1, 0);
   std::uint64_t parallel_rounds = 0;
-  for (std::uint32_t c = 0; c < num_classes; ++c) {
-    matched_start[c] = matched.size();
-    if (class_start[c] == class_start[c + 1]) continue;
-    IsraeliItaiClassRuns::Run run =
-        runs.run(c, edges_of(c), splitmix64(opts.seed ^ (0x11aa00 + c)),
-                 opts.max_phases_per_class);
-    result.converged = result.converged && run.converged;
-    matched.insert(matched.end(), run.matching.begin(), run.matching.end());
-    parallel_rounds = std::max(parallel_rounds, run.stats.rounds);
-    // Messages/bits add up across classes; rounds compose in parallel.
-    run.stats.rounds = 0;
-    result.stats.merge(run.stats);
+  {
+    // The runs' state and network (whose message columns keep the
+    // largest class's capacity) go before step 3 allocates.
+    IsraeliItaiClassRuns runs(g, edge_class, degree, opts.pool);
+    for (std::uint32_t c = 0; c < num_classes; ++c) {
+      matched_start[c] = matched.size();
+      if (class_start[c] == class_start[c + 1]) continue;
+      IsraeliItaiClassRuns::Run run =
+          runs.run(c, edges_of(c), splitmix64(opts.seed ^ (0x11aa00 + c)),
+                   opts.max_phases_per_class);
+      result.converged = result.converged && run.converged;
+      matched.insert(matched.end(), run.matching.begin(),
+                     run.matching.end());
+      parallel_rounds = std::max(parallel_rounds, run.stats.rounds);
+      // Messages/bits add up across classes; rounds compose in parallel.
+      run.stats.rounds = 0;
+      result.stats.merge(run.stats);
+    }
   }
   matched_start[num_classes] = matched.size();
   result.stats.rounds += parallel_rounds;

@@ -70,15 +70,18 @@
 //    bit-identical to a step_all_nodes() execution whenever the protocol
 //    keeps alive every node that might act without an incoming message.
 //  * Reuse across runs. Construction costs O(n + m) (the per-arc and
-//    per-node stamp tables); reset(seed) costs O(workers + shards) and
-//    makes the next run bit-identical to one on a fresh network with
-//    that seed, so a solver that runs many short executions on one graph
-//    builds its network once. round() restarts at 0, while the stamps
-//    are compared against an epoch base that reset() moves past every
-//    stamp already written — no table is swept, except once every 2^31
-//    epochs (see kEpochSweepAt). release_message_buffers() frees the
-//    message columns between runs, so an idle network holds only its
-//    graph-sized tables.
+//    per-node stamp tables, EngineTables); reset(seed) costs
+//    O(workers + shards) and makes the next run bit-identical to one on
+//    a fresh network with that seed, so a solver that runs many short
+//    executions on one graph builds its network once. round() restarts
+//    at 0, while the stamps are compared against an epoch base that
+//    reset() moves past every stamp already written — no table is
+//    swept, except once every 2^31 epochs (see kEpochSweepAt). reset()
+//    clears the message columns and keeps their capacity, so a warm run
+//    allocates only where a round outgrows every earlier one. Networks
+//    with different message types can stamp one set of tables (the
+//    sharing constructor): a solver that alternates two protocols on one
+//    graph holds the graph-sized tables once.
 //
 // A node program is any callable `void step(Ctx& ctx)`; persistent node
 // state lives in arrays owned by the algorithm object (indexed by node
@@ -95,6 +98,7 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -119,6 +123,103 @@ struct DefaultBitMeter {
   std::uint64_t operator()(const M&) const noexcept {
     return std::uint64_t{sizeof(M) * 8};
   }
+};
+
+template <typename M, typename Meter>
+class SyncNetwork;
+
+/// The graph-sized tables a round network stamps, O(n + m) to build:
+/// per-arc channel metadata, per-receiver inbox bookkeeping and the
+/// active-set stamps, plus the one epoch counter every stamp is drawn
+/// from. Any number of networks, of any message types, may share one set,
+/// provided their runs do not interleave: a network runs only while no
+/// other network has run on the tables since its construction or its
+/// last reset(), and after a round of its own threw, only from a reset()
+/// (run_round throws std::logic_error otherwise).
+class EngineTables {
+ public:
+  explicit EngineTables(const Graph& g)
+      : graph_(g),
+        inbox_meta_(g.num_nodes(), InboxMeta{kNeverEpoch, 0, 0, 0}),
+        active_stamp_(g.num_nodes(), kNeverEpoch) {
+    // Directed channels are indexed by CSR *arc*: the channel on which v
+    // sends along its i-th incidence is arc offsets[v] + i. Senders then
+    // stamp and read channel state at positions inside their own row —
+    // shard-local by construction — instead of at edge-table positions
+    // that are random relative to vertex order. Each arc v -> to also
+    // carries v's position in to's row (the receiver-side incidence
+    // position: the canonical inbox sort key), copied from the store's
+    // shared reverse-arc table; it sits beside the channel's send stamp,
+    // so the send path reads one per-arc location, not two.
+    const std::vector<std::uint32_t>& rev = g.store().rev_slot();
+    arc_meta_.reserve(rev.size());
+    for (const std::uint32_t slot : rev) {
+      arc_meta_.push_back(ArcMeta{kNeverEpoch, slot});
+    }
+  }
+
+  /// The graph the tables were built for.
+  const Graph& graph() const noexcept { return graph_; }
+
+ private:
+  template <typename, typename>
+  friend class SyncNetwork;
+
+  // Round stamps in the hot bookkeeping are 32-bit epochs: a run's
+  // epoch base plus its round, truncated. kNeverEpoch doubles as "never
+  // touched". Every run takes its base from epoch_, which each round
+  // advances past the stamps it wrote, so a stamp left by an earlier run
+  // (of any network on these tables) never equals a live epoch. Once the
+  // count reaches kEpochSweepAt, the next run sweeps the three tables
+  // back to kNeverEpoch and restarts it at 0. Every run thus starts
+  // below 2^31, and a live stamp could alias kNeverEpoch (or wrap onto
+  // an older stamp) only after more than 2^31 rounds of one run —
+  // decades at any realistic rate — accepted in exchange for halving the
+  // stamp footprint in the per-arc and per-receiver metadata.
+  static constexpr std::uint32_t kNeverEpoch =
+      static_cast<std::uint32_t>(-1);
+  static constexpr std::uint32_t kEpochSweepAt = std::uint32_t{1} << 31;
+
+  /// Per-arc channel metadata, packed so the send path touches one
+  /// 8-byte record per arc: the round of the channel's last send
+  /// (double-send detection) and the receiver-side incidence position
+  /// (the inbox sort key).
+  struct ArcMeta {
+    std::uint32_t stamp;
+    std::uint32_t slot;
+  };
+
+  /// Per-receiver inbox bookkeeping, packed into 16 bytes so the
+  /// exchange's counting passes and inbox_of() touch one cache line
+  /// fragment per receiver instead of four separate arrays. `off` and
+  /// `cur` index the delivery columns: per-round deliveries must fit in
+  /// 32 bits (≥ 4.2B messages/round is far beyond the 2m channel bound
+  /// for any graph this engine addresses).
+  struct InboxMeta {
+    std::uint32_t stamp;
+    std::uint32_t cnt;
+    std::uint32_t off;
+    std::uint32_t cur;
+  };
+
+  /// The epoch base of a run starting now, sweeping first when due.
+  std::uint32_t begin_run() {
+    if (epoch_ >= kEpochSweepAt) {
+      for (ArcMeta& am : arc_meta_) am.stamp = kNeverEpoch;
+      for (InboxMeta& im : inbox_meta_) im.stamp = kNeverEpoch;
+      std::fill(active_stamp_.begin(), active_stamp_.end(), kNeverEpoch);
+      epoch_ = 0;
+    }
+    return static_cast<std::uint32_t>(epoch_);
+  }
+
+  Graph graph_;
+  // Epoch-stamped directed channels (double-send detection) fused with
+  // the precomputed receiver-side incidence position per channel.
+  std::vector<ArcMeta> arc_meta_;      // 2m
+  std::vector<InboxMeta> inbox_meta_;  // n
+  std::vector<std::uint32_t> active_stamp_;  // n
+  std::uint64_t epoch_ = 0;  // past every stamp written so far
 };
 
 template <typename M, typename Meter = std::function<std::uint64_t(const M&)>>
@@ -260,40 +361,38 @@ class SyncNetwork {
     PerWorker* worker_ = nullptr;
   };
 
-  /// Builds the graph-sized tables, O(n + m). The network holds a copy
-  /// of `g` (a shared reference to its store), so it stays valid for as
-  /// long as it is kept, whatever happens to `g`.
+  /// Builds tables of its own for `g`, O(n + m). The network holds a
+  /// copy of `g` (a shared reference to its store), so it stays valid for
+  /// as long as it is kept, whatever happens to `g`.
   SyncNetwork(const Graph& g, std::uint64_t seed, Meter meter = Meter{})
-      : SyncNetwork(setup_clock(), g, seed, std::move(meter)) {}
+      : SyncNetwork(setup_clock(), g, nullptr, seed, std::move(meter)) {}
+
+  /// Runs on `tables` (non-null), shared with the networks already built
+  /// on them, on the graph they were built for: O(workers + shards).
+  SyncNetwork(std::shared_ptr<EngineTables> tables, std::uint64_t seed,
+              Meter meter = Meter{})
+      : SyncNetwork(setup_clock(), tables->graph(), tables, seed,
+                    std::move(meter)) {}
 
  private:
-  // The public constructor's body; `t_setup` (see setup_clock()) is taken
-  // before any table is allocated, so the setup span covers them all.
-  SyncNetwork(std::uint64_t t_setup, const Graph& g, std::uint64_t seed,
+  // The public constructors' body; `t_setup` (see setup_clock()) is
+  // taken before any table is allocated, so the setup span covers them.
+  SyncNetwork(std::uint64_t t_setup, const Graph& g,
+              std::shared_ptr<EngineTables> tables, std::uint64_t seed,
               Meter meter)
       : graph_(g),
         seed_(seed),
         meter_(std::move(meter)),
         plan_(plan_shards(g.num_nodes(), /*requested=*/0)),
-        inbox_meta_(g.num_nodes(), InboxMeta{kNeverEpoch, 0, 0, 0}),
-        active_stamp_(g.num_nodes(), kNeverEpoch),
-        shard_active_(plan_.count) {
+        tables_(tables != nullptr ? std::move(tables)
+                                  : std::make_shared<EngineTables>(g)),
+        arc_meta_(tables_->arc_meta_.data()),
+        inbox_meta_(tables_->inbox_meta_.data()),
+        active_stamp_(tables_->active_stamp_.data()),
+        shard_active_(plan_.count),
+        epoch_base_(tables_->begin_run()) {
     if constexpr (std::is_same_v<Meter, BitMeter>) {
       if (!meter_) meter_ = DefaultBitMeter<M>{};
-    }
-    // Directed channels are indexed by CSR *arc*: the channel on which v
-    // sends along its i-th incidence is arc offsets[v] + i. Senders then
-    // stamp and read channel state at positions inside their own row —
-    // shard-local by construction — instead of at edge-table positions
-    // that are random relative to vertex order. Each arc v -> to also
-    // carries v's position in to's row (the receiver-side incidence
-    // position: the canonical inbox sort key), copied from the store's
-    // shared reverse-arc table; it sits beside the channel's send stamp,
-    // so the send path reads one per-arc location, not two.
-    const std::vector<std::uint32_t>& rev = g.store().rev_slot();
-    arc_meta_.reserve(rev.size());
-    for (const std::uint32_t slot : rev) {
-      arc_meta_.push_back(ArcMeta{kNeverEpoch, slot});
     }
     trace_setup(t_setup, /*reset=*/false);
   }
@@ -307,22 +406,33 @@ class SyncNetwork {
   /// stats, the pending and delivered counters, pending activations and
   /// restrict_initial_active() are cleared; messages still in flight
   /// (sent in the last round, or held back by the fault layer) are
-  /// dropped and the message columns freed. O(workers + shards), plus an
-  /// O(n + m) stamp sweep once every 2^31 epochs (kEpochSweepAt).
+  /// dropped. The message columns keep their capacity. O(workers +
+  /// shards + columns' contents), plus an O(n + m) stamp sweep once every
+  /// 2^31 epochs (kEpochSweepAt). The next run starts past every stamp
+  /// any network on these tables wrote.
   void reset(std::uint64_t seed) {
     const std::uint64_t t_setup = setup_clock();
-    // The finished run stamped epochs [epoch_base_, epoch_base_ + round_);
-    // the next one starts past all of them.
-    const std::uint64_t next = std::uint64_t{epoch_base_} + round_;
-    if (next >= kEpochSweepAt) {
-      for (ArcMeta& am : arc_meta_) am.stamp = kNeverEpoch;
-      for (InboxMeta& im : inbox_meta_) im.stamp = kNeverEpoch;
-      std::fill(active_stamp_.begin(), active_stamp_.end(), kNeverEpoch);
-      epoch_base_ = 0;
-    } else {
-      epoch_base_ = static_cast<std::uint32_t>(next);
+    epoch_base_ = tables_->begin_run();
+    for (PerWorker& w : workers_) {
+      w.send_to.clear();
+      w.send_key.clear();
+      w.send_seq.clear();
+      w.send_msg.clear();
+      w.wake.clear();
     }
-    release_message_buffers();
+    scr_to_.clear();
+    scr_key_.clear();
+    scr_seq_.clear();
+    scr_msg_.clear();
+    dlv_key_.clear();
+    dlv_seq_.clear();
+    dlv_msg_.clear();
+    for (std::vector<NodeId>& rs : shard_receivers_) rs.clear();
+    active_.clear();
+    for (std::vector<NodeId>& sa : shard_active_) sa.clear();
+    delayed_.clear();
+    dup_buf_.clear();
+    pending_ = 0;
     seed_ = seed;
     round_ = 0;
     stats_ = NetStats{};
@@ -333,44 +443,17 @@ class SyncNetwork {
     trace_setup(t_setup, /*reset=*/true);
   }
 
-  /// Free the message columns (per-worker send columns and wake lists,
-  /// the exchange's staging and delivery columns, the fault layer's
-  /// held-back records) and the active lists, dropping any message still
-  /// in flight. Only the graph-sized stamp tables keep their memory. For
-  /// a network that sits idle until its next reset(); stats(), round()
-  /// and the last-round counters stay readable.
-  void release_message_buffers() {
-    for (PerWorker& w : workers_) {
-      free_vector(w.send_to);
-      free_vector(w.send_key);
-      free_vector(w.send_seq);
-      free_vector(w.send_msg);
-      free_vector(w.wake);
-    }
-    free_vector(scr_to_);
-    free_vector(scr_key_);
-    free_vector(scr_seq_);
-    free_vector(scr_msg_);
-    free_vector(dlv_key_);
-    free_vector(dlv_seq_);
-    free_vector(dlv_msg_);
-    free_vector(shard_receivers_);
-    free_vector(active_);
-    shard_active_.assign(plan_.count, {});
-    free_vector(delayed_);
-    free_vector(dup_buf_);
-    pending_ = 0;
-  }
-
-  /// Test hook: move the epoch base to just below kEpochSweepAt, so the
-  /// reset() after the next run (of at least one round) sweeps the stamp
-  /// tables and restarts the base at 0. Call only between runs: after
+  /// Test hook: move the epoch base, and the tables' epoch count, to
+  /// just below kEpochSweepAt, so the reset() (of any network on these
+  /// tables) after the next run of at least one round sweeps the stamp
+  /// tables and restarts the count at 0. Call only between runs: after
   /// construction or reset(), before the first round.
   void advance_epoch_base_for_testing() {
     if (round_ != 0) {
       throw std::logic_error("SyncNetwork: epoch base moved mid-run");
     }
-    epoch_base_ = kEpochSweepAt - 1;
+    epoch_base_ = EngineTables::kEpochSweepAt - 1;
+    tables_->epoch_ = epoch_base_;
   }
 
   /// Optional: step nodes with a thread pool (nullptr = sequential).
@@ -389,6 +472,11 @@ class SyncNetwork {
   }
 
   const Graph& graph() const noexcept { return graph_; }
+
+  /// The tables the network stamps, for building another network on them.
+  const std::shared_ptr<EngineTables>& tables() const noexcept {
+    return tables_;
+  }
 
   /// The number of vertex shards the mailbox and scheduler operate on.
   unsigned shards() const noexcept { return plan_.count; }
@@ -443,8 +531,8 @@ class SyncNetwork {
 
   /// The nodes stepped in the most recent round, in step order; empty
   /// when that round stepped every node (step_all_nodes(), or round 0
-  /// without restrict_initial_active()). Valid until the next round,
-  /// reset() or release_message_buffers().
+  /// without restrict_initial_active()). Valid until the next round or
+  /// reset().
   std::span<const NodeId> last_round_active() const noexcept {
     return active_;
   }
@@ -455,6 +543,13 @@ class SyncNetwork {
   template <typename Step>
   void run_round(Step&& step) {
     const Graph& g = graph_;
+    const std::uint64_t stamp = std::uint64_t{epoch_base_} + round_;
+    if (tables_->epoch_ != stamp) {
+      throw std::logic_error(
+          "SyncNetwork: another network ran on these tables, or a round "
+          "threw, since this one's last reset()");
+    }
+    tables_->epoch_ = stamp + 1;  // past this round's stamps, even on a throw
     ensure_workers();
     ++stats_.rounds;
 
@@ -588,27 +683,12 @@ class SyncNetwork {
   }
 
  private:
-  // Round stamps in the hot bookkeeping are 32-bit epochs: epoch_base_
-  // plus round_, truncated. kNeverEpoch doubles as "never touched".
-  // reset() moves the base past every epoch the finished run stamped, so
-  // a stamp left by an earlier run never equals a live epoch, and once
-  // the base reaches kEpochSweepAt it sweeps the three stamp tables
-  // back to kNeverEpoch and restarts the base at 0. Every run thus
-  // starts below 2^31, and a live stamp could alias kNeverEpoch (or
-  // wrap onto an older stamp) only after more than 2^31 rounds of one
-  // run — decades at any realistic rate — accepted in exchange for
-  // halving the stamp footprint in the per-arc and per-receiver
-  // metadata.
-  static constexpr std::uint32_t kNeverEpoch =
-      static_cast<std::uint32_t>(-1);
-  static constexpr std::uint32_t kEpochSweepAt = std::uint32_t{1} << 31;
+  using ArcMeta = EngineTables::ArcMeta;
+  using InboxMeta = EngineTables::InboxMeta;
+
+  /// This round's stamp (see EngineTables).
   std::uint32_t epoch() const noexcept {
     return static_cast<std::uint32_t>(epoch_base_ + round_);
-  }
-
-  template <typename V>
-  static void free_vector(V& v) noexcept {
-    V().swap(v);
   }
 
   /// Start time of a setup to trace, or 0 when the tracer is off.
@@ -625,28 +705,6 @@ class SyncNetwork {
         {{"reset", reset ? 1.0 : 0.0},
          {"nodes", static_cast<double>(graph_.num_nodes())}});
   }
-
-  /// Per-arc channel metadata, packed so the send path touches one
-  /// 8-byte record per arc: the round of the channel's last send
-  /// (double-send detection) and the receiver-side incidence position
-  /// (the inbox sort key).
-  struct ArcMeta {
-    std::uint32_t stamp;
-    std::uint32_t slot;
-  };
-
-  /// Per-receiver inbox bookkeeping, packed into 16 bytes so the
-  /// exchange's counting passes and inbox_of() touch one cache line
-  /// fragment per receiver instead of four separate arrays. `off` and
-  /// `cur` index the delivery columns: per-round deliveries must fit in
-  /// 32 bits (≥ 4.2B messages/round is far beyond the 2m channel bound
-  /// for any graph this engine addresses).
-  struct InboxMeta {
-    std::uint32_t stamp;
-    std::uint32_t cnt;
-    std::uint32_t off;
-    std::uint32_t cur;
-  };
 
   /// Per-worker accumulators, cache-line separated. Only the worker that
   /// owns the struct touches it during a round.
@@ -1061,9 +1119,12 @@ class SyncNetwork {
   ThreadPool* pool_ = nullptr;
   ShardPlan plan_;
 
-  // Epoch-stamped directed channels (double-send detection) fused with
-  // the precomputed receiver-side incidence position per channel.
-  std::vector<ArcMeta> arc_meta_;  // 2m
+  // The stamp tables, possibly shared with other networks, and their
+  // columns' storage, which never moves once built.
+  std::shared_ptr<EngineTables> tables_;
+  ArcMeta* arc_meta_;             // 2m
+  InboxMeta* inbox_meta_;         // n
+  std::uint32_t* active_stamp_;   // n
 
   // This round's mailbox, as parallel columns: shard-binned staging
   // (scr_*) then receiver-grouped, inbox-ordered deliveries (dlv_*),
@@ -1080,11 +1141,9 @@ class SyncNetwork {
   std::vector<std::vector<NodeId>> shard_receivers_;
   std::vector<std::size_t> shard_cnt_;  // shards+1; reused as cursors
   std::vector<std::size_t> shard_off_;  // shards+1
-  std::vector<InboxMeta> inbox_meta_;   // n
 
   // Active-set scheduling state, bucketed per shard.
   std::vector<NodeId> active_;
-  std::vector<std::uint32_t> active_stamp_;  // n
   std::vector<NodeId> pending_activations_;
   std::vector<std::vector<NodeId>> shard_active_;
   bool step_all_ = false;
@@ -1098,7 +1157,7 @@ class SyncNetwork {
   std::vector<PendingRec> dup_buf_;
 
   std::uint64_t round_ = 0;
-  std::uint32_t epoch_base_ = 0;  // see epoch(); moved by reset()
+  std::uint32_t epoch_base_;  // see epoch(); taken from tables_ by reset()
   std::uint64_t pending_ = 0;  // messages awaiting delivery next round
   std::uint64_t delivered_last_round_ = 0;
   std::uint64_t stepped_last_round_ = 0;

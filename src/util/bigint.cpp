@@ -1,6 +1,5 @@
 #include "util/bigint.hpp"
 
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -8,15 +7,11 @@
 
 namespace lps {
 
-BigCounter::BigCounter(std::uint64_t v) {
-  if (v != 0) limbs_.push_back(v);
-}
-
 void BigCounter::normalize() {
   while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
 }
 
-BigCounter& BigCounter::operator+=(const BigCounter& rhs) {
+BigCounter& BigCounter::add(const BigCounter& rhs) {
   const std::size_t n = std::max(limbs_.size(), rhs.limbs_.size());
   limbs_.resize(n);
   unsigned __int128 carry = 0;
@@ -72,12 +67,6 @@ BigCounter& BigCounter::shift_left(int bits) {
   }
   if (carry != 0) limbs_.push_back(carry);
   return *this;
-}
-
-std::size_t BigCounter::bit_size() const {
-  if (limbs_.empty()) return 0;
-  return 64 * (limbs_.size() - 1) +
-         static_cast<std::size_t>(std::bit_width(limbs_.back()));
 }
 
 double BigCounter::log2() const {

@@ -11,8 +11,10 @@
 // heap. Lemma 3.6's bound fits in one limb while ceil(d/2) * log2(Delta)
 // < 64, and at the degrees and path lengths the benchmarks run (Delta <=
 // 17, augmenting paths of at most 5 edges, so n_v <= 17^3) every count
-// does. Such a count owns no heap block, and a counting message moves
-// through the engine's payload columns as a 16-byte value.
+// does. Such a count owns no heap block, and construction from a word,
+// one-limb additions that do not carry and bit_size() are inline. (The
+// counting pass sends a count as one word, not as a BigCounter: see
+// core/bipartite_counting.cpp.)
 //
 // Supported operations are the ones the algorithms need: addition,
 // subtraction (for weighted-bucket sampling), comparison, chunked
@@ -21,6 +23,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <limits>
@@ -38,9 +41,22 @@ class BigCounter {
   BigCounter() = default;
 
   /// From a 64-bit value.
-  BigCounter(std::uint64_t v);  // NOLINT(google-explicit-constructor)
+  BigCounter(std::uint64_t v) {  // NOLINT(google-explicit-constructor)
+    if (v != 0) limbs_.push_back(v);
+  }
 
-  BigCounter& operator+=(const BigCounter& rhs);
+  BigCounter& operator+=(const BigCounter& rhs) {
+    if (limbs_.size() <= 1 && rhs.limbs_.size() <= 1) {
+      const std::uint64_t a = low();
+      const std::uint64_t sum = a + rhs.low();
+      if (sum >= a) {  // no carry: the sum stays in one limb
+        limbs_.clear();
+        if (sum != 0) limbs_.push_back(sum);
+        return *this;
+      }
+    }
+    return add(rhs);
+  }
   friend BigCounter operator+(BigCounter lhs, const BigCounter& rhs) {
     lhs += rhs;
     return lhs;
@@ -65,7 +81,11 @@ class BigCounter {
   void clear() noexcept { limbs_.clear(); }
 
   /// Number of significant bits (0 for zero).
-  std::size_t bit_size() const;
+  std::size_t bit_size() const noexcept {
+    if (limbs_.empty()) return 0;
+    return 64 * (limbs_.size() - 1) +
+           static_cast<std::size_t>(std::bit_width(limbs_.back()));
+  }
 
   /// log2 of the value; returns -infinity for zero.
   double log2() const;
@@ -201,6 +221,12 @@ class BigCounter {
     };
   };
 
+  /// The general addition, for sums past one limb.
+  BigCounter& add(const BigCounter& rhs);
+  /// The lowest limb (0 for zero).
+  std::uint64_t low() const noexcept {
+    return limbs_.empty() ? 0 : limbs_[0];
+  }
   void normalize();
   /// Extract `count` (<= 32) bits starting at bit `pos` (LSB order).
   std::uint32_t get_bits(std::size_t pos, int count) const;

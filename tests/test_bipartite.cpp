@@ -309,6 +309,30 @@ TEST(BipartiteCounting, CountsSpillPastOneLimbOnTheLadder) {
     EXPECT_FALSE(endpoint_paths.fits_u64());
     // The depth-60 forwarders send 2^90: 91 bits plus 2.
     EXPECT_EQ(res.stats.max_message_bits, 93u);
+    // Every count on an arc is its sender's total; a spilled entry stands
+    // for it and holds its bit size.
+    std::size_t spilled = 0;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      for (std::uint64_t a = g.store().offsets[v];
+           a < g.store().offsets[v + 1]; ++a) {
+        // Counts arrive from the layer before, none from the one after.
+        const NodeId from = g.store().adj_to[a];
+        if (res.counts[a] == 0) {
+          EXPECT_EQ(from / w, v / w + 1) << "arc " << a;
+          continue;
+        }
+        EXPECT_EQ(from / w + 1, v / w) << "arc " << a;
+        EXPECT_EQ(res.count_at(g, a), res.total[from]) << "arc " << a;
+        if (res.counts[a] >= CountingResult::kSpilled) {
+          ++spilled;
+          EXPECT_EQ(res.counts[a] & ~CountingResult::kSpilled,
+                    res.total[from].bit_size())
+              << "arc " << a;
+          EXPECT_GE(res.total[from].bit_size(), 64u) << "arc " << a;
+        }
+      }
+    }
+    EXPECT_GT(spilled, 0u);
 
     Matching m = ladder.matching;
     AugOptions opts;

@@ -48,7 +48,9 @@ void expect_same_instance(const api::Instance& a, const api::Instance& b,
     ASSERT_EQ(a.weighted_graph().weights, b.weighted_graph().weights) << spec;
   }
   ASSERT_EQ(a.side().has_value(), b.side().has_value()) << spec;
-  if (a.side().has_value()) ASSERT_EQ(*a.side(), *b.side()) << spec;
+  if (a.side().has_value()) {
+    ASSERT_EQ(*a.side(), *b.side()) << spec;
+  }
 }
 
 TEST(Generators, DeterministicForFixedSeed) {

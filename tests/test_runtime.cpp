@@ -9,6 +9,7 @@
 #include <memory>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -28,6 +29,13 @@ namespace {
 
 struct IntMsg {
   int value;
+};
+
+/// A payload of another type and size, for networks sharing one set of
+/// tables with an IntMsg network.
+struct WideMsg {
+  std::uint64_t value;
+  double weight;
 };
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
@@ -825,14 +833,15 @@ struct RunLog {
   std::uint64_t round0_deliveries = 0;
 };
 
-RunLog run_logged(SyncNetwork<IntMsg>& net, const LoggedRun& run) {
+template <typename Msg>
+RunLog run_logged(SyncNetwork<Msg>& net, const LoggedRun& run) {
   RunLog log;
   log.steps.resize(net.graph().num_nodes());
   if (!run.activate.empty()) {
     net.restrict_initial_active();
     for (const NodeId v : run.activate) net.activate(v);
   }
-  auto step = [&](SyncNetwork<IntMsg>::Ctx& ctx) {
+  auto step = [&](typename SyncNetwork<Msg>::Ctx& ctx) {
     const NodeId v = ctx.id();
     std::vector<std::uint64_t>& out = log.steps[v];
     out.push_back(ctx.round());
@@ -844,7 +853,9 @@ RunLog run_logged(SyncNetwork<IntMsg>& net, const LoggedRun& run) {
     out.push_back(draw);
     for (const auto& inc : ctx.graph().neighbors(v)) {
       if ((draw + inc.to) % 3 == 0) {
-        ctx.send(inc.edge, IntMsg{static_cast<int>(draw % 1000)});
+        Msg msg{};
+        msg.value = static_cast<decltype(Msg::value)>(draw % 1000);
+        ctx.send(inc.edge, msg);
       }
     }
     if (draw % 5 == 0) ctx.keep_active();
@@ -909,6 +920,79 @@ TEST(SyncNetwork, ResetRunsMatchFreshNetworks) {
     EXPECT_EQ(got.stats.max_message_bits, want.stats.max_message_bits);
     EXPECT_GT(want.stats.messages, 0u);
   }
+}
+
+TEST(SyncNetwork, SharedTablesRunsMatchFreshNetworks) {
+  // Two networks with different message types on one set of stamp
+  // tables, alternating runs that each start from a reset, one reset
+  // sweeping the shared stamps (the forced epoch wrap): every run must
+  // match a fresh network of its own type with the same seed bit for bit.
+  Rng rng(53);
+  const NodeId n = 2500;
+  const Graph g = erdos_renyi(n, 4.0 / n, rng);
+  ThreadPool pool(4);
+  std::vector<NodeId> odd;
+  for (NodeId v = 1; v < n; v += 2) odd.push_back(v);
+  const std::vector<LoggedRun> runs = {
+      {11, 6, {0, 5, 9, 400, 2499}, true, false},
+      {12, 8, odd, true, false},
+      {13, 12, {}, false, false},  // the reset after it sweeps the stamps
+      {11, 6, {0, 5, 9, 400, 2499}, true, false},
+      {14, 9, odd, false, false},
+      {15, 7, {}, true, false},
+  };
+  SyncNetwork<IntMsg> narrow(g, 0);
+  SyncNetwork<WideMsg> wide(narrow.tables(), 0);
+  ASSERT_EQ(narrow.tables(), wide.tables());
+  narrow.set_thread_pool(&pool);
+  wide.set_thread_pool(&pool);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    const LoggedRun& run = runs[i];
+    RunLog got;
+    RunLog want;
+    if (i % 2 == 0) {
+      narrow.reset(run.seed);
+      if (i == 2) narrow.advance_epoch_base_for_testing();
+      got = run_logged(narrow, run);
+      SyncNetwork<IntMsg> fresh(g, run.seed);
+      fresh.set_thread_pool(&pool);
+      want = run_logged(fresh, run);
+    } else {
+      wide.reset(run.seed);
+      got = run_logged(wide, run);
+      SyncNetwork<WideMsg> fresh(g, run.seed);
+      fresh.set_thread_pool(&pool);
+      want = run_logged(fresh, run);
+    }
+    EXPECT_EQ(got.round0_deliveries, 0u);
+    EXPECT_EQ(got.steps, want.steps);
+    EXPECT_EQ(got.stats.rounds, want.stats.rounds);
+    EXPECT_EQ(got.stats.messages, want.stats.messages);
+    EXPECT_EQ(got.stats.total_bits, want.stats.total_bits);
+    EXPECT_EQ(got.stats.max_message_bits, want.stats.max_message_bits);
+    EXPECT_GT(want.stats.messages, 0u);
+  }
+
+  // A network may not run once the other has run since its last reset:
+  // their stamps would collide.
+  const auto idle = [](auto&) {};
+  narrow.reset(1);
+  wide.reset(2);
+  wide.run_round(idle);
+  EXPECT_THROW(narrow.run_round(idle), std::logic_error);
+  narrow.reset(1);
+  EXPECT_NO_THROW(narrow.run_round(idle));
+
+  // Nor may it run on after a round of its own threw (a sequential step
+  // may throw): that round may have left stamps at its epoch.
+  narrow.set_thread_pool(nullptr);
+  narrow.reset(1);
+  const auto throws = [](auto&) { throw std::runtime_error("step"); };
+  EXPECT_THROW(narrow.run_round(throws), std::runtime_error);
+  EXPECT_THROW(narrow.run_round(idle), std::logic_error);
+  narrow.reset(1);
+  EXPECT_NO_THROW(narrow.run_round(idle));
 }
 
 TEST(SyncNetwork, EpochBaseMovesOnlyBetweenRuns) {

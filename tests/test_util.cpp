@@ -150,6 +150,18 @@ TEST(BigCounter, CarryChains) {
   EXPECT_EQ(back, x);
   EXPECT_TRUE(back.fits_u64());
   EXPECT_EQ(back.to_u64(), ~0ULL);
+  // One-limb sums: zero stays the empty value, and a counter may add
+  // itself, with and without a carry.
+  BigCounter zero;
+  zero += BigCounter(0);
+  EXPECT_TRUE(zero.is_zero());
+  EXPECT_EQ(zero, BigCounter());
+  BigCounter twice(3);
+  twice += twice;
+  EXPECT_EQ(twice, BigCounter(6));
+  BigCounter wraps(std::uint64_t{1} << 63);
+  wraps += wraps;
+  EXPECT_EQ(wraps, sum);
 }
 
 TEST(BigCounter, LargeAdditionAgainstInt128) {
@@ -269,9 +281,9 @@ TEST(BigCounter, DecimalStringKnownValues) {
   EXPECT_EQ(x.to_string(), "184467440737095516165");
 }
 
-// A one-limb count is one 16-byte value: it owns no heap block, and the
-// engine's payload columns move it without copying (vector growth moves
-// only nothrow-movable elements).
+// A one-limb count is one 16-byte value that owns no heap block, and a
+// column of counts (the counting pass's totals) moves rather than copies
+// them when it grows (vector growth moves only nothrow-movable elements).
 static_assert(sizeof(BigCounter) <= 16);
 static_assert(std::is_nothrow_move_constructible_v<BigCounter>);
 static_assert(std::is_nothrow_move_assignable_v<BigCounter>);
